@@ -1,17 +1,11 @@
-"""The cost of generality: the framework constprop client vs the
-specialized solver it re-expresses.
+"""The framework's shipped clients, timed over the Table 1–3 corpus.
 
-The tentpole extraction claims the pluggable engine gives up (almost)
-nothing — the generic :class:`~repro.framework.engine.ClientEngine`
-performs the *same* evaluations, meets, and deltas as the specialized
-:class:`~repro.core.engine.DeltaEngine` (asserted exactly, counter for
-counter), and its wall-clock overhead from edge-function dispatch stays
-under the gate below on the Table 1–3 corpus. The two new clients are
-timed alongside for the record: copy propagation pays the specialized
-path's prices plus the richer lattice; MOD/REF re-derives the
-Cooper–Kennedy summaries through the reverse flow graph."""
-
-import time
+Constant propagation is the paper's analysis — exactly what
+:func:`repro.core.solver.solve` runs — and its work counters are the
+``--bench-check`` baseline. Copy propagation pays the same edge walk
+plus the richer lattice; MOD/REF re-derives the Cooper–Kennedy
+summaries through the reverse flow graph and is cross-checked against
+the reference implementation."""
 
 import pytest
 
@@ -20,7 +14,6 @@ from repro.callgraph import build_call_graph, compute_modref
 from repro.core.builder import build_forward_jump_functions
 from repro.core.config import AnalysisConfig
 from repro.core.returns import build_return_jump_functions
-from repro.core.solver import solve
 from repro.framework import solve_client
 from repro.framework.clients import (
     ConstPropClient,
@@ -31,10 +24,6 @@ from repro.framework.clients import (
 from repro.frontend.symbols import parse_program
 from repro.ir import lower_program
 from repro.workloads import load, suite_names
-
-#: generic-engine constprop must stay within this factor of the
-#: specialized path's wall-clock (ISSUE 8 satellite gate: 1.3x).
-MAX_GENERIC_OVERHEAD = 1.3
 
 
 @pytest.fixture(scope="module")
@@ -61,79 +50,20 @@ def _sum_counters(results) -> dict[str, int]:
     return totals
 
 
-def _solve_specialized(prepared):
-    return [solve(lowered, graph, forward)
-            for lowered, graph, forward in prepared]
-
-
 def _solve_framework(prepared):
     return [solve_client(lowered, graph, ConstPropClient(forward))
             for lowered, graph, forward in prepared]
 
 
-def _interleaved_best(runners, prepared, repeats=7) -> list[float]:
-    """Best-of-N wall-clock per runner, rounds interleaved so ambient
-    machine noise hits every runner alike."""
-    best = [float("inf")] * len(runners)
-    for _ in range(repeats):
-        for index, runner in enumerate(runners):
-            start = time.perf_counter()
-            runner(prepared)
-            best[index] = min(best[index], time.perf_counter() - start)
-    return best
-
-
 def test_framework_constprop(benchmark, prepared, bench_counters):
-    """The generic engine driving the translated constprop edges."""
+    """Constant propagation: the stage-2 flow edges on the engine."""
     results = benchmark(lambda: _solve_framework(prepared))
     assert all(r.reached for r in results)
     bench_counters.update(_sum_counters(results))
 
 
-def test_generic_vs_specialized_cost(prepared, reporter, bench_counters):
-    """The tentpole gate: same fixpoint, same work counters, wall-clock
-    within ``MAX_GENERIC_OVERHEAD`` of the specialized path."""
-    specialized_results = _solve_specialized(prepared)
-    framework_results = _solve_framework(prepared)
-
-    lines = [
-        f"{'program':<12} {'evaluations':>12} {'memo hits':>10} {'passes':>7}",
-        "-" * 45,
-    ]
-    for (lowered, _, _), spec, generic in zip(
-        prepared, specialized_results, framework_results
-    ):
-        assert generic.val == spec.val  # bit-identical VAL
-        assert generic.counters() == spec.counters()  # same work, exactly
-        lines.append(
-            f"{lowered.program.main:<12} {generic.evaluations:>12} "
-            f"{generic.memo_hits:>10} {generic.passes:>7}"
-        )
-
-    specialized_secs, framework_secs = _interleaved_best(
-        (_solve_specialized, _solve_framework), prepared
-    )
-    overhead = framework_secs / specialized_secs
-    lines.append("-" * 45)
-    lines.append(
-        f"wall-clock (best of 7): specialized {specialized_secs * 1000:.2f} ms, "
-        f"framework {framework_secs * 1000:.2f} ms ({overhead:.2f}x, "
-        f"gate {MAX_GENERIC_OVERHEAD}x)"
-    )
-    reporter("Generic engine vs specialized solver", "\n".join(lines))
-    bench_counters.update(_sum_counters(framework_results))
-    bench_counters.update(
-        {
-            "specialized_ms": round(specialized_secs * 1000, 3),
-            "framework_ms": round(framework_secs * 1000, 3),
-            "overhead_x": round(overhead, 3),
-        }
-    )
-    assert framework_secs <= specialized_secs * MAX_GENERIC_OVERHEAD
-
-
 def test_copyprop_client(benchmark, prepared, reporter, bench_counters):
-    """The first new client: the copy lattice over the same flow edges."""
+    """The copy lattice over the same flow edges."""
     results = benchmark(
         lambda: [
             solve_client(lowered, graph, CopyPropClient(forward))

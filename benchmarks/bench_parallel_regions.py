@@ -12,9 +12,9 @@ Two measurements:
   schedule. Skipped on single-CPU hosts, where the gate would only measure
   the scheduler's overhead.
 - ``test_parallel_matches_sequential_on_workload`` runs a real workload
-  through a real two-worker pool with compiled kernels and requires the
-  byte-identical VAL sets that the property suite checks exhaustively,
-  recording the solver work counters for the regression gate.
+  through a real two-worker pool and requires the byte-identical VAL
+  sets that the property suite checks exhaustively, recording the solver
+  work counters for the regression gate.
 """
 
 import os
@@ -142,7 +142,6 @@ def run_workload_comparison():
         workers=2,
         source=source,
         config=config,
-        compiled=True,
     )
     assert par.val == seq.val
     assert par.reached == seq.reached

@@ -1,12 +1,10 @@
-"""§2's 'alternative formulations': sparse worklist, dense reference, and
-binding-graph solver.
+"""§2's solver formulations: sparse worklist vs dense reference.
 
-All three compute the same fixpoint (cross-checked exactly in the test
-suite and re-asserted here); this bench measures the trades — the dense
+Both compute the same fixpoint (cross-checked exactly in the test suite
+and re-asserted here); this bench measures the trade — the dense
 per-procedure worklist re-evaluates whole call sites, the sparse engine
 evaluates only jump functions whose support lowered (with build-time
-constant hoisting and an identity-keyed memo), and the binding graph
-re-evaluates individual jump functions along dependency edges."""
+constant hoisting and an identity-keyed memo)."""
 
 import time
 
@@ -14,7 +12,6 @@ import pytest
 
 from repro.analysis.ssa import ensure_global_symbols
 from repro.callgraph import build_call_graph, compute_modref
-from repro.core.binding_solver import solve_binding_graph
 from repro.core.builder import build_forward_jump_functions
 from repro.core.config import AnalysisConfig
 from repro.core.returns import build_return_jump_functions
@@ -128,22 +125,3 @@ def test_sparse_vs_dense_cost(prepared, reporter, bench_counters):
     assert reduction >= MIN_EVALUATION_REDUCTION
     # allow a whisker of timer noise over "no worse than dense"
     assert sparse_secs <= dense_secs * 1.05
-
-
-def test_binding_graph_solver(benchmark, prepared, reporter, bench_counters):
-    results = benchmark(lambda: _solve_all(solve_binding_graph, prepared))
-    assert all(r.reached for r in results)
-    bench_counters.update(_sum_counters(results))
-
-    worklist_results = _solve_all(solve, prepared)
-    lines = [
-        f"{'program':<12} {'worklist evals':>15} {'binding evals':>14}",
-        "-" * 43,
-    ]
-    for (lowered, _, _), wl, bg in zip(prepared, worklist_results, results):
-        lines.append(
-            f"{lowered.program.main:<12} {wl.evaluations:>15} "
-            f"{bg.evaluations:>14}"
-        )
-        assert wl.val == bg.val  # exact agreement, again
-    reporter("Solver comparison (§2 alternative formulations)", "\n".join(lines))

@@ -1,8 +1,8 @@
 """Scaling: sparse vs dense solver cost as program size grows.
 
 Sweeps the generator's scale factor on the ``spec77`` profile (the same
-sizes as ``bench_scaling.py``) and compares the dense reference, the
-sparse delta-driven engine, and the binding-graph solver on each size.
+sizes as ``bench_scaling.py``) and compares the dense reference with the
+sparse delta-driven engine on each size.
 The interesting question is whether the sparse engine's advantage (fewer
 solve-time evaluations) persists — or grows — with program size, and
 whether its bookkeeping ever costs more wall-clock than it saves."""
@@ -11,7 +11,6 @@ import time
 
 from repro.analysis.ssa import ensure_global_symbols
 from repro.callgraph import build_call_graph, compute_modref
-from repro.core.binding_solver import solve_binding_graph
 from repro.core.builder import build_forward_jump_functions
 from repro.core.config import AnalysisConfig
 from repro.core.returns import build_return_jump_functions
@@ -25,7 +24,6 @@ from benchmarks.bench_scaling import SCALES
 SOLVERS = (
     ("dense", solve_dense),
     ("sparse", solve),
-    ("binding", solve_binding_graph),
 )
 
 
@@ -71,7 +69,7 @@ def test_sparse_vs_dense_scaling(benchmark, reporter, bench_counters):
 
     header = (
         f"{'scale':>6} {'lines':>7} "
-        f"{'dense ev':>9} {'sparse ev':>10} {'binding ev':>11} "
+        f"{'dense ev':>9} {'sparse ev':>10} "
         f"{'dense ms':>9} {'sparse ms':>10}"
     )
     body = [header, "-" * len(header)]
@@ -80,7 +78,6 @@ def test_sparse_vs_dense_scaling(benchmark, reporter, bench_counters):
             f"{row['scale']:>6.2f} {row['lines']:>7} "
             f"{row['dense']['evaluations']:>9} "
             f"{row['sparse']['evaluations']:>10} "
-            f"{row['binding']['evaluations']:>11} "
             f"{row['dense']['seconds'] * 1000:>9.2f} "
             f"{row['sparse']['seconds'] * 1000:>10.2f}"
         )
@@ -94,6 +91,5 @@ def test_sparse_vs_dense_scaling(benchmark, reporter, bench_counters):
         {
             "largest_scale_dense_evaluations": largest["dense"]["evaluations"],
             "largest_scale_sparse_evaluations": largest["sparse"]["evaluations"],
-            "largest_scale_binding_evaluations": largest["binding"]["evaluations"],
         }
     )

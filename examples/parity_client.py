@@ -14,9 +14,7 @@ Run:  python examples/parity_client.py
 from repro import AnalysisConfig
 from repro.analysis.ssa import ensure_global_symbols
 from repro.callgraph import build_call_graph, compute_modref
-from repro.core.builder import build_forward_jump_functions
-from repro.core.engine import entry_keys
-from repro.core.exprs import EntryExpr
+from repro.core.builder import build_forward_jump_functions, entry_keys
 from repro.core.lattice import BOTTOM, TOP, is_constant
 from repro.core.returns import build_return_jump_functions
 from repro.framework import (
@@ -82,14 +80,14 @@ class ParityClient(AnalysisClient):
         return (lowered.program.main,)
 
     def flow_edges(self, lowered, graph):
-        index = self.forward.support_index(lowered)  # stage-2 bindings
+        index = self.forward.support_index(lowered)  # stage-2 flow edges
         edges = []
         for binding_edges in index.seeds.values():
             for e in binding_edges:
                 if e.const is not None and is_constant(e.const):
                     func = ConstantEdge(parity(e.const))  # fold the literal
-                elif e.expr.__class__ is EntryExpr:
-                    func = IdentityEdge(e.expr.key)  # parity rides through
+                elif e.passthrough is not None:
+                    func = IdentityEdge(e.passthrough)  # parity rides through
                 else:
                     func = BottomEdge()  # arithmetic: give up (soundly)
                 edges.append(flow_edge(e.site_id, e.caller, e.callee, e.key, func))

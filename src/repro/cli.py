@@ -47,9 +47,9 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["constprop", "copyprop", "modref"],
         default="constprop",
         help="which framework analysis to run: the paper's constant "
-             "propagation (default, specialized engine), interprocedural "
-             "copy propagation, or MOD/REF summaries re-derived through "
-             "the generic dataflow engine",
+             "propagation (default), interprocedural copy propagation, "
+             "or MOD/REF summaries re-derived through the dataflow "
+             "engine",
     )
     analyze_cmd.add_argument("--no-mod", action="store_true",
                              help="drop interprocedural MOD information")
@@ -92,9 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                   "wave by wave of the SCC condensation "
                                   "(falls back to sequential on any "
                                   "pool failure, RL540)")
-    analyze_cmd.add_argument("--compiled", action="store_true",
-                             help="evaluate polynomial jump functions "
-                                  "through compiled closure kernels")
     analyze_cmd.add_argument("--flat", action="store_true",
                              help="solve stage 3 on the flat slab engine "
                                   "(integer-coded lattice slots, CSR "
@@ -265,7 +262,6 @@ def _config_from(args: argparse.Namespace) -> AnalysisConfig:
         max_meets=args.max_meets,
         degrade_on_budget=not args.no_degrade,
         parallel_regions=args.parallel,
-        compiled_exprs=args.compiled,
         flat_engine=getattr(args, "flat", False),
     )
 

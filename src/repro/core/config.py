@@ -70,10 +70,6 @@ class AnalysisConfig:
     #: wave of the region condensation (None/0 = sequential). A failed
     #: parallel solve degrades to the sequential schedule (RL540).
     parallel_regions: int | None = None
-    #: evaluate polynomial jump functions through compiled closure
-    #: kernels instead of the tree walk (value-identical; see
-    #: :func:`repro.core.exprs.compile_expr`).
-    compiled_exprs: bool = False
     #: solve stage 3 over the flat slab engine — integer-coded lattice
     #: slots, CSR fan-out, batched drains (value-identical; see
     #: :mod:`repro.core.slab`). Default off until the bench gates for a
@@ -104,8 +100,6 @@ class AnalysisConfig:
             parts.append("budget[" + ",".join(budgets) + "]")
         if self.parallel_regions:
             parts.append(f"parallel[{self.parallel_regions}]")
-        if self.compiled_exprs:
-            parts.append("compiled")
         if self.flat_engine:
             parts.append("flat")
         return "+".join(parts)

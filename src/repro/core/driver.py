@@ -391,7 +391,6 @@ def _attempt_solve(
     source, which is what pool workers rebuild from), and for programs
     with no retained source text.
     """
-    compiled = config.compiled_exprs
     try:
         if (
             config.parallel_regions
@@ -409,7 +408,6 @@ def _attempt_solve(
                     source=lowered.program.source,
                     config=config,
                     budget=budget,
-                    compiled=compiled,
                 )
             except BudgetExhaustedError:
                 raise
@@ -425,7 +423,7 @@ def _attempt_solve(
         chaos_point(Stage.SOLVE, scope="sparse")
         return solve(
             lowered, graph, forward, budget=budget, warm=warm,
-            compiled=compiled, flat=config.flat_engine,
+            flat=config.flat_engine,
         )
     except (BudgetExhaustedError, CancelledError):
         # budget exhaustion feeds the ladder; cancellation aborts the

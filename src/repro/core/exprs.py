@@ -66,37 +66,21 @@ class InternTable:
     ever dropped all at once by :meth:`clear`.
 
     The table carries a **generation counter** that :meth:`clear` bumps.
-    Any cache that keys on ``id(expr)`` (the sparse engine's evaluation
-    memo, the compiled-kernel cache below) must include the generation in
-    its keys: after a clear, CPython may recycle a dropped expression's id
-    for a brand-new node, and a generation-less cache would silently serve
-    the old entry for it.
-
-    The table also owns the **compiled-kernel cache** for
-    :func:`compile_expr`: one closure per interned node, keyed by
-    ``(generation, id(expr))`` and holding a strong reference to the
-    expression (so the id cannot be recycled while the entry lives).
-    Kernels are dropped together with the expressions by :meth:`clear`.
+    Any cache that keys on ``id(expr)`` must either include the generation
+    in its keys or hold a strong reference to every expression it keys by
+    id (the sparse engine's evaluation memo does the latter): after a
+    clear, CPython may recycle a dropped expression's id for a brand-new
+    node, and a cache with neither would silently serve the old entry for
+    it.
     """
 
-    __slots__ = (
-        "_table",
-        "hits",
-        "misses",
-        "generation",
-        "_kernels",
-        "kernel_compiles",
-        "kernel_hits",
-    )
+    __slots__ = ("_table", "hits", "misses", "generation")
 
     def __init__(self) -> None:
         self._table: dict[object, ValueExpr] = {}
         self.hits = 0
         self.misses = 0
         self.generation = 0
-        self._kernels: dict[object, tuple[ValueExpr, object]] = {}
-        self.kernel_compiles = 0
-        self.kernel_hits = 0
 
     def __len__(self) -> int:
         return len(self._table)
@@ -114,17 +98,7 @@ class InternTable:
 
     def clear(self) -> None:
         self._table.clear()
-        self._kernels.clear()
         self.generation += 1
-
-    def kernel_for(self, expr: "ValueExpr") -> "object | None":
-        """The cached compiled kernel for ``expr`` in the current
-        generation, or ``None``. Counts a hit only when found."""
-        entry = self._kernels.get((self.generation, id(expr)))
-        if entry is None:
-            return None
-        self.kernel_hits += 1
-        return entry[1]
 
     def counters(self) -> dict[str, int]:
         return {
@@ -132,9 +106,6 @@ class InternTable:
             "expr_intern_misses": self.misses,
             "expr_intern_entries": len(self._table),
             "expr_intern_generation": self.generation,
-            "expr_kernel_compiles": self.kernel_compiles,
-            "expr_kernel_hits": self.kernel_hits,
-            "expr_kernel_entries": len(self._kernels),
         }
 
 
@@ -499,41 +470,21 @@ def constant_only_value(expr: ValueExpr) -> LatticeValue:
 # Compiled kernels
 # --------------------------------------------------------------------------
 #
-# ``evaluate`` tree-walks: one method dispatch, one loop, and one list
-# allocation per operator node, every single evaluation. Jump functions are
-# tiny but *hot* — the sparse engine re-evaluates the same interned
-# expression for every support delta — so ``compile_expr`` flattens each
-# node once into a chain of closures: leaves become constant/dict-lookup
-# lambdas and operator nodes become closures over their operand kernels
-# with the lattice short-circuits inlined. Hash-consing makes the cache
-# pay twice: structurally shared subtrees compile once and the compiled
-# kernel is shared by every parent. Kernels fold through ``_fold``, so
-# compiled and tree-walk evaluation are value-identical by construction
-# (including the multiplicative absorption rule above).
-
-
-def _compile_node(expr: ValueExpr, table: InternTable):
-    if isinstance(expr, ConstExpr):
-        value = expr.value
-        return lambda env: value
-    if isinstance(expr, EntryExpr):
-        key = expr.key
-        return lambda env: env.get(key, BOTTOM)
-    if isinstance(expr, _BottomExpr):
-        return lambda env: BOTTOM
-    assert isinstance(expr, OpExpr)
-    kernels = tuple(compile_expr(arg, table) for arg in expr.args)
-    return _compile_op(expr, kernels)
+# The flat slab engine (:mod:`repro.core.slab`) evaluates polynomial jump
+# functions through closures instead of the ``evaluate`` tree walk: leaves
+# become slot-reading lambdas and operator nodes become closures over their
+# operand kernels with the lattice short-circuits inlined. Kernels fold
+# through ``_fold``, so compiled and tree-walk evaluation are
+# value-identical by construction (including the multiplicative
+# absorption rule above).
 
 
 def _compile_op(expr: OpExpr, kernels):
     """Build the operator closure over already-compiled operand kernels.
 
-    The closures are *carrier-agnostic*: they call their operand kernels
-    with whatever single argument they themselves received and only touch
-    the lattice values those return. The same bodies therefore serve both
-    the boxed-environment kernels (``kernel(env)``) and the slab kernels
-    (``kernel(codes)``) — only the leaves differ between the two targets.
+    The closures call their operand kernels with whatever single argument
+    they themselves received and only touch the lattice values those
+    return, so only the leaves know the carrier (``kernel(codes)``).
     """
     op, arity = expr.op, expr.arity
     if arity == "bin":
@@ -628,27 +579,6 @@ def _compile_op(expr: OpExpr, kernels):
     return intrinsic_kernel
 
 
-def compile_expr(expr: ValueExpr, table: InternTable = INTERN_TABLE):
-    """Compile ``expr`` into a ``kernel(env) -> LatticeValue`` closure.
-
-    Kernels are cached per table and per generation (see
-    :class:`InternTable`); repeated calls for the same interned node (or a
-    shared subtree of a larger one) return the same closure. The cache
-    entry pins the expression itself, so an ``id``-recycling collision
-    within a generation is impossible, and :func:`clear_intern_table`
-    drops the kernels together with the expressions they close over.
-    """
-    key = (table.generation, id(expr))
-    entry = table._kernels.get(key)
-    if entry is not None:
-        table.kernel_hits += 1
-        return entry[1]
-    kernel = _compile_node(expr, table)
-    table.kernel_compiles += 1
-    table._kernels[key] = (expr, kernel)
-    return kernel
-
-
 def compile_slab_expr(expr: ValueExpr, slots: Mapping[EntryKey, int], constants):
     """Compile ``expr`` into a ``kernel(codes) -> LatticeValue`` closure
     that reads a flat slab (``codes[slot]`` tagged ints) instead of a
@@ -658,12 +588,11 @@ def compile_slab_expr(expr: ValueExpr, slots: Mapping[EntryKey, int], constants)
     within the codes carrier the kernel will be handed* and ``constants``
     is the live constant-pool value list (captured by reference, so values
     interned after compilation still decode). Entry keys outside ``slots``
-    are ⊥, mirroring ``env.get(key, BOTTOM)``. Operator nodes reuse the
-    exact closure bodies of :func:`compile_expr` via ``_compile_op`` —
-    the two kernel families are value-identical by construction.
+    are ⊥, mirroring ``env.get(key, BOTTOM)``. Operator nodes are built
+    by ``_compile_op``.
 
-    Unlike ``compile_expr`` these kernels close over plain ints and the
-    pool list, never over interned expressions, so they are immune to
+    The kernels close over plain ints and the pool list, never over
+    interned expressions, so they are immune to
     :func:`clear_intern_table`; the slab caches them itself, keyed by
     structure at build time.
     """

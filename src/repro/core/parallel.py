@@ -64,15 +64,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.callgraph.graph import CallGraph
-from repro.core.builder import ForwardFunctions
+from repro.core.builder import ForwardFunctions, entry_keys
 from repro.core.config import AnalysisConfig
-from repro.core.engine import (
-    ENGINE_COUNTERS,
-    DeltaEngine,
-    RegionPartition,
-    SupportIndex,
-    entry_keys,
-)
 from repro.core.exprs import EntryKey
 from repro.core.lattice import TOP, LatticeValue, meet
 from repro.core.regions import (
@@ -88,12 +81,11 @@ from repro.core.slab import (
     encode_env,
     slab_for,
 )
-from repro.core.solver import (
-    SolveResult,
-    _partition_for,
-    _PriorityWorklist,
-    initial_val,
-)
+from repro.core.solver import SolveResult, initial_val
+from repro.framework.client import FlowIndex, RegionPartition
+from repro.framework.clients.constprop import ConstPropClient
+from repro.framework.engine import ENGINE_COUNTERS, ClientEngine
+from repro.framework.worklist import PriorityWorklist
 from repro.ir.lower import LoweredProgram
 from repro.resilience import chaos
 from repro.resilience.budgets import SolveBudget
@@ -124,15 +116,14 @@ class _WorkerState:
     lowered: LoweredProgram
     graph: CallGraph
     forward: ForwardFunctions
-    index: SupportIndex
+    index: FlowIndex
     schedule: RegionSchedule
     partition: RegionPartition
     keys_of: dict[str, list[EntryKey]]
     rpo: dict[str, int]
-    compiled: bool
     #: the flat engine's slab (and its name→pid map) when the config
     #: runs ``--flat``: region tasks then replay firing-stream blocks
-    #: instead of running the object DeltaEngine
+    #: instead of running the object engine
     slab: SlabProgram | None = None
     slab_pids: dict[str, int] | None = None
 
@@ -170,7 +161,6 @@ def _make_state(
     *,
     source: str | None,
     config: AnalysisConfig | None,
-    compiled: bool,
 ) -> _WorkerState:
     schedule = region_schedule(graph)
     slab = (
@@ -186,10 +176,11 @@ def _make_state(
         forward=forward,
         index=forward.support_index(lowered),
         schedule=schedule,
-        partition=_partition_for(forward, lowered, schedule.region_of),
+        partition=ConstPropClient(forward).partition(
+            lowered, graph, schedule.region_of
+        ),
         keys_of=entry_keys(lowered),
         rpo=graph.rpo_index(),
-        compiled=compiled,
         slab=slab,
         slab_pids=(
             {name: pid for pid, name in enumerate(slab.proc_names)}
@@ -227,7 +218,6 @@ def _build_worker_state(source: str, config: AnalysisConfig) -> _WorkerState:
         forward,
         source=source,
         config=config,
-        compiled=config.compiled_exprs,
     )
 
 
@@ -285,7 +275,8 @@ def _solve_region_task_flat(
 ) -> RegionOutcome:
     """Flat-engine variant of :func:`_solve_region_task`: replay the
     region members' precomputed firing-stream blocks against a private
-    codes array instead of running the object :class:`DeltaEngine`.
+    codes array instead of running the object
+    :class:`~repro.framework.engine.ClientEngine`.
 
     Soundness mirrors the sequential flat solve restricted to one
     region. Slots are assigned in region-schedule order, so a region's
@@ -547,14 +538,13 @@ def _solve_region_task(
         scratch[callee] = {key: TOP for key in keys_of[callee]}
 
     stats = SolveResult(val=scratch)
-    engine = DeltaEngine(
+    engine = ClientEngine(
         state.index,
+        ConstPropClient.lattice,
         scratch,
         stats,
-        None,
-        budget,
+        budget=budget,
         partition=state.partition,
-        compiled=state.compiled,
     )
 
     processed: dict[str, None] = {}
@@ -573,7 +563,7 @@ def _solve_region_task(
         for callee in engine.callees(proc):
             activations[callee] = None  # all cross-region for a singleton
     else:
-        worklist = _PriorityWorklist(state.rpo)
+        worklist = PriorityWorklist(state.rpo)
         pending: dict[str, dict[EntryKey, None]] = {}
         seeded: set[str] = set()
         for proc in reached:
@@ -669,7 +659,6 @@ class ParallelRegionSolver:
         source: str | None = None,
         config: AnalysisConfig | None = None,
         budget: SolveBudget | None = None,
-        compiled: bool = False,
     ):
         # Captured before _make_state so the slab's origin (store-loaded,
         # freshly built, or an in-process cache hit) can be told apart —
@@ -682,7 +671,6 @@ class ParallelRegionSolver:
             forward,
             source=source,
             config=config,
-            compiled=compiled,
         )
         slab = self._state.slab
         if slab is None:
@@ -871,7 +859,6 @@ def solve_parallel(
     source: str | None = None,
     config: AnalysisConfig | None = None,
     budget: SolveBudget | None = None,
-    compiled: bool = False,
 ) -> SolveResult:
     """Convenience wrapper: one :class:`ParallelRegionSolver` run."""
     return ParallelRegionSolver(
@@ -882,5 +869,4 @@ def solve_parallel(
         source=source,
         config=config,
         budget=budget,
-        compiled=compiled,
     ).solve()

@@ -1,6 +1,6 @@
 """Flat slab engine: stage 3 over preallocated integer arrays.
 
-The object engine (:mod:`repro.core.engine` + :mod:`repro.core.solver`)
+The object engine (:class:`~repro.framework.engine.ClientEngine`)
 spends its time in CPython object machinery: every VAL cell is a dict
 entry holding a boxed ``_Top``/``_Bottom`` sentinel or a boxed int,
 every meet is attribute dispatch, every delta fans out through
@@ -27,7 +27,7 @@ This module re-represents one solve as flat arrays ("slabs"):
         new = inc if old == 0 else (old if inc == 0 or old == inc else 1)
 
 ``edges / CSR``
-    :class:`~repro.core.engine.SupportIndex`'s dict-of-tuples becomes
+    :class:`~repro.framework.client.FlowIndex`'s dict-of-tuples becomes
     CSR-style ``(indptr, indices)`` arrays. The retained edge store is
     the *phase-1 stream*: the structural sweep from the main program is
     value-independent, so its pop order, every seed/kill firing, and
@@ -45,7 +45,7 @@ This module re-represents one solve as flat arrays ("slabs"):
     Polynomial jump functions are compiled once per (caller, expr) at
     build time via :func:`repro.core.exprs.compile_slab_expr` —
     closures that read slot codes directly and decode through the pool,
-    sharing the operator bodies of the PR-6 boxed kernels. They close
+    with the lattice short-circuits inlined. They close
     over plain ints, never interned expressions, so a mid-solve
     :func:`~repro.core.exprs.clear_intern_table` cannot invalidate them.
 
@@ -83,10 +83,11 @@ from time import perf_counter
 from typing import Iterator, Mapping
 
 from repro.callgraph.graph import CallGraph
-from repro.core.engine import SupportIndex, entry_keys
-from repro.core.exprs import EntryExpr, EntryKey, compile_slab_expr
+from repro.core.builder import entry_keys
+from repro.core.exprs import EntryKey, compile_slab_expr
 from repro.core.lattice import BOTTOM, TOP, LatticeValue
 from repro.core.regions import region_schedule
+from repro.framework.client import FlowIndex
 from repro.frontend.symbols import GlobalId
 from repro.ir.lower import LoweredProgram
 
@@ -282,7 +283,7 @@ class SlabProgram:
 
 
 def build_slab(
-    lowered: LoweredProgram, graph: CallGraph, index: SupportIndex
+    lowered: LoweredProgram, graph: CallGraph, index: FlowIndex
 ) -> SlabProgram:
     """Flatten ``index`` into a :class:`SlabProgram`.
 
@@ -347,25 +348,24 @@ def build_slab(
             target = key_index[target_pid][edge.key]
             if edge.const is not None:
                 kind, payload = KIND_CONST, pool.encode(edge.const)
+            elif edge.passthrough is not None:
+                kind = KIND_PASS
+                payload = caller_slots.get(edge.passthrough, -1)
+            elif edge.support:
+                kind = KIND_POLY
+                expr = edge.func.expr
+                kernel_key = (pid, id(expr))
+                payload = kernel_ids.get(kernel_key, -1)
+                if payload < 0:
+                    payload = len(slab.kernels)
+                    kernel_ids[kernel_key] = payload
+                    slab.kernels.append(
+                        compile_slab_expr(expr, caller_slots, pool.values)
+                    )
+                    slab.kernel_pids.append(pid)
+                    slab.kernel_exprs.append(expr)
             else:
-                expr = edge.expr
-                if expr.__class__ is EntryExpr:
-                    kind = KIND_PASS
-                    payload = caller_slots.get(expr.key, -1)
-                elif edge.support:
-                    kind = KIND_POLY
-                    kernel_key = (pid, id(expr))
-                    payload = kernel_ids.get(kernel_key, -1)
-                    if payload < 0:
-                        payload = len(slab.kernels)
-                        kernel_ids[kernel_key] = payload
-                        slab.kernels.append(
-                            compile_slab_expr(expr, caller_slots, pool.values)
-                        )
-                        slab.kernel_pids.append(pid)
-                        slab.kernel_exprs.append(expr)
-                else:
-                    kind, payload = KIND_BOTTOM, 0
+                kind, payload = KIND_BOTTOM, 0
             edge_ids[id(edge)] = len(edge_target)
             edge_target.append(target)
             edge_kind.append(kind)
@@ -477,7 +477,7 @@ def build_slab(
 def patch_slab(
     slab: SlabProgram,
     lowered: LoweredProgram,
-    index: SupportIndex,
+    index: FlowIndex,
     changed: list[str],
 ) -> bool:
     """Splice the ``changed`` procedures' firing-stream blocks and
@@ -565,24 +565,23 @@ def patch_slab(
             target = key_index(name_to_pid[edge.callee])[edge.key]
             if edge.const is not None:
                 kind, payload = KIND_CONST, pool.encode(edge.const)
+            elif edge.passthrough is not None:
+                kind = KIND_PASS
+                payload = caller_slots.get(edge.passthrough, -1)
+            elif edge.support:
+                kind = KIND_POLY
+                expr = edge.func.expr
+                payload = kernel_ids.get(id(expr), -1)
+                if payload < 0:
+                    payload = len(slab.kernels)
+                    kernel_ids[id(expr)] = payload
+                    slab.kernels.append(
+                        compile_slab_expr(expr, caller_slots, pool.values)
+                    )
+                    slab.kernel_pids.append(pid)
+                    slab.kernel_exprs.append(expr)
             else:
-                expr = edge.expr
-                if expr.__class__ is EntryExpr:
-                    kind = KIND_PASS
-                    payload = caller_slots.get(expr.key, -1)
-                elif edge.support:
-                    kind = KIND_POLY
-                    payload = kernel_ids.get(id(expr), -1)
-                    if payload < 0:
-                        payload = len(slab.kernels)
-                        kernel_ids[id(expr)] = payload
-                        slab.kernels.append(
-                            compile_slab_expr(expr, caller_slots, pool.values)
-                        )
-                        slab.kernel_pids.append(pid)
-                        slab.kernel_exprs.append(expr)
-                else:
-                    kind, payload = KIND_BOTTOM, 0
+                kind, payload = KIND_BOTTOM, 0
             owner = pid_rank[bisect_right(slot_base, target) - 1]
             new_target.append(target)
             new_kind.append(kind)

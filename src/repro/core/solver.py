@@ -15,22 +15,23 @@ statistics distinguish ``pops`` (worklist extractions) from ``passes``
 (monotone sweeps in priority order) — the quantity the §3.1.5 cost
 analysis multiplies against per-pass jump-function evaluation cost.
 
-:func:`solve` is **sparse and region-scheduled**: it condenses the call
-graph into SCC regions (:mod:`repro.core.regions`) and converges each
-region to its local fixed point exactly once, callers-first, before any
-cross-region call site is evaluated — so every cross-region jump
-function is evaluated exactly once, with its caller's final environment
-(sound because jump functions are monotone: the deferred single
-evaluation meets the same value the skipped intermediate ones would
-have converged to). Within a region the shared
-:class:`~repro.core.engine.DeltaEngine` applies the usual sparse
+:func:`solve` is the framework's
+:func:`~repro.framework.engine.solve_client` with the
+constant-propagation client: **sparse and region-scheduled**. It
+condenses the call graph into SCC regions (:mod:`repro.core.regions`)
+and converges each region to its local fixed point exactly once,
+callers-first, before any cross-region call site is evaluated — so every
+cross-region jump function is evaluated exactly once, with its caller's
+final environment (sound because jump functions are monotone: the
+deferred single evaluation meets the same value the skipped intermediate
+ones would have converged to). Within a region the
+:class:`~repro.framework.engine.ClientEngine` applies the usual sparse
 discipline: seed once at first reach, re-evaluate only on support
 deltas. In region mode ``passes`` is the *maximum* per-region sweep
 count — the worst-case number of times any single jump function is
 re-evaluated, which is what §3.1.5 charges — while ``region_passes``
 totals the per-region sweeps and ``regions`` counts converged regions.
-``region_scheduled=False`` runs the PR-2 global-worklist schedule
-(kept for comparison benchmarks and tests).
+A sanitized solve runs the fully iterating global schedule instead.
 
 A :class:`WarmStart` lets an incremental re-analysis adopt stored
 fixed-point environments for regions whose inputs provably did not
@@ -51,124 +52,16 @@ Procedures never reached from the main program keep ⊤ (paper §2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.callgraph.graph import CallGraph
-from repro.core.builder import ForwardFunctions
-from repro.core.engine import DeltaEngine, RegionPartition, entry_keys
+from repro.core.builder import ForwardFunctions, entry_keys
 from repro.core.exprs import EntryKey
-from repro.core.lattice import BOTTOM, TOP, LatticeValue, is_constant, meet
-from repro.core.regions import region_schedule
-from repro.framework.driver import drive_global_schedule, drive_region_schedule
+from repro.core.lattice import BOTTOM, TOP, LatticeValue, meet
+from repro.framework.engine import SolveResult, solve_client
 from repro.framework.worklist import PriorityWorklist
 from repro.frontend.symbols import GlobalId
 from repro.ir.lower import LoweredProgram
-
-#: Compatibility alias — the worklist moved to the framework package
-#: (PR 8); the binding-grain solver and the parallel scheduler import
-#: it under this name.
-_PriorityWorklist = PriorityWorklist
-
-
-@dataclass(slots=True)
-class SolveResult:
-    """VAL sets plus solver statistics.
-
-    ``pops`` counts worklist extractions (one procedure or binding
-    re-evaluation each); ``passes`` counts completed monotone sweeps over
-    the reverse-postorder schedule — a new pass begins whenever the solver
-    pops a node that does not extend the current ascending run.
-
-    ``evaluations`` counts jump-function expression evaluations actually
-    performed — the quantity the §3.1.5 cost model charges a pass.
-    The sparse engine's avoidance shows up in its own counters:
-    ``skipped`` (callee keys with no jump function, killed without
-    evaluating anything), ``deltas`` (changed-entry-key events
-    propagated), ``memo_hits``/``memo_misses`` (identity-keyed evaluation
-    memo), and ``bottom_skips`` (⊥ jump functions contributing their one
-    ⊥ without evaluation, plus bindings already at ⊥ left untouched).
-    The dense reference solver leaves the engine-only counters at zero.
-    """
-
-    val: dict[str, dict[EntryKey, LatticeValue]] = field(default_factory=dict)
-    reached: set[str] = field(default_factory=set)
-    passes: int = 0
-    pops: int = 0
-    evaluations: int = 0
-    meets: int = 0
-    deltas: int = 0
-    skipped: int = 0
-    memo_hits: int = 0
-    memo_misses: int = 0
-    bottom_skips: int = 0
-    #: compiled-kernel cache misses/hits in the engine (0 unless the
-    #: solve ran with ``compiled=True``).
-    kernel_compiles: int = 0
-    kernel_hits: int = 0
-    #: SCC regions converged by this solve (0 under the legacy schedule).
-    regions: int = 0
-    #: total per-region sweeps — Σ of each region's local pass count.
-    region_passes: int = 0
-    #: regions adopted from a warm start instead of being converged.
-    regions_warm: int = 0
-    #: dependency levels processed by the parallel wave scheduler and
-    #: regions it dispatched to pool workers (0 for sequential solves).
-    waves: int = 0
-    regions_parallel: int = 0
-    #: flat slab engine (:mod:`repro.core.slab`) shape and drain counters
-    #: (0 unless the solve ran with ``flat=True``).
-    slab_slots: int = 0
-    slab_bytes: int = 0
-    batch_drains: int = 0
-    #: slab provenance for this solve: seconds spent building the slab
-    #: cold vs. loading (and possibly patching) a persistent slab from
-    #: the artifact store, plus how much of the slab a patch re-slabbed.
-    #: All zero when the slab came from the in-process cache or the
-    #: solve did not run flat. The warm-run bench gate asserts
-    #: ``slab_build_seconds == 0`` while ``slab_load_seconds > 0``.
-    slab_build_seconds: float = 0.0
-    slab_load_seconds: float = 0.0
-    slab_patched_procs: int = 0
-    slab_patched_slots: int = 0
-
-    def constants(self, proc: str) -> dict[EntryKey, LatticeValue]:
-        """CONSTANTS(p): the entry keys proven constant (paper §2)."""
-        return {
-            key: value
-            for key, value in self.val.get(proc, {}).items()
-            if is_constant(value)
-        }
-
-    def all_constants(self) -> dict[str, dict[EntryKey, LatticeValue]]:
-        return {proc: self.constants(proc) for proc in self.val}
-
-    def counters(self) -> dict[str, int | float]:
-        """The solver statistics as a flat mapping (for reports/benchmarks)."""
-        return {
-            "passes": self.passes,
-            "pops": self.pops,
-            "evaluations": self.evaluations,
-            "meets": self.meets,
-            "deltas": self.deltas,
-            "skipped": self.skipped,
-            "memo_hits": self.memo_hits,
-            "memo_misses": self.memo_misses,
-            "bottom_skips": self.bottom_skips,
-            "kernel_compiles": self.kernel_compiles,
-            "kernel_hits": self.kernel_hits,
-            "regions": self.regions,
-            "region_passes": self.region_passes,
-            "regions_warm": self.regions_warm,
-            "waves": self.waves,
-            "regions_parallel": self.regions_parallel,
-            "slab_slots": self.slab_slots,
-            "slab_bytes": self.slab_bytes,
-            "batch_drains": self.batch_drains,
-            "slab_build_seconds": self.slab_build_seconds,
-            "slab_load_seconds": self.slab_load_seconds,
-            "slab_patched_procs": self.slab_patched_procs,
-            "slab_patched_slots": self.slab_patched_slots,
-        }
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,9 +88,9 @@ class WarmStart:
 def initial_val(lowered: LoweredProgram) -> dict[str, dict[EntryKey, LatticeValue]]:
     """⊤ everywhere, except the main program's entry environment.
 
-    The key sets come from :func:`repro.core.engine.entry_keys`, the same
-    enumeration the support-dependency index is built over — VAL and the
-    index can never disagree about which bindings exist.
+    The key sets come from :func:`repro.core.builder.entry_keys`, the
+    same enumeration the flow index is built over — VAL and the index can
+    never disagree about which bindings exist.
     """
     val: dict[str, dict[EntryKey, LatticeValue]] = {
         name: {key: TOP for key in keys}
@@ -233,30 +126,6 @@ def bottom_val(lowered: LoweredProgram) -> dict[str, dict[EntryKey, LatticeValue
     return val
 
 
-def _partition_for(
-    forward: ForwardFunctions,
-    lowered: LoweredProgram,
-    region_of: dict[str, int],
-) -> RegionPartition:
-    """The forward functions' support index split along region
-    boundaries, computed once per (ForwardFunctions, schedule) pair —
-    repeated solves over one stage-2 output share the split."""
-    index = forward.support_index(lowered)
-    cached = getattr(forward, "_region_partition", None)
-    if cached is not None:
-        cached_index, cached_region_of, partition = cached
-        if cached_index is index and cached_region_of is region_of:
-            return partition
-    partition = RegionPartition(index, region_of)
-    try:
-        # keyed by index identity: tampering with the site table and
-        # clearing forward.index (tests do) must invalidate the split
-        forward._region_partition = (index, region_of, partition)  # type: ignore[attr-defined]
-    except AttributeError:
-        pass  # slotted stand-ins simply rebuild per solve
-    return partition
-
-
 def solve(
     lowered: LoweredProgram,
     graph: CallGraph,
@@ -264,38 +133,30 @@ def solve(
     *,
     sanitizer=None,
     budget=None,
-    region_scheduled: bool = True,
     warm: WarmStart | None = None,
-    compiled: bool = False,
     flat: bool = False,
 ) -> SolveResult:
     """Sparse delta-driven propagation to a fixpoint (procedure-grained).
 
-    By default the solve is region-scheduled: the call graph's SCC
-    condensation is processed callers-first, each region converging to
-    its local fixed point exactly once before any of its cross-region
-    call sites is evaluated (see the module docstring for why that is
-    sound and what it does to the counters). ``region_scheduled=False``
-    selects the legacy global-worklist schedule; ``warm`` (region mode
-    only) adopts stored fixed points for clean regions.
+    The solve is region-scheduled: the call graph's SCC condensation is
+    processed callers-first, each region converging to its local fixed
+    point exactly once before any of its cross-region call sites is
+    evaluated (see the module docstring for why that is sound and what
+    it does to the counters). ``warm`` adopts stored fixed points for
+    clean regions.
 
     ``sanitizer`` (e.g. a
     :class:`repro.diagnostics.sanitizer.LatticeSanitizer`) observes every
-    transfer and VAL update for lattice-invariant checking; ``None`` —
-    the default — solves at full speed.
+    transfer and VAL update for lattice-invariant checking, on the fully
+    iterating global schedule (warm starts are ignored); ``None`` — the
+    default — solves at full speed.
 
     ``budget`` (a :class:`repro.resilience.budgets.SolveBudget`) caps
     passes here and evaluation/meet fuel inside the engine; exhaustion
     raises :class:`~repro.resilience.errors.BudgetExhaustedError`, which
     the driver's degradation ladder converts into a cheaper jump
-    function rather than a dead result. In region mode the pass cap
-    applies to each region's local sweep count — the same §3.1.5
-    quantity the legacy global count approximated.
-
-    ``compiled=True`` evaluates polynomial jump functions through
-    compiled closure kernels (:func:`repro.core.exprs.compile_expr`)
-    instead of the ``evaluate`` tree walk — value-identical, counted
-    under ``kernel_compiles``/``kernel_hits``.
+    function rather than a dead result. The pass cap applies to each
+    region's local sweep count — the §3.1.5 quantity.
 
     ``flat=True`` routes the whole solve through the flat slab engine
     (:mod:`repro.core.slab`): integer-coded lattice slots, CSR fan-out,
@@ -308,76 +169,18 @@ def solve(
         from repro.core.slab import solve_flat
 
         return solve_flat(lowered, graph, forward, budget=budget)
-    if sanitizer is not None:
-        # Sanitizing is about observability, not speed: the sanitizer's
-        # monotone-descent check needs to see *every* transfer of an
-        # iterating schedule, and region deferral evaluates cross-region
-        # edges exactly once — which would hide, say, a non-monotone
-        # jump function sitting on one. Sanitized solves therefore run
-        # the fully iterating legacy schedule (and ignore warm starts).
-        region_scheduled = False
-    if not region_scheduled:
-        return _solve_legacy(
-            lowered,
-            graph,
-            forward,
-            sanitizer=sanitizer,
-            budget=budget,
-            compiled=compiled,
-        )
-    schedule = region_schedule(graph)
-    result = SolveResult(val=initial_val(lowered))
-    engine = DeltaEngine(
-        forward.support_index(lowered),
-        result.val,
-        result,
-        sanitizer,
-        budget,
-        partition=_partition_for(forward, lowered, schedule.region_of),
-        compiled=compiled,
-    )
-    drive_region_schedule(
-        engine,
-        schedule,
-        PriorityWorklist(graph.rpo_index()),
-        result,
-        roots=(lowered.program.main,),
+    # repro.framework.clients imports the diagnostics passes, which
+    # import this module
+    from repro.framework.clients.constprop import ConstPropClient
+
+    return solve_client(
+        lowered,
+        graph,
+        ConstPropClient(forward),
         budget=budget,
+        sanitizer=sanitizer,
         warm=warm,
     )
-    return result
-
-
-def _solve_legacy(
-    lowered: LoweredProgram,
-    graph: CallGraph,
-    forward: ForwardFunctions,
-    *,
-    sanitizer=None,
-    budget=None,
-    compiled: bool = False,
-) -> SolveResult:
-    """The PR-2 global-worklist schedule: one reverse-postorder priority
-    queue over the whole call graph, cross-region edges re-evaluated
-    whenever their support lowers. Kept for schedule-comparison tests
-    and benchmarks; computes the identical fixpoint."""
-    result = SolveResult(val=initial_val(lowered))
-    engine = DeltaEngine(
-        forward.support_index(lowered),
-        result.val,
-        result,
-        sanitizer,
-        budget,
-        compiled=compiled,
-    )
-    drive_global_schedule(
-        engine,
-        PriorityWorklist(graph.rpo_index()),
-        result,
-        roots=(lowered.program.main,),
-        budget=budget,
-    )
-    return result
 
 
 def solve_dense(
@@ -396,7 +199,7 @@ def solve_dense(
     result = SolveResult(val=initial_val(lowered))
     val = result.val
 
-    worklist = _PriorityWorklist(graph.rpo_index())
+    worklist = PriorityWorklist(graph.rpo_index())
     worklist.push(lowered.program.main, lowered.program.main)
     while worklist:
         caller = worklist.pop()

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.core.engine import entry_keys
+from repro.core.builder import entry_keys
 from repro.core.solver import solve, solve_dense
 from repro.diagnostics.core import (
     Diagnostic,

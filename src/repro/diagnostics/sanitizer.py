@@ -14,10 +14,11 @@ facts (paper §2, §3.1.5):
    (and its uniqueness) is forfeit.
 
 A :class:`LatticeSanitizer` is handed to
-:func:`repro.core.solver.solve` (or a :class:`~repro.core.engine.DeltaEngine`
-directly); the engine calls :meth:`observe_transfer` for every
-evaluate-and-meet and :meth:`observe_update` for every VAL mutation,
-including seed-time kills. Violations are *recorded*, never raised — a
+:func:`repro.core.solver.solve` (or a
+:class:`~repro.framework.engine.ClientEngine` directly); the engine
+calls :meth:`observe_transfer` for every evaluate-and-meet and
+:meth:`observe_update` for every VAL mutation, including seed-time
+kills. Violations are *recorded*, never raised — a
 broken transfer still solves to ⊥ via the meet, and the caller decides
 what to do with the report (the lint pass turns each violation into a
 :class:`~repro.diagnostics.core.Diagnostic`).

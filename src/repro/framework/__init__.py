@@ -1,39 +1,38 @@
-"""Analysis-agnostic interprocedural dataflow framework.
+"""Analysis-agnostic interprocedural dataflow framework — stage 3.
 
-The stage-3 machinery built across PRs 2–7 — the sparse delta engine,
-the reverse-postorder priority worklist, SCC region scheduling, solve
-budgets, and sanitizer hooks — solves one specific problem: the paper's
-3-level constant lattice driven by jump-function binding edges. This
-package factors that machinery into an analysis-agnostic core in the
-IFDS/IDE tradition (and the value-contexts formulation of Padhye &
-Khedker): a client supplies a :class:`~repro.framework.lattice.Lattice`,
+The paper's stage 3 (§4.1) is one worklist over jump functions. This
+package is that worklist, factored in the IFDS/IDE tradition (and the
+value-contexts formulation of Padhye & Khedker): a client supplies a
+:class:`~repro.framework.lattice.Lattice`,
 :class:`~repro.framework.edges.EdgeFunction` transfers attached to
 :class:`~repro.framework.client.FlowEdge` call-graph edges, seed
 environments, and roots; :func:`~repro.framework.engine.solve_client`
-runs the identical seed/delta/flush fixed-point discipline over them.
+runs the seed/delta/flush fixed-point discipline over them. Constant
+propagation is one client among three.
 
 Layering (no cycles):
 
 - :mod:`repro.framework.worklist` and :mod:`repro.framework.driver`
-  hold the scheduling core *moved out of* ``repro.core.solver`` — the
-  specialized constant-propagation :func:`~repro.core.solver.solve`
-  now delegates to them, so the framework and the paper pipeline
-  literally share one scheduler.
+  hold the scheduling core: the reverse-postorder priority worklist and
+  the region / global schedule loops.
 - :mod:`repro.framework.lattice`, :mod:`repro.framework.edges`, and
-  :mod:`repro.framework.client` define the client contracts.
-- :mod:`repro.framework.engine` is the generic twin of
-  :class:`repro.core.engine.DeltaEngine`, reporting through the same
-  counter keys as :class:`repro.core.solver.SolveResult`.
+  :mod:`repro.framework.client` define the client contracts and the
+  indexed edge structure (:class:`~repro.framework.client.FlowIndex`,
+  :class:`~repro.framework.client.RegionPartition`).
+- :mod:`repro.framework.engine` is the sparse engine and the
+  :class:`~repro.framework.engine.SolveResult` every solve returns.
 - :mod:`repro.framework.clients` hosts the shipped analyses:
-  constant propagation (byte-identical to ``solve()``), interprocedural
-  copy propagation (subsumes constprop), and MOD/REF-as-dataflow
-  (cross-checked against :mod:`repro.callgraph.modref`).
+  constant propagation (what :func:`repro.core.solver.solve` runs),
+  interprocedural copy propagation (subsumes constprop), and
+  MOD/REF-as-dataflow (cross-checked against
+  :mod:`repro.callgraph.modref`).
 """
 
 from repro.framework.client import (
     AnalysisClient,
     FlowEdge,
     FlowIndex,
+    RegionPartition,
     flow_edge,
 )
 from repro.framework.edges import (
@@ -43,7 +42,7 @@ from repro.framework.edges import (
     ExprEdge,
     IdentityEdge,
 )
-from repro.framework.engine import ClientSolveResult, solve_client
+from repro.framework.engine import SolveResult, solve_client
 from repro.framework.lattice import (
     ConstantLattice,
     Lattice,
@@ -53,7 +52,6 @@ from repro.framework.lattice import (
 __all__ = [
     "AnalysisClient",
     "BottomEdge",
-    "ClientSolveResult",
     "ConstantEdge",
     "ConstantLattice",
     "EdgeFunction",
@@ -64,5 +62,7 @@ __all__ = [
     "IdentityEdge",
     "Lattice",
     "PowersetLattice",
+    "RegionPartition",
+    "SolveResult",
     "solve_client",
 ]

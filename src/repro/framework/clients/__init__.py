@@ -1,8 +1,7 @@
 """The shipped framework analyses.
 
 - :mod:`repro.framework.clients.constprop` — the paper's jump-function
-  constant propagation, re-expressed as a client; byte-identical VALs
-  to the specialized :func:`repro.core.solver.solve`.
+  constant propagation; :func:`repro.core.solver.solve` runs it.
 - :mod:`repro.framework.clients.copyprop` — interprocedural copy
   propagation over a lattice that refines the constant lattice with
   copy-of facts; provably subsumes constprop (projecting copies to ⊥

@@ -1,82 +1,30 @@
-"""Constant propagation as a framework client — the reference client.
+"""Constant propagation as a framework client — the paper's stage 3.
 
 The paper's pipeline already produces everything this client needs:
 stage 2's :class:`~repro.core.builder.ForwardFunctions` carry one jump
-function per (call site, callee entry key), and the stage-2
-:class:`~repro.core.engine.SupportIndex` already has them in the
-engine's seeds/kills/dependents/callees shape. The client translates
-each :class:`~repro.core.engine.BindingEdge` 1:1 into a
-:class:`~repro.framework.client.FlowEdge` — preserving tuple order,
-support order, hoisted constants, and the interned expression as the
-memo token — so the generic engine walks the identical edge sequence,
-performs the identical meets, and reaches the identical fixpoint with
-the identical counters the specialized solver reports.
+function per (call site, callee entry key), and
+:func:`~repro.core.builder.build_support_index` emits them as the
+client's :class:`~repro.framework.client.FlowIndex` — constant,
+pass-through, polynomial, and ⊥ jump functions as
+:class:`~repro.framework.edges.ConstantEdge`,
+:class:`~repro.framework.edges.IdentityEdge`,
+:class:`~repro.framework.edges.ExprEdge`, and
+:class:`~repro.framework.edges.BottomEdge` functions. This client only
+names the lattice, the seed environment, and the root;
+:func:`repro.core.solver.solve` runs it.
 
-``tests/framework/test_client_equivalence.py`` pins that down:
-byte-identical VALs (value *and* class, so a LOGICAL ``.true.`` never
-passes for an INTEGER ``1``) against both :func:`repro.core.solver.solve`
-and :func:`repro.core.solver.solve_dense` across the workload suite and
-hypothesis-generated programs.
+``tests/properties/test_solver_equivalence.py`` pins the result down
+against the dense reference solver: identical VALs (value *and* class,
+so a LOGICAL ``.true.`` never passes for an INTEGER ``1``) across the
+workload suite and hypothesis-generated programs.
 """
 
 from __future__ import annotations
 
-from repro.core.builder import ForwardFunctions
-from repro.core.engine import BindingEdge, RegionPartition, SupportIndex, entry_keys
-from repro.core.exprs import EntryExpr
+from repro.core.builder import ForwardFunctions, entry_keys
 from repro.core.solver import initial_val
-from repro.framework.client import AnalysisClient, FlowEdge, FlowIndex
-from repro.framework.edges import BottomEdge, ConstantEdge, ExprEdge, IdentityEdge
+from repro.framework.client import AnalysisClient, FlowIndex, RegionPartition
 from repro.framework.lattice import ConstantLattice
-
-_BOTTOM_EDGE = BottomEdge()
-
-
-def _translate_edge(edge: BindingEdge) -> FlowEdge:
-    """One binding edge as a flow edge, fast-path fields preserved."""
-    expr = edge.expr
-    if edge.const is not None:
-        func = ConstantEdge(edge.const)
-    elif expr.__class__ is EntryExpr:
-        func = IdentityEdge(expr.key)
-    elif edge.support:
-        func = ExprEdge(expr, edge.support)
-    else:
-        func = _BOTTOM_EDGE  # support-free and not constant ⇒ ⊥
-    return FlowEdge(
-        edge.site_id,
-        edge.caller,
-        edge.callee,
-        edge.key,
-        func,
-        edge.support,
-        edge.const,
-        expr.key if expr.__class__ is EntryExpr else None,
-    )
-
-
-def translate_index(index: SupportIndex) -> FlowIndex:
-    """The stage-2 support index with every binding edge translated,
-    structure and iteration order untouched — the translation is a
-    bijection, so seed order, delta fan-out order, and kill order (the
-    things the counters and the memo observe) are identical."""
-    mapping: dict[int, FlowEdge] = {}
-
-    def translated(edge: BindingEdge) -> FlowEdge:
-        flow = mapping.get(id(edge))
-        if flow is None:
-            flow = mapping[id(edge)] = _translate_edge(edge)
-        return flow
-
-    seeds = {
-        proc: tuple(translated(edge) for edge in edges)
-        for proc, edges in index.seeds.items()
-    }
-    dependents = {
-        binding: tuple(translated(edge) for edge in edges)
-        for binding, edges in index.dependents.items()
-    }
-    return FlowIndex(seeds, dict(index.kills), dependents, dict(index.callees))
 
 
 class ConstPropClient(AnalysisClient):
@@ -98,30 +46,23 @@ class ConstPropClient(AnalysisClient):
         return (lowered.program.main,)
 
     def flow_edges(self, lowered, graph) -> FlowIndex:
-        """Translated once per stage-2 index (cached on the forward
-        functions, invalidated when the index identity changes — the
-        same discipline as the solver's partition cache)."""
-        index = self.forward.support_index(lowered)
-        cached = getattr(self.forward, "_framework_flow_index", None)
-        if cached is not None and cached[0] is index:
-            return cached[1]
-        flow_index = translate_index(index)
-        try:
-            self.forward._framework_flow_index = (index, flow_index)
-        except AttributeError:
-            pass  # slotted stand-ins rebuild per solve
-        return flow_index
+        return self.forward.support_index(lowered)
 
     def partition(self, lowered, graph, region_of) -> RegionPartition:
+        """The stage-2 index split along region boundaries, computed once
+        per (index, schedule) pair — repeated solves over one stage-2
+        output share the split."""
         index = self.flow_edges(lowered, graph)
-        cached = getattr(self.forward, "_framework_partition", None)
+        cached = getattr(self.forward, "_region_partition", None)
         if cached is not None:
             cached_index, cached_region_of, partition = cached
             if cached_index is index and cached_region_of is region_of:
                 return partition
         partition = RegionPartition(index, region_of)
         try:
-            self.forward._framework_partition = (index, region_of, partition)
+            # keyed by index identity: tampering with the site table and
+            # clearing forward.index (tests do) must invalidate the split
+            self.forward._region_partition = (index, region_of, partition)
         except AttributeError:
-            pass
+            pass  # slotted stand-ins simply rebuild per solve
         return partition

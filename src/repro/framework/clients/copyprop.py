@@ -34,24 +34,15 @@ that pass unknown entry values down call chains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
-from repro.core.builder import ForwardFunctions
-from repro.core.engine import BindingEdge, entry_keys
-from repro.core.exprs import EntryExpr
+from repro.core.builder import ForwardFunctions, entry_keys
 from repro.core.lattice import BOTTOM, TOP, meet as constant_meet
 from repro.frontend.symbols import GlobalId
 from repro.framework.client import AnalysisClient, FlowEdge, FlowIndex
-from repro.framework.edges import (
-    BottomEdge,
-    ConstantEdge,
-    EdgeFunction,
-    IdentityEdge,
-)
+from repro.framework.edges import EdgeFunction, ExprEdge
 from repro.framework.lattice import Lattice, Value
-
-_BOTTOM_EDGE = BottomEdge()
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,26 +115,14 @@ class ProjectedExprEdge(EdgeFunction):
         return self.expr
 
 
-def _translate_edge(edge: BindingEdge) -> FlowEdge:
-    expr = edge.expr
-    if edge.const is not None:
-        func: EdgeFunction = ConstantEdge(edge.const)
-    elif expr.__class__ is EntryExpr:
-        func = IdentityEdge(expr.key)  # copies ride pass-throughs intact
-    elif edge.support:
-        func = ProjectedExprEdge(expr, edge.support)
-    else:
-        func = _BOTTOM_EDGE
-    return FlowEdge(
-        edge.site_id,
-        edge.caller,
-        edge.callee,
-        edge.key,
-        func,
-        edge.support,
-        edge.const,
-        expr.key if expr.__class__ is EntryExpr else None,
-    )
+def _lift_edge(edge: FlowEdge) -> FlowEdge:
+    """One stage-2 constprop edge on the copy lattice: polynomials are
+    re-wrapped to evaluate over the projected slice; constants, ⊥, and
+    pass-throughs (copies ride them intact) carry over unchanged."""
+    func = edge.func
+    if func.__class__ is not ExprEdge:
+        return edge
+    return replace(edge, func=ProjectedExprEdge(func.expr, edge.support))
 
 
 class CopyPropClient(AnalysisClient):
@@ -191,10 +170,10 @@ class CopyPropClient(AnalysisClient):
             return cached[1]
         mapping: dict[int, FlowEdge] = {}
 
-        def translated(edge: BindingEdge) -> FlowEdge:
+        def translated(edge: FlowEdge) -> FlowEdge:
             flow = mapping.get(id(edge))
             if flow is None:
-                flow = mapping[id(edge)] = _translate_edge(edge)
+                flow = mapping[id(edge)] = _lift_edge(edge)
             return flow
 
         flow_index = FlowIndex(

@@ -1,13 +1,11 @@
 """The generic fixed-point drivers — the scheduling core of stage 3.
 
-Both loops were extracted verbatim from ``repro.core.solver`` (PR 8):
 :func:`drive_region_schedule` is the SCC-condensed callers-first
-schedule of :func:`repro.core.solver.solve`, and
-:func:`drive_global_schedule` is the PR-2 global priority-worklist
-schedule of the legacy path. They are analysis-agnostic: the ``engine``
-is duck-typed to the four-method surface both
-:class:`repro.core.engine.DeltaEngine` and
-:class:`repro.framework.engine.ClientEngine` expose —
+schedule every unsanitized solve runs, and :func:`drive_global_schedule`
+is the fully iterating global priority-worklist schedule a sanitized
+solve runs. They are analysis-agnostic: the ``engine`` is duck-typed to
+the four-method surface :class:`repro.framework.engine.ClientEngine`
+exposes —
 
 ``seed(proc) -> dict[callee, dict[key, None]]``
     first visit: evaluate every (intra-region) edge once, kill unbound
@@ -21,9 +19,8 @@ is duck-typed to the four-method surface both
 
 ``result`` is likewise duck-typed: the drivers read/write ``reached``,
 ``passes``, ``pops``, ``regions``, ``region_passes``, and (warm starts)
-``regions_warm``/``val`` — the attribute surface shared by
-:class:`repro.core.solver.SolveResult` and
-:class:`repro.framework.engine.ClientSolveResult`.
+``regions_warm``/``val`` — the attribute surface of
+:class:`repro.framework.engine.SolveResult`.
 
 Soundness of the region schedule does not depend on the condensation
 order being topological for the flow direction: a delta delivered to an

@@ -3,8 +3,9 @@
 An :class:`EdgeFunction` maps a *source environment* (the flow
 predecessor's entry-key → value mapping) to one lattice value for one
 target key — exactly the shape of the paper's jump functions, which is
-what makes the specialized constprop pipeline a client of this
-framework rather than a sibling. The IDE-style algebra is provided:
+what makes the constprop pipeline a client of this framework: stage 2
+emits its jump functions as the four structural shapes below. The
+IDE-style algebra is provided:
 
 - ``identity(key)`` — the pass-through edge λenv. env[key];
 - ``f.compose(bindings)`` — substitution: evaluate ``f`` in an
@@ -13,11 +14,10 @@ framework rather than a sibling. The IDE-style algebra is provided:
 - ``f.meet_with(lattice, g)`` — the pointwise meet of two edges (how
   parallel paths into the same target key fold into one function).
 
-The generic engine never calls ``apply`` for the three structural
-shapes it can transfer directly — constants, identities, and
-support-free bottoms — the same hoisting the specialized
-:class:`repro.core.engine.DeltaEngine` applies to
-:class:`~repro.core.engine.BindingEdge`. ``memo_token()`` keys the
+The engine never calls ``apply`` for the three structural shapes it
+can transfer directly — constants, identities, and support-free
+bottoms — the build-time hoisting §3.1.5 charges to constructing a
+jump function rather than to every pass. ``memo_token()`` keys the
 evaluation memo: edge functions wrapping hash-consed structures (e.g.
 :class:`ExprEdge` over interned ``ValueExpr`` trees) return the shared
 structure so distinct edges carrying the same function share memo hits.
@@ -134,8 +134,8 @@ class BottomEdge(EdgeFunction):
 class ExprEdge(EdgeFunction):
     """A polynomial jump function as an edge: wraps a hash-consed
     :class:`repro.core.exprs.ValueExpr` and shares its identity as the
-    memo token, so the framework constprop client's memo behaves like
-    the specialized engine's ``id(expr)``-keyed memo."""
+    memo token, so distinct sites passing the same interned polynomial
+    share memo entries."""
 
     expr: ValueExpr
     keys: tuple

@@ -16,7 +16,7 @@ lattice provides them:
 
 Values must be hashable (they ride in the evaluation-memo key) and
 comparable with ``==``; the memo slices pair each value with its class
-(:func:`repro.core.engine._memo_value`) so ``True`` never aliases ``1``.
+(:func:`repro.framework.engine._memo_value`) so ``True`` never aliases ``1``.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ class Lattice:
 class ConstantLattice(Lattice):
     """The paper's 3-level lattice (§2 Figure 1) as a framework client
     lattice: ⊤ / the constants / ⊥, delegating to
-    :func:`repro.core.lattice.meet` so the framework constprop client
-    meets exactly as the specialized solver does."""
+    :func:`repro.core.lattice.meet` so the constprop client meets
+    exactly as the dense reference solver does."""
 
     top = TOP
     bottom = BOTTOM

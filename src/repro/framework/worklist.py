@@ -1,10 +1,6 @@
-"""The reverse-postorder priority worklist shared by every scheduler.
-
-Moved here from ``repro.core.solver`` (PR 8) so the generic framework
-driver, the specialized constant-propagation solvers, the binding-grain
-solver, and the parallel region scheduler all drain the same structure;
-``repro.core.solver._PriorityWorklist`` remains as a compatibility
-alias.
+"""The reverse-postorder priority worklist shared by every scheduler:
+the framework driver loops, the dense reference solver, and the
+parallel region scheduler all drain the same structure.
 """
 
 from __future__ import annotations

@@ -3,10 +3,10 @@
 A :class:`SolveBudget` caps the three quantities the §3.1.5 cost model
 actually charges: monotone worklist sweeps (``passes``), jump-function
 ``evaluations``, and lattice ``meets``. The solvers check the pass cap on
-every worklist pop; the :class:`~repro.core.engine.DeltaEngine` checks
-the evaluation/meet fuel once per seed or delta batch — cheap enough to
-leave enabled, tight enough that a pathological solve is cut off within
-one batch of its limit.
+every worklist pop; the :class:`~repro.framework.engine.ClientEngine`
+checks the evaluation/meet fuel once per seed or delta batch — cheap
+enough to leave enabled, tight enough that a pathological solve is cut
+off within one batch of its limit.
 
 Exhaustion raises :class:`~repro.resilience.errors.BudgetExhaustedError`;
 the driver's degradation ladder turns that into a cheaper jump function

@@ -202,8 +202,7 @@ _STAGE_MARKERS: tuple[tuple[str, Stage], ...] = (
     ("repro/core/jump_functions", Stage.JUMP_FUNCTIONS),
     ("repro/analysis/valuenum", Stage.JUMP_FUNCTIONS),
     ("repro/core/solver", Stage.SOLVE),
-    ("repro/core/engine", Stage.SOLVE),
-    ("repro/core/binding_solver", Stage.SOLVE),
+    ("repro/framework/", Stage.SOLVE),
     ("repro/core/substitute", Stage.SUBSTITUTE),
 )
 

@@ -53,7 +53,6 @@ CONFIG_KEYS = (
     "max_evaluations",
     "max_meets",
     "degrade_on_budget",
-    "compiled_exprs",
     "flat_engine",
 )
 

@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.callgraph.graph import CallGraph
-from repro.core.engine import entry_keys
+from repro.core.builder import entry_keys
 from repro.core.solver import SolveResult, WarmStart
 from repro.ir.lower import LoweredProgram
 from repro.store.artifacts import StoreError

@@ -1,13 +1,11 @@
-"""Tests for the sparse delta-driven engine: hash-consing, the support
-index, constant hoisting, ⊥ handling, and the evaluation memo."""
+"""Tests for the sparse delta-driven engine: hash-consing, the stage-2
+flow index, constant hoisting, ⊥ handling, and the evaluation memo."""
 
 from repro import analyze
 from repro.analysis.ssa import ensure_global_symbols
 from repro.callgraph import build_call_graph, compute_modref
-from repro.core.binding_solver import solve_binding_graph
-from repro.core.builder import build_forward_jump_functions
+from repro.core.builder import build_forward_jump_functions, build_support_index
 from repro.core.config import AnalysisConfig, JumpFunctionKind
-from repro.core.engine import DeltaEngine, build_support_index
 from repro.core.exprs import (
     ConstExpr,
     EntryExpr,
@@ -21,6 +19,9 @@ from repro.core.jump_functions import CallSiteFunctions
 from repro.core.lattice import BOTTOM
 from repro.core.returns import build_return_jump_functions
 from repro.core.solver import SolveResult, initial_val, solve, solve_dense
+from repro.framework.edges import ConstantEdge, ExprEdge, IdentityEdge
+from repro.framework.engine import ClientEngine
+from repro.framework.lattice import ConstantLattice
 from repro.frontend import parse_program
 from repro.ir import lower_program
 
@@ -35,6 +36,10 @@ def pipeline(source, config=None):
     returns = build_return_jump_functions(lowered, graph, modref, config)
     forward = build_forward_jump_functions(lowered, modref, returns, config)
     return lowered, graph, forward
+
+
+def engine_for(index, result):
+    return ClientEngine(index, ConstantLattice(), result.val, result)
 
 
 class TestHashConsing:
@@ -70,15 +75,26 @@ class TestHashConsing:
             "expr_intern_misses",
             "expr_intern_entries",
             "expr_intern_generation",
-            "expr_kernel_compiles",
-            "expr_kernel_hits",
-            "expr_kernel_entries",
         }
 
 
 SIMPLE = """
 program m
   call s(1)
+end
+subroutine s(a)
+  integer a
+  write a
+end
+"""
+
+PASS_THROUGH = """
+program m
+  call t(1)
+end
+subroutine t(x)
+  integer x
+  call s(x)
 end
 subroutine s(a)
   integer a
@@ -106,26 +122,28 @@ class TestSupportIndex:
         (edge,) = forward.index.seeds["m"]
         assert edge.const == 1
         assert edge.support == ()
+        assert edge.func == ConstantEdge(1)
 
     def test_pass_through_edge_has_support(self):
-        source = """
-program m
-  call t(1)
-end
-subroutine t(x)
-  integer x
-  call s(x)
-end
-subroutine s(a)
-  integer a
-  write a
-end
-"""
-        lowered, graph, forward = pipeline(source)
+        lowered, graph, forward = pipeline(PASS_THROUGH)
         (edge,) = forward.index.seeds["t"]
         assert edge.const is None
+        assert edge.passthrough == "x"
+        assert edge.func == IdentityEdge("x")
         assert edge.support == ("x",)
         assert forward.index.dependents[("t", "x")] == (edge,)
+
+    def test_polynomial_edge_wraps_interned_expr(self):
+        source = PASS_THROUGH.replace("call s(x)", "call s(x + 1)")
+        config = AnalysisConfig(jump_function=JumpFunctionKind.POLYNOMIAL)
+        lowered, graph, forward = pipeline(source, config)
+        (edge,) = forward.index.seeds["t"]
+        assert edge.const is None and edge.passthrough is None
+        assert edge.func.__class__ is ExprEdge
+        # the interned expression is the memo token
+        expr = make_binary("+", entry_expr("x"), const_expr(1))
+        assert edge.func.expr is expr
+        assert edge.func.memo_token() is expr
 
     def test_unbound_callee_key_is_killed(self):
         # hand-assemble a site that binds nothing: the callee formal must
@@ -135,7 +153,7 @@ end
         index = build_support_index(lowered, {0: site})
         assert index.kills["m"] == (("s", "a"),)
         result = SolveResult(val=initial_val(lowered))
-        engine = DeltaEngine(index, result.val, result)
+        engine = engine_for(index, result)
         changed = engine.seed("m")
         assert result.val["s"]["a"] is BOTTOM
         assert result.skipped == 1
@@ -227,10 +245,11 @@ end
         assert result.memo_misses >= 1
 
     def test_intern_clear_mid_solve_cannot_serve_stale_memo(self):
-        # the evaluation memo and kernel cache key expressions by id();
-        # clearing the intern table mid-solve frees those objects for id
-        # recycling, so both caches also key on the table's generation
-        # counter — a cleared table must never serve a pre-clear entry
+        # the evaluation memo keys edge functions by id(memo_token());
+        # clearing the intern table mid-solve drops the table's references
+        # to those expressions, so the memo itself pins every token it
+        # keys by id — no id it can still serve can be recycled for a
+        # fresh expression
         from repro.core.exprs import clear_intern_table
 
         source = """
@@ -249,19 +268,18 @@ end
         config = AnalysisConfig(jump_function=JumpFunctionKind.POLYNOMIAL)
         lowered, graph, forward = pipeline(source, config)
         result = SolveResult(val=initial_val(lowered))
-        engine = DeltaEngine(
-            forward.support_index(lowered), result.val, result, compiled=True
-        )
+        engine = engine_for(forward.support_index(lowered), result)
         engine.seed("m")
-        engine.seed("t")  # evaluates x + 1, memoizes under this generation
+        engine.seed("t")  # evaluates x + 1 and memoizes it
         assert result.val["s"]["a"] == 4
-        hits_before = result.memo_hits
+        assert result.memo_misses == 1
         clear_intern_table()
-        # same caller env, same expression object: without the generation
-        # in the key this re-evaluation would memo-hit; after a clear it
-        # must miss (and still compute the right value)
+        # a fresh x + 1 is a new object that cannot share a pinned id
+        fresh = make_binary("+", entry_expr("x"), const_expr(1))
+        pinned = {id(token) for token in engine._tokens}
+        assert id(fresh) not in pinned
+        assert {token_id for token_id, _ in engine._memo} <= pinned
         engine.apply_deltas("t", {"x": None})
-        assert result.memo_hits == hits_before
         assert result.val["s"]["a"] == 4
 
     def test_stats_report_lists_engine_counters(self):
@@ -274,6 +292,7 @@ end
 
 class TestSolverAgreement:
     def test_three_solvers_agree_with_mutation(self):
+        # dense, sparse, and flat slab: three schedules, one fixpoint
         source = """
 program m
   common /c/ g
@@ -299,11 +318,11 @@ end
             lowered, graph, forward = pipeline(source, config)
             dense = solve_dense(lowered, graph, forward)
             sparse = solve(lowered, graph, forward)
-            binding = solve_binding_graph(lowered, graph, forward)
-            assert dense.val == sparse.val == binding.val, kind
-            assert dense.reached == sparse.reached == binding.reached, kind
+            flat = solve(lowered, graph, forward, flat=True)
+            assert dense.val == sparse.val == flat.val, kind
+            assert dense.reached == sparse.reached == flat.reached, kind
             assert (
                 dense.all_constants()
                 == sparse.all_constants()
-                == binding.all_constants()
+                == flat.all_constants()
             ), kind

@@ -10,7 +10,7 @@ from repro.core.exprs import (
     EntryExpr,
     OpExpr,
     clear_intern_table,
-    compile_expr,
+    compile_slab_expr,
     const_expr,
     constant_only_value,
     entry_expr,
@@ -185,7 +185,8 @@ class TestZeroAbsorptionAtEvalTime:
 
 
 class TestCompiledKernels:
-    """compile_expr builds closure kernels that must agree with the
+    """compile_slab_expr builds closure kernels over slab codes (0 = ⊤,
+    1 = ⊥, k >= 2 = constant pool entry k - 2) that must agree with the
     ``evaluate`` tree walk on every lattice input."""
 
     ENVS = [
@@ -198,12 +199,29 @@ class TestCompiledKernels:
         {},
     ]
 
+    SLOTS = {"x": 0, "y": 1}
+
+    @staticmethod
+    def encode(env, constants):
+        codes = []
+        for key in ("x", "y"):
+            value = env.get(key, BOTTOM)
+            if value is TOP:
+                codes.append(0)
+            elif value is BOTTOM:
+                codes.append(1)
+            else:
+                constants.append(value)
+                codes.append(len(constants) + 1)
+        return codes
+
     def assert_kernel_agrees(self, expr):
-        kernel = compile_expr(expr)
+        constants = []
+        kernel = compile_slab_expr(expr, self.SLOTS, constants)
         for env in self.ENVS:
-            assert kernel(env) == expr.evaluate(env) or (
-                kernel(env) is expr.evaluate(env)
-            ), env
+            got = kernel(self.encode(env, constants))
+            want = expr.evaluate(env)
+            assert (got.__class__, got) == (want.__class__, want), env
 
     def test_polynomial_kernel(self):
         expr = make_binary(
@@ -230,29 +248,20 @@ class TestCompiledKernels:
         )
 
     def test_bottom_kernel(self):
-        assert compile_expr(BOTTOM_EXPR)({}) is BOTTOM
+        assert compile_slab_expr(BOTTOM_EXPR, {}, [])([]) is BOTTOM
 
-    def test_kernel_cache_hit_counted(self):
-        expr = make_binary("+", entry_expr("x"), const_expr(777001))
-        compiles = INTERN_TABLE.kernel_compiles
-        first = compile_expr(expr)
-        assert INTERN_TABLE.kernel_compiles > compiles
-        hits = INTERN_TABLE.kernel_hits
-        assert compile_expr(expr) is first
-        assert INTERN_TABLE.kernel_hits > hits
-
-    def test_clear_bumps_generation_and_drops_kernels(self):
-        # id-keyed caches corrupt silently if a cleared table lets a new
-        # expression recycle an old id; the generation counter in the
-        # cache key makes every pre-clear entry unreachable
+    def test_clear_bumps_generation_and_kernels_survive(self):
+        # id-keyed caches must not outlive a clear that lets a new
+        # expression recycle an old id; slab kernels close over slot
+        # offsets and the pool, never over interned expressions, so a
+        # clear leaves them valid
         expr = make_binary("+", entry_expr("x"), const_expr(777002))
-        compile_expr(expr)
+        constants = []
+        kernel = compile_slab_expr(expr, self.SLOTS, constants)
         generation = INTERN_TABLE.generation
         clear_intern_table()
         assert INTERN_TABLE.generation == generation + 1
-        assert INTERN_TABLE.kernel_for(expr) is None
-        kernel = compile_expr(expr)  # recompiles under the new generation
-        assert kernel({"x": 1}) == 777003
+        assert kernel(self.encode({"x": 1, "y": 0}, constants)) == 777003
 
 
 class TestSubstitution:

@@ -11,6 +11,7 @@ result-equivalent to the dense reference solver.
 from repro import analyze
 from repro.core.regions import region_schedule
 from repro.core.solver import solve, solve_dense
+from repro.diagnostics.sanitizer import LatticeSanitizer
 
 
 def run(source):
@@ -200,12 +201,13 @@ end
 """
 
     def test_region_passes_strictly_lower(self):
+        # a sanitized solve runs the fully iterating global schedule
         result = analyze(self.SOURCE)
         legacy = solve(
             result.lowered,
             result.call_graph,
             result.forward,
-            region_scheduled=False,
+            sanitizer=LatticeSanitizer(),
         )
         assert result.solved.reached == legacy.reached
         assert result.solved.val == legacy.val

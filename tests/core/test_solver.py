@@ -249,8 +249,6 @@ end
             "regions",
             "region_passes",
             "regions_warm",
-            "kernel_compiles",
-            "kernel_hits",
             "waves",
             "regions_parallel",
             "slab_slots",

@@ -1,131 +1,31 @@
-"""The framework constprop client is the specialized solver, re-expressed.
+"""The generic engine driving the constprop client reaches the dense fixpoint.
 
-The tentpole extraction moved the scheduling loops verbatim, so
-``solve()`` delegating through :mod:`repro.framework.driver` is
-byte-identical by construction. This file pins the stronger claim: the
-*generic* engine driving the *translated* edge functions
-(:class:`~repro.framework.clients.constprop.ConstPropClient`) also
-reproduces ``solve()`` exactly — same VALs (to the lattice-element
-class), same reached set, same counter values — across the workload
-suite and hypothesis-generated programs.
+:func:`repro.core.solver.solve` is :func:`~repro.framework.solve_client`
+over :class:`~repro.framework.clients.constprop.ConstPropClient`; this
+file calls that pair directly, outside the core solver's entry point,
+and holds it to :func:`~repro.core.solver.solve_dense` — the reference
+oracle — on hypothesis-generated programs, by value and by
+lattice-element class.
 """
 
-import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core.config import AnalysisConfig, JumpFunctionKind
-from repro.core.solver import SolveResult, solve, solve_dense
-from repro.framework import ClientSolveResult, solve_client
+from repro.core.solver import solve_dense
+from repro.framework import solve_client
 from repro.framework.clients import ConstPropClient
-from repro.workloads import load_suite
 from repro.workloads.generator import generate
-from repro.workloads.profiles import WorkloadProfile
 
-from tests.framework.helpers import prepare, tagged
+from tests.framework.helpers import prepare, profile_strategy, tagged
 
 SETTINGS = settings(max_examples=15, deadline=None)
-
-profile_strategy = st.builds(
-    WorkloadProfile,
-    name=st.just("fweq"),
-    seed=st.integers(1, 10_000),
-    phases=st.integers(1, 3),
-    pad_statements=st.integers(0, 3),
-    literal_args=st.integers(0, 5),
-    intra_args=st.integers(0, 3),
-    passthrough_chains=st.integers(0, 3),
-    chain_depth=st.integers(2, 4),
-    global_constants=st.integers(0, 3),
-    init_routine_globals=st.integers(0, 2),
-    mod_sensitive=st.integers(0, 3),
-    dead_branch_constants=st.integers(0, 2),
-    local_constants=st.integers(0, 3),
-    read_kills=st.integers(0, 2),
-    conflicting_sites=st.integers(0, 2),
-    skewed=st.booleans(),
-    function_results=st.integers(0, 2),
-    set_use=st.integers(0, 3),
-    set_use_calls=st.integers(0, 3),
-    leaf_call_fraction=st.floats(0.0, 1.0),
-    extra_global_leaves=st.integers(0, 3),
-    shallow_globals=st.booleans(),
-)
-
-kind_strategy = st.sampled_from(list(JumpFunctionKind))
-
-SUITE = load_suite(scale=0.25)
-
-
-def solve_both(source, config=None):
-    lowered, graph, _, forward = prepare(source, config)
-    specialized = solve(lowered, graph, forward)
-    generic = solve_client(lowered, graph, ConstPropClient(forward))
-    return lowered, graph, forward, specialized, generic
-
-
-@pytest.mark.parametrize("name", sorted(SUITE))
-def test_suite_vals_byte_identical(name):
-    workload = SUITE[name]
-    _, _, _, specialized, generic = solve_both(workload.source)
-    assert generic.reached == specialized.reached
-    assert tagged(generic.val) == tagged(specialized.val)
-
-
-@pytest.mark.parametrize("name", sorted(SUITE))
-def test_suite_counters_identical(name):
-    """Satellite 6: not just the same keys — the generic engine performs
-    the same evaluations, meets, deltas, memo traffic, and region passes
-    as the specialized path, so ``--bench-check`` comparisons stay
-    meaningful across the two."""
-    workload = SUITE[name]
-    _, _, _, specialized, generic = solve_both(workload.source)
-    assert generic.counters() == specialized.counters()
-
-
-@pytest.mark.parametrize("name", sorted(SUITE))
-def test_suite_matches_dense(name):
-    workload = SUITE[name]
-    lowered, graph, forward, _, generic = solve_both(workload.source)
-    dense = solve_dense(lowered, graph, forward)
-    assert tagged(generic.val) == tagged(dense.val)
-
-
-def test_counter_keys_match_solve_result():
-    """The two result types expose the same counter vocabulary, so stats
-    consumers (``--stats``, ``--bench-check``) need no per-type mapping."""
-    specialized = SolveResult(val={})
-    generic = ClientSolveResult(val={})
-    assert generic.counters().keys() == specialized.counters().keys()
-
-
-def test_legacy_schedule_agrees():
-    """``region_scheduled=False`` drives the flat worklist loop; same
-    fixpoint either way."""
-    workload = SUITE["fpppp"]
-    lowered, graph, _, forward = prepare(workload.source)
-    client = ConstPropClient(forward)
-    region = solve_client(lowered, graph, client)
-    legacy = solve_client(lowered, graph, client, region_scheduled=False)
-    assert tagged(region.val) == tagged(legacy.val)
-    assert region.reached == legacy.reached
-
-
-@given(profile=profile_strategy, kind=kind_strategy)
-@SETTINGS
-def test_generated_workloads_agree(profile, kind):
-    workload = generate(profile)
-    config = AnalysisConfig(jump_function=kind)
-    _, _, _, specialized, generic = solve_both(workload.source, config)
-    assert generic.reached == specialized.reached
-    assert tagged(generic.val) == tagged(specialized.val)
-    assert generic.counters() == specialized.counters()
 
 
 @given(profile=profile_strategy)
 @SETTINGS
 def test_generated_workloads_match_dense(profile):
     workload = generate(profile)
-    lowered, graph, forward, _, generic = solve_both(workload.source)
+    lowered, graph, _, forward = prepare(workload.source)
+    generic = solve_client(lowered, graph, ConstPropClient(forward))
     dense = solve_dense(lowered, graph, forward)
+    assert generic.reached == dense.reached
     assert tagged(generic.val) == tagged(dense.val)

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.lattice import BOTTOM, TOP
 from repro.core.solver import solve
@@ -23,8 +22,7 @@ from repro.framework.clients.copyprop import CopyLattice, copy_facts, project
 from repro.workloads import load_suite
 from repro.workloads.generator import generate
 
-from tests.framework.helpers import prepare, tagged
-from tests.framework.test_client_equivalence import profile_strategy
+from tests.framework.helpers import prepare, profile_strategy, tagged
 
 SETTINGS = settings(max_examples=15, deadline=None)
 

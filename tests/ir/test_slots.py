@@ -9,10 +9,10 @@ import inspect
 import pytest
 
 from repro.analysis.ssa import ensure_global_symbols
-from repro.core.engine import BindingEdge
 from repro.core.parallel import RegionOutcome
 from repro.core.slab import SlabSegment
 from repro.core.solver import SolveResult, WarmStart
+from repro.framework.client import FlowEdge
 from repro.frontend import parse_program
 from repro.ir import instructions, lower_program
 
@@ -79,7 +79,7 @@ class TestInstructionSlots:
 
 class TestSolverSlots:
     def test_solver_dataclasses_are_slotted(self):
-        for klass in (SolveResult, WarmStart, BindingEdge, SlabSegment, RegionOutcome):
+        for klass in (SolveResult, WarmStart, FlowEdge, SlabSegment, RegionOutcome):
             assert "__slots__" in klass.__dict__, klass.__name__
 
     def test_solve_result_instance_has_no_dict(self):

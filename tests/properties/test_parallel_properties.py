@@ -71,12 +71,10 @@ def build(source, config=None):
     return lowered, graph, forward
 
 
-def assert_equivalent(source, config=None, compiled=False):
+def assert_equivalent(source, config=None):
     lowered, graph, forward = build(source, config)
     seq = solve(lowered, graph, forward)
-    par = solve_parallel(
-        lowered, graph, forward, workers=1, compiled=compiled
-    )
+    par = solve_parallel(lowered, graph, forward, workers=1)
     assert par.val == seq.val
     assert par.reached == seq.reached
     assert par.all_constants() == seq.all_constants()
@@ -90,13 +88,11 @@ def assert_equivalent(source, config=None, compiled=False):
     return par, seq
 
 
-@given(profile=profile_strategy, compiled=st.booleans())
+@given(profile=profile_strategy)
 @SETTINGS
-def test_parallel_matches_sequential_on_generated_workloads(
-    profile, compiled
-):
+def test_parallel_matches_sequential_on_generated_workloads(profile):
     workload = generate(profile)
-    assert_equivalent(workload.source, compiled=compiled)
+    assert_equivalent(workload.source)
 
 
 @given(profile=profile_strategy, kind=st.sampled_from(list(JumpFunctionKind)))
@@ -206,7 +202,6 @@ class TestFullSuite:
         parallel = AnalysisConfig(
             jump_function=JumpFunctionKind.POLYNOMIAL,
             parallel_regions=1,
-            compiled_exprs=True,
         )
         for name in suite_names():
             source = load(name, scale=0.3).source
@@ -230,7 +225,6 @@ class TestRealPool:
         parallel = AnalysisConfig(
             jump_function=JumpFunctionKind.POLYNOMIAL,
             parallel_regions=2,
-            compiled_exprs=True,
         )
         for name in ("linpackd", "adm"):
             source = load(name, scale=0.3).source

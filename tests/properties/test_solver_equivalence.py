@@ -1,25 +1,30 @@
-"""The three stage-3 solvers are different schedules of the same monotone
-fixpoint: on every program they must produce bit-identical VAL sets.
+"""The stage-3 solvers are different schedules of the same monotone
+fixpoint: on every program they must produce identical VAL sets, by
+value and by lattice-element class.
 
-Dense re-evaluation, sparse procedure-grained deltas, and binding-grained
-deltas all meet the same monotone jump-function evaluations into the same
-lattice from ⊤, so chaotic-iteration theory promises one greatest
-fixpoint. These properties check the implementations actually deliver it
-over randomly generated workloads (and random jump-function kinds).
+Dense re-evaluation (the reference oracle), the region-scheduled sparse
+engine :func:`~repro.core.solver.solve` runs, and the fully iterating
+global schedule a sanitized solve runs all meet the same monotone
+jump-function evaluations into the same lattice from ⊤, so
+chaotic-iteration theory promises one greatest fixpoint. These checks
+hold the implementations to it over the workload suite and randomly
+generated workloads (random jump-function kinds, MOD on and off).
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.ssa import ensure_global_symbols
 from repro.callgraph import build_call_graph, compute_modref
-from repro.core.binding_solver import solve_binding_graph
 from repro.core.builder import build_forward_jump_functions
 from repro.core.config import AnalysisConfig, JumpFunctionKind
 from repro.core.returns import build_return_jump_functions
 from repro.core.solver import solve, solve_dense
+from repro.diagnostics.sanitizer import LatticeSanitizer
 from repro.frontend import parse_program
 from repro.ir import lower_program
+from repro.workloads import load_suite
 from repro.workloads.generator import generate
 from repro.workloads.profiles import WorkloadProfile
 
@@ -56,8 +61,11 @@ profile_strategy = st.builds(
 
 kind_strategy = st.sampled_from(list(JumpFunctionKind))
 
+SUITE = load_suite(scale=0.25)
 
-def solve_three_ways(source, config):
+
+def pipeline(source, config=None):
+    config = config or AnalysisConfig()
     program = parse_program(source)
     lowered = lower_program(program)
     ensure_global_symbols(lowered)
@@ -65,26 +73,65 @@ def solve_three_ways(source, config):
     modref = compute_modref(lowered, graph)
     returns = build_return_jump_functions(lowered, graph, modref, config)
     forward = build_forward_jump_functions(lowered, modref, returns, config)
+    return lowered, graph, forward
+
+
+def tagged(val):
+    """VAL with every value tagged by its class: ``1`` and ``True`` are
+    ``==`` but different lattice elements."""
+    return {
+        proc: {key: (value.__class__, value) for key, value in env.items()}
+        for proc, env in val.items()
+    }
+
+
+def solve_three_ways(source, config):
+    lowered, graph, forward = pipeline(source, config)
     return (
         solve_dense(lowered, graph, forward),
         solve(lowered, graph, forward),
-        solve_binding_graph(lowered, graph, forward),
+        solve(lowered, graph, forward, sanitizer=LatticeSanitizer()),
     )
 
 
-@given(profile=profile_strategy, kind=kind_strategy)
-@SETTINGS
-def test_solvers_agree_on_generated_workloads(profile, kind):
-    workload = generate(profile)
-    config = AnalysisConfig(jump_function=kind)
-    dense, sparse, binding = solve_three_ways(workload.source, config)
+@pytest.mark.parametrize("name", sorted(SUITE))
+def test_suite_matches_dense(name):
+    lowered, graph, forward = pipeline(SUITE[name].source)
+    sparse = solve(lowered, graph, forward)
+    dense = solve_dense(lowered, graph, forward)
+    assert sparse.reached == dense.reached
+    assert tagged(sparse.val) == tagged(dense.val)
 
-    assert dense.reached == sparse.reached == binding.reached
-    assert dense.val == sparse.val == binding.val
+
+def test_sanitized_schedule_agrees():
+    """A sanitized solve drives the global worklist loop instead of the
+    region schedule; same fixpoint either way, and the sanitizer sees a
+    clean run."""
+    lowered, graph, forward = pipeline(SUITE["fpppp"].source)
+    region = solve(lowered, graph, forward)
+    sanitizer = LatticeSanitizer()
+    global_schedule = solve(lowered, graph, forward, sanitizer=sanitizer)
+    assert tagged(region.val) == tagged(global_schedule.val)
+    assert region.reached == global_schedule.reached
+    assert region.regions > 0
+    assert global_schedule.regions == 0
+    assert sanitizer.transfers_observed > 0
+    assert sanitizer.violations == []
+
+
+@given(profile=profile_strategy, kind=kind_strategy, use_mod=st.booleans())
+@SETTINGS
+def test_solvers_agree_on_generated_workloads(profile, kind, use_mod):
+    workload = generate(profile)
+    config = AnalysisConfig(jump_function=kind, use_mod=use_mod)
+    dense, sparse, sanitized = solve_three_ways(workload.source, config)
+
+    assert dense.reached == sparse.reached == sanitized.reached
+    assert tagged(dense.val) == tagged(sparse.val) == tagged(sanitized.val)
     assert (
         dense.all_constants()
         == sparse.all_constants()
-        == binding.all_constants()
+        == sanitized.all_constants()
     )
 
 

@@ -31,10 +31,40 @@ class TestClassifyException:
         # raise from inside a solver module so the traceback carries it
         from repro.core import solver
 
+        lowered = analyze("program p\n  integer n\n  n = 1\nend\n").lowered
         try:
-            solver.initial_val(None)
+            solver.solve_dense(lowered, None, None)  # no call graph
         except Exception as error:
             assert classify_exception(error) is Stage.SOLVE
+        else:
+            pytest.fail("solve_dense ran without a call graph")
+
+    @pytest.mark.parametrize("analysis", ["constprop", "copyprop", "modref"])
+    def test_framework_engine_crash_is_solve_stage(self, analysis, monkeypatch):
+        # every analysis solves on the framework's ClientEngine; a crash
+        # raised inside it must classify as SOLVE, not as unknown
+        from repro.framework.clients import (
+            ConstPropClient,
+            CopyPropClient,
+            ModRefClient,
+        )
+        from repro.framework.engine import solve_client
+        from repro.workloads import load
+
+        result = analyze(load("trfd").source)
+        client = {
+            "constprop": lambda: ConstPropClient(result.forward),
+            "copyprop": lambda: CopyPropClient(result.forward),
+            "modref": ModRefClient,
+        }[analysis]()
+
+        def broken_meet(self, a, b):
+            raise RuntimeError("meet exploded")
+
+        monkeypatch.setattr(type(client.lattice), "meet", broken_meet)
+        with pytest.raises(RuntimeError, match="meet exploded") as exc_info:
+            solve_client(result.lowered, result.call_graph, client)
+        assert classify_exception(exc_info.value) is Stage.SOLVE
 
     def test_unclassifiable_returns_none(self):
         try:

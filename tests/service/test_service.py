@@ -145,6 +145,16 @@ class TestServingTiers:
         assert other["served"] == "cold"
         assert other["fingerprint"] != first["fingerprint"]
 
+    def test_removed_compiled_exprs_axis_is_rl555(self):
+        # the compiled-kernel option is gone: a client still sending it
+        # gets the typed bad-request rejection, never a silent ignore
+        response = AnalysisService().handle(
+            {"id": "a", "source": SOURCE, "config": {"compiled_exprs": True}}
+        )
+        assert response["status"] == "error"
+        assert response["code"] == "RL555"
+        assert "compiled_exprs" in response["error"]
+
     def test_incremental_resubmission_serves_warm(self, tmp_path):
         store = ArtifactStore(str(tmp_path / "store"))
         service = AnalysisService(store=store)

@@ -10,26 +10,33 @@ Responsibilities:
   pseudo-definitions after each call for every scalar the call may modify,
   as dictated by MOD information (or everything visible, when running the
   paper's "no MOD" ablation).
-- :func:`build_ssa` — copy the CFG, place phis at iterated dominance
-  frontiers, rename, and record the entry (version-0) and exit versions of
-  every scalar. Version 0 of a formal or global *is* its value on entry —
-  the quantity interprocedural constant propagation approximates.
+- :func:`build_ssa` — copy the CFG (:func:`copy_cfg`), place phis at
+  iterated dominance frontiers, rename, and record the entry (version-0)
+  and exit versions of every scalar. Version 0 of a formal or global *is*
+  its value on entry — the quantity interprocedural constant propagation
+  approximates.
 
 The original :class:`~repro.ir.lower.LoweredProcedure` is never mutated;
-every analysis works on its own SSA copy.
+every analysis works on its own SSA copy. The copy is structural: it owns
+its blocks, instructions and call arguments and shares only frozen
+operands, spans and symbols with the lowered CFG. It is about a fifth of
+``build_ssa`` on the large corpus programs; dominators, phi placement and
+renaming are most of the rest, and are what
+:class:`~repro.core.driver.SSACache` saves by building each SSA form once.
 """
 
 from __future__ import annotations
 
-import copy
+import functools
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, TypeVar
 
 from repro.analysis.dominance import DominatorTree, compute_dominators, iterated_frontier
 from repro.frontend.astnodes import Type
 from repro.frontend.symbols import GlobalId, Symbol, SymbolKind
-from repro.ir.cfg import ControlFlowGraph
+from repro.ir.cfg import BasicBlock, ControlFlowGraph
 from repro.ir.instructions import (
+    Argument,
     Call,
     CallKill,
     Instr,
@@ -83,8 +90,61 @@ def ensure_global_symbols(lowered: LoweredProgram) -> None:
 
 
 def copy_cfg(cfg: ControlFlowGraph) -> ControlFlowGraph:
-    """Deep-copy a CFG; symbols are shared (they define their own deepcopy)."""
-    return copy.deepcopy(cfg)
+    """Copy a CFG deeply enough that SSA construction cannot touch ``cfg``.
+
+    New objects: the graph, every block with its ``instrs`` and ``preds``
+    lists, every instruction, every list or dict an instruction holds,
+    and every call :class:`~repro.ir.instructions.Argument` (renaming
+    assigns ``arg.value`` in place). Shared with ``cfg``: everything an
+    instruction holds that is immutable — operands (``Const``, ``Temp``,
+    ``VarUse``, ``SSAName``), ``VarDef``, ``SourceSpan``, enums, tuples,
+    strings and numbers — plus the ``Symbol`` identities both forms name.
+    Sharing is safe because nothing shared is ever mutated: SSA
+    construction changes only fields of its own blocks, instructions and
+    arguments (``block.instrs = ...``, ``set_dest``, ``replace_uses``),
+    and complete propagation's DCE and copy propagation, which later
+    mutate the lowered CFG, edit only lowered instructions and block
+    lists, none of which the copy keeps. A lowered CFG holds no ``Phi``
+    or ``CallKill`` (SSA construction adds both after the copy), so no
+    instruction refers to another.
+    """
+    clone = ControlFlowGraph()
+    clone.entry_id = cfg.entry_id
+    clone.exit_id = cfg.exit_id
+    clone._next_id = cfg._next_id
+    clone.blocks = {
+        block_id: BasicBlock(
+            block_id, [_copy_node(instr) for instr in block.instrs], list(block.preds)
+        )
+        for block_id, block in cfg.blocks.items()
+    }
+    return clone
+
+
+@functools.cache
+def _slot_names(cls: type) -> tuple[str, ...]:
+    """The slots of an IR class, own and inherited (IR nodes are slotted)."""
+    return tuple(
+        name for klass in cls.__mro__ for name in getattr(klass, "__slots__", ())
+    )
+
+
+_Node = TypeVar("_Node", Instr, Argument)
+
+
+def _copy_node(node: _Node) -> _Node:
+    """Copy one instruction or argument slot by slot: containers are
+    fresh, arguments inside them are copied, everything else is shared."""
+    cls = type(node)
+    clone = object.__new__(cls)
+    for name in _slot_names(cls):
+        value = getattr(node, name)
+        if type(value) is list:
+            value = [_copy_node(v) if type(v) is Argument else v for v in value]
+        elif type(value) is dict:
+            value = dict(value)
+        setattr(clone, name, value)
+    return clone
 
 
 def instrument_call_kills(cfg: ControlFlowGraph, effects: CallEffects) -> None:

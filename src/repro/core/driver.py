@@ -92,13 +92,17 @@ class SSACache:
 
     SSA form depends on the lowered CFG and on which scalars each call
     kills — i.e. on MOD information, but on nothing else in the
-    configuration. Profiling shows the CFG copy inside ``build_ssa``
-    dominates a configuration sweep, and stages 1 and 2 each build it, so
-    one bundle serves every (jump function × returns) combination: at most
-    two SSA forms per procedure ever exist (with and without MOD).
-    Consumers (value numbering, SCCP, the dependence clients) never mutate
-    the SSA CFG; complete propagation, which mutates the *lowered* CFGs,
-    gets a private cache that is invalidated after every DCE round.
+    configuration. Stages 1 and 2 each need it for every procedure under
+    every configuration, and on the large corpus programs dominators, phi
+    placement and renaming are about 70% of ``build_ssa`` (the structural
+    CFG copy most of the rest), so one bundle serves every (jump function
+    × returns) combination: at most two SSA forms per procedure ever exist
+    (with and without MOD). Consumers (value numbering, SCCP, the
+    dependence clients) never mutate the SSA CFG. Complete propagation's
+    DCE and copy propagation mutate only *lowered* instructions and block
+    lists, which no SSA form shares (see ``copy_cfg``); it still gets a
+    private cache, invalidated after every DCE round, because SSA built
+    before a round describes the old code.
     """
 
     def __init__(self, lowered: LoweredProgram, modref: ModRefInfo):

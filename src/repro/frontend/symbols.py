@@ -95,8 +95,7 @@ class GlobalId:
 class Symbol:
     """A resolved name within one procedure.
 
-    Symbols are *identities*: equality and hashing are by object identity,
-    and they survive ``deepcopy`` unchanged so copied IR still shares them.
+    Symbols are *identities*: equality and hashing are by object identity.
     ``hidden`` marks synthesized symbols (e.g. shadow globals for COMMON
     members a procedure does not declare but must transmit).
     """
@@ -110,9 +109,6 @@ class Symbol:
     data_value: int | float | bool | None = None
     decl_span: SourceSpan = DUMMY_SPAN
     hidden: bool = False
-
-    def __deepcopy__(self, memo):
-        return self
 
     @property
     def is_array(self) -> bool:

@@ -1,10 +1,20 @@
 """Unit tests for SSA construction."""
 
+import pytest
+
 from repro.analysis.ssa import build_ssa, ensure_global_symbols
 from repro.callgraph import build_call_graph, compute_modref, make_call_effects
 from repro.frontend import parse_program
 from repro.ir import lower_program
-from repro.ir.instructions import Call, CallKill, Copy, Phi, SSAName, VarDef
+from repro.ir.instructions import (
+    ArgumentKind,
+    Call,
+    CallKill,
+    Copy,
+    Phi,
+    SSAName,
+    VarDef,
+)
 
 
 def ssa_of(source, proc="t", use_mod=True):
@@ -27,6 +37,35 @@ def defs_of(ssa, name):
         if isinstance(dest, VarDef) and dest.symbol.name == name:
             found.append(dest)
     return found
+
+
+CALLS_SRC = """\
+program t
+  integer n, i, k, a(10)
+  n = 3
+  k = 0
+  do i = 1, n
+    call s(n, a(i), a, n + 1)
+    k = k + f(n) + max(n, i)
+  enddo
+  write k
+end
+
+subroutine s(x, y, z, w)
+  integer x, y, z(10), w
+  x = x + 1
+  y = x
+end
+
+integer function f(x)
+  integer x
+  f = x * 2
+end
+"""
+
+
+def _args(instr):
+    return instr.args if isinstance(instr, Call) else []
 
 
 class TestRenaming:
@@ -78,6 +117,30 @@ class TestRenaming:
         for _, instr in lowered.procedure("t").cfg.instructions():
             for operand in instr.uses():
                 assert not isinstance(operand, SSAName)
+
+    @pytest.mark.parametrize("use_mod", [True, False])
+    def test_original_cfg_untouched_by_call_renaming(self, use_mod):
+        # Renaming assigns call arguments in place, so a copy that shares
+        # Argument objects with the lowered CFG would corrupt it.
+        lowered = lower_program(parse_program(CALLS_SRC))
+        ensure_global_symbols(lowered)
+        modref = compute_modref(lowered, build_call_graph(lowered)) if use_mod else None
+        original = lowered.procedure("t").cfg
+        before = [repr(i) for _, i in original.instructions()]
+        ssa = build_ssa(lowered.procedure("t"), make_call_effects(lowered, "t", modref))
+
+        assert [repr(i) for _, i in original.instructions()] == before
+        calls = [i for _, i in ssa.cfg.instructions() if isinstance(i, Call)]
+        assert {a.kind for c in calls for a in c.args} == set(ArgumentKind)
+        assert any(isinstance(a.value, SSAName) for c in calls for a in c.args)
+        lowered_objects = {
+            id(o) for _, i in original.instructions() for o in [i, *_args(i)]
+        }
+        assert not any(
+            id(o) in lowered_objects
+            for _, i in ssa.cfg.instructions()
+            for o in [i, *_args(i)]
+        )
 
 
 class TestPhiPlacement:

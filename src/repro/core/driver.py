@@ -229,6 +229,10 @@ class _Artifacts:
     incremental: IncrementalReport | None = None
 
 
+#: The pipeline stages in run order, as keyed in :attr:`AnalysisResult.timings`.
+_STAGES = ("lower", "modref", "returns", "forward", "solve", "record")
+
+
 @dataclass
 class AnalysisResult:
     """Everything one analyzer run produced."""
@@ -282,51 +286,35 @@ class AnalysisResult:
         return transform_source(self.program.source, self.substitutions)
 
     def stats_report(self) -> str:
-        """Per-stage timings plus solver and cache counters, rendered for
-        ``repro analyze --stats``."""
-        stage_keys = ("lower", "modref", "returns", "forward", "solve", "record")
+        """:meth:`stats_json` rendered as text for ``repro analyze
+        --stats``."""
+        stats = self.stats_json()
         lines = ["per-stage timings:"]
-        for key in stage_keys:
-            if key in self.timings:
-                lines.append(f"  {key:<8} {self.timings[key] * 1000.0:>9.3f} ms")
-        extras = {
-            key: value
-            for key, value in self.timings.items()
-            if key not in stage_keys and key != "stage0_cached"
-        }
+        for key, ms in stats["timings_ms"].items():
+            lines.append(f"  {key:<8} {ms:>9.3f} ms")
         lines.append("solver counters:")
-        for key, value in self.solved.counters().items():
+        for key, value in stats["solver_counters"].items():
             lines.append(f"  {key:<12} {value}")
         lines.append("pipeline:")
-        lines.append(f"  stage0_cached {1 if self.stage0_cached else 0}")
-        for key, value in intern_counters().items():
+        for key, value in stats["pipeline"].items():
             lines.append(f"  {key} {value}")
-        for key in sorted(extras):
-            lines.append(f"  {key} {extras[key]:g}")
+        degradations = stats["resilience"]["degradations"]
         lines.append("resilience:")
-        lines.append(f"  degradations {len(self.degradations)}")
-        for record in self.degradations:
-            lines.append(f"  {record.describe()}")
-        if self.incremental is not None:
+        lines.append(f"  degradations {len(degradations)}")
+        lines.extend(f"  {description}" for description in degradations)
+        if "store" in stats:
             lines.append("store:")
-            lines.append(f"  mode {self.incremental.mode}")
-            for key, value in self.incremental.counters().items():
+            for key, value in stats["store"].items():
                 lines.append(f"  {key} {value}")
         return "\n".join(lines)
 
     def stats_json(self) -> dict:
         """The ``--profile-json`` payload: per-stage timings (ms) plus
         every solver, cache, region, and store counter as plain JSON."""
-        stage_keys = ("lower", "modref", "returns", "forward", "solve", "record")
-        timings_ms = {
-            key: value * 1000.0
-            for key, value in self.timings.items()
-            if key != "stage0_cached"
-        }
+        timings = {key: self.timings[key] for key in _STAGES if key in self.timings}
+        timings.update(self.timings)  # extras (slab_plan, …) follow the stages
         payload = {
-            "timings_ms": {
-                key: timings_ms.pop(key) for key in stage_keys if key in timings_ms
-            },
+            "timings_ms": {key: value * 1000.0 for key, value in timings.items()},
             "solver_counters": dict(self.solved.counters()),
             "pipeline": {
                 "stage0_cached": 1 if self.stage0_cached else 0,
@@ -340,7 +328,6 @@ class AnalysisResult:
                 "references_substituted": self.references_substituted,
             },
         }
-        payload["timings_ms"].update(timings_ms)  # extras (complete, dce, …)
         if self.incremental is not None:
             payload["store"] = {
                 "mode": self.incremental.mode,
@@ -844,7 +831,6 @@ def analyze(
     start = time.perf_counter()
     substitutions = compute_substitutions(artifacts.forward, artifacts.solved)
     timings["record"] = time.perf_counter() - start
-    timings["stage0_cached"] = 1.0 if stage0_cached else 0.0
 
     return AnalysisResult(
         program=stage0.program,

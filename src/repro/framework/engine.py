@@ -34,7 +34,7 @@ slab dispatch).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.core.lattice import is_constant
 from repro.core.regions import region_schedule
@@ -139,29 +139,12 @@ class SolveResult:
         return {proc: self.constants(proc) for proc in self.val}
 
     def counters(self) -> dict[str, int | float]:
-        """The solver statistics as a flat mapping (for reports/benchmarks)."""
+        """The solver statistics — every field after ``analysis``, in
+        declaration order — as a flat mapping (for reports/benchmarks)."""
+        names = [f.name for f in fields(self)]
         return {
-            "passes": self.passes,
-            "pops": self.pops,
-            "evaluations": self.evaluations,
-            "meets": self.meets,
-            "deltas": self.deltas,
-            "skipped": self.skipped,
-            "memo_hits": self.memo_hits,
-            "memo_misses": self.memo_misses,
-            "bottom_skips": self.bottom_skips,
-            "regions": self.regions,
-            "region_passes": self.region_passes,
-            "regions_warm": self.regions_warm,
-            "waves": self.waves,
-            "regions_parallel": self.regions_parallel,
-            "slab_slots": self.slab_slots,
-            "slab_bytes": self.slab_bytes,
-            "batch_drains": self.batch_drains,
-            "slab_build_seconds": self.slab_build_seconds,
-            "slab_load_seconds": self.slab_load_seconds,
-            "slab_patched_procs": self.slab_patched_procs,
-            "slab_patched_slots": self.slab_patched_slots,
+            name: getattr(self, name)
+            for name in names[names.index("analysis") + 1:]
         }
 
 

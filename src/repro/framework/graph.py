@@ -11,14 +11,17 @@ they actually propagate along; :func:`reverse_flow_graph` derives the
 call graph's mirror image once per graph instance.
 
 A :class:`FlowGraph` supports multiple roots (the MOD/REF client seeds
-every procedure), generalizing the call graph's single-``main`` DFS:
+every procedure); the call graph's DFS is the ``roots=(main,)`` case of
+the same traversal (:func:`repro.callgraph.graph.dfs_reverse_postorder`):
 reverse postorder runs from each root in order, and nodes no root
-reaches follow in name order so the priority index stays total. The
+reaches follow in node order so the priority index stays total. The
 ``_region_schedule`` cache attribute matches the call graph's, so
 :func:`repro.core.regions.region_schedule` memoizes on either kind.
 """
 
 from __future__ import annotations
+
+from repro.callgraph.graph import dfs_reverse_postorder, tarjan_sccs
 
 
 class FlowGraph:
@@ -41,26 +44,7 @@ class FlowGraph:
         return self._successors.get(name, ())
 
     def reverse_postorder(self) -> list[str]:
-        postorder: list[str] = []
-        seen: set[str] = set()
-        for root in self.roots:
-            if root in seen:
-                continue
-            seen.add(root)
-            stack: list[tuple[str, object]] = [(root, iter(self.callees(root)))]
-            while stack:
-                node, children = stack[-1]
-                for child in children:  # type: ignore[union-attr]
-                    if child not in seen:
-                        seen.add(child)
-                        stack.append((child, iter(self.callees(child))))
-                        break
-                else:
-                    postorder.append(node)
-                    stack.pop()
-        order = list(reversed(postorder))
-        order.extend(name for name in self.nodes if name not in seen)
-        return order
+        return dfs_reverse_postorder(self.nodes, self.callees, self.roots)
 
     def rpo_index(self) -> dict[str, int]:
         if self._rpo_index is None:
@@ -71,55 +55,8 @@ class FlowGraph:
         return self._rpo_index
 
     def sccs(self) -> list[list[str]]:
-        """Strongly connected components (iterative Tarjan, the same
-        traversal as :meth:`repro.callgraph.graph.CallGraph.sccs`)."""
-        index_counter = [0]
-        stack: list[str] = []
-        lowlink: dict[str, int] = {}
-        index: dict[str, int] = {}
-        on_stack: set[str] = set()
-        result: list[list[str]] = []
-
-        def strongconnect(node: str) -> None:
-            work = [(node, iter(self.callees(node)))]
-            index[node] = lowlink[node] = index_counter[0]
-            index_counter[0] += 1
-            stack.append(node)
-            on_stack.add(node)
-            while work:
-                current, children = work[-1]
-                advanced = False
-                for child in children:
-                    if child not in index:
-                        index[child] = lowlink[child] = index_counter[0]
-                        index_counter[0] += 1
-                        stack.append(child)
-                        on_stack.add(child)
-                        work.append((child, iter(self.callees(child))))
-                        advanced = True
-                        break
-                    if child in on_stack:
-                        lowlink[current] = min(lowlink[current], index[child])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[current])
-                if lowlink[current] == index[current]:
-                    component = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == current:
-                            break
-                    result.append(sorted(component))
-
-        for node in self.nodes:
-            if node not in index:
-                strongconnect(node)
-        return result
+        """Strongly connected components, successors first."""
+        return tarjan_sccs(self.nodes, self.callees)
 
 
 def reverse_flow_graph(graph) -> FlowGraph:

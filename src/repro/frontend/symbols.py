@@ -31,6 +31,7 @@ from repro.frontend import astnodes as ast
 from repro.frontend.errors import SemanticError
 from repro.frontend.parser import parse_source
 from repro.frontend.source import DUMMY_SPAN, SourceSpan
+from repro.semantics import EvalError, apply_binary
 
 #: Intrinsic functions: name -> (min_arity, max_arity).
 INTRINSICS: dict[str, tuple[int, int]] = {
@@ -299,33 +300,16 @@ class _ConstEvaluator:
         if isinstance(expr, ast.BinaryOp):
             left = self.eval(expr.left)
             right = self.eval(expr.right)
-            if expr.op == "+":
-                return left + right  # type: ignore[operator]
-            if expr.op == "-":
-                return left - right  # type: ignore[operator]
-            if expr.op == "*":
-                return left * right  # type: ignore[operator]
-            if expr.op == "/":
-                if isinstance(left, int) and isinstance(right, int):
-                    if right == 0:
-                        raise SemanticError("division by zero in constant", expr.span.start)
-                    return _fortran_int_div(left, right)
-                return left / right  # type: ignore[operator]
-            if expr.op == "**":
-                return left**right  # type: ignore[operator]
-            raise SemanticError(
-                f"operator {expr.op!r} not allowed in constant expression",
-                expr.span.start,
-            )
+            if expr.op not in ("+", "-", "*", "/", "**"):
+                raise SemanticError(
+                    f"operator {expr.op!r} not allowed in constant expression",
+                    expr.span.start,
+                )
+            try:
+                return apply_binary(expr.op, left, right)
+            except EvalError as exc:
+                raise SemanticError(f"{exc} in constant", expr.span.start) from exc
         raise SemanticError("expected a constant expression", expr.span.start)
-
-
-def _fortran_int_div(a: int, b: int) -> int:
-    """FORTRAN integer division truncates toward zero."""
-    quotient = abs(a) // abs(b)
-    if (a < 0) != (b < 0):
-        quotient = -quotient
-    return quotient
 
 
 class _ProcedureResolver:

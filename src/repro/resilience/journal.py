@@ -2,7 +2,9 @@
 
 One line per event, append-only, so a sweep killed at any instant loses
 at most the line being written. On resume the executor replays the
-journal and skips every completed (program, configuration) cell.
+journal and skips every completed (program, configuration) cell. The
+file is a headered log of :mod:`repro.store.durable`, which owns the
+crash discipline (fsync'd appends, torn lines skipped, atomic resets).
 
 Layout::
 
@@ -13,19 +15,18 @@ Layout::
 The header fingerprint hashes the program sources and the configuration
 reprs: resuming against different inputs silently restarting from zero is
 correct, resuming stale cells would not be — a mismatched journal is
-truncated, never trusted. A torn final line (the crash case) is ignored;
+reset, never trusted. A torn final line (the crash case) is ignored;
 failure lines are informational and always re-attempted on resume.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 from typing import Mapping
 
 from repro.core.driver import SweepSummary
 from repro.resilience.errors import FailureRecord
+from repro.store.durable import append_event, read_log, reset_log
 
 SCHEMA = 1
 
@@ -72,75 +73,40 @@ class SweepJournal:
     def __init__(self, path: str):
         self.path = path
 
-    # -- reading --------------------------------------------------------------
-
     def load(self, fingerprint: str) -> dict[tuple[str, str], SweepSummary]:
         """Completed cells from a prior run of the *same* sweep.
 
         A missing journal, a foreign fingerprint, or an unreadable header
-        all start fresh (the file is truncated and re-headed). Torn or
+        all start fresh (the file is atomically re-headed). Torn or
         malformed lines are skipped — every cell parsed before them still
         counts.
         """
-        if not os.path.exists(self.path):
-            self._write_header(fingerprint)
+        header = {"kind": "header", "schema": SCHEMA, "fingerprint": fingerprint}
+        events = read_log(self.path, header)
+        if not events:
+            reset_log(self.path, header)
             return {}
         cells: dict[tuple[str, str], SweepSummary] = {}
-        header_ok = False
-        with open(self.path) as handle:
-            for line_no, line in enumerate(handle):
-                try:
-                    event = json.loads(line)
-                except ValueError:
-                    continue  # torn write: ignore, keep earlier cells
-                if line_no == 0:
-                    header_ok = (
-                        event.get("kind") == "header"
-                        and event.get("schema") == SCHEMA
-                        and event.get("fingerprint") == fingerprint
-                    )
-                    if not header_ok:
-                        break
-                    continue
-                if event.get("kind") != "cell":
-                    continue
-                try:
-                    summary = summary_from_json(event["summary"])
-                except (KeyError, TypeError):
-                    continue
-                cells[(event["program"], event["config"])] = summary
-        if not header_ok:
-            self._write_header(fingerprint)
-            return {}
+        for event in events:
+            if event.get("kind") != "cell":
+                continue
+            try:
+                key = (event["program"], event["config"])
+                cells[key] = summary_from_json(event["summary"])
+            except (KeyError, TypeError):
+                continue
         return cells
 
-    # -- writing --------------------------------------------------------------
-
-    def _write_header(self, fingerprint: str) -> None:
-        with open(self.path, "w") as handle:
-            handle.write(
-                json.dumps(
-                    {"kind": "header", "schema": SCHEMA,
-                     "fingerprint": fingerprint}
-                )
-                + "\n"
-            )
-
-    def _append(self, event: dict) -> None:
-        with open(self.path, "a") as handle:
-            handle.write(json.dumps(event) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-
     def record_cell(self, program: str, config: str, summary: SweepSummary) -> None:
-        self._append(
+        append_event(
+            self.path,
             {
                 "kind": "cell",
                 "program": program,
                 "config": config,
                 "summary": summary_to_json(summary),
-            }
+            },
         )
 
     def record_failure(self, record: FailureRecord) -> None:
-        self._append({"kind": "failure", **record.to_json()})
+        append_event(self.path, {"kind": "failure", **record.to_json()})

@@ -1,10 +1,11 @@
 """The crash-safe request journal.
 
-Same fsync'd JSONL discipline as the sweep journal
-(:mod:`repro.resilience.journal`): line 0 is a header, every event is a
-single appended line flushed and fsync'd before the daemon acts on it, a
-torn final line is ignored, and a foreign or unreadable header truncates
-the file — a journal is replayed exactly or not at all.
+A headered log of :mod:`repro.store.durable`, the module that owns the
+crash discipline shared with the sweep journal and the artifact store:
+line 0 is a header, every event is a single appended line fsync'd before
+the daemon acts on it, a torn line is ignored, and a foreign or
+unreadable header re-heads the file — a journal is replayed exactly or
+not at all.
 
 Events::
 
@@ -25,11 +26,13 @@ replay the same request twice.
 
 from __future__ import annotations
 
-import json
 import os
+
+from repro.store.durable import append_event, read_log, reset_log
 
 SCHEMA = 1
 FINGERPRINT = "repro-service"
+HEADER = {"kind": "header", "schema": SCHEMA, "fingerprint": FINGERPRINT}
 
 
 class RequestJournal:
@@ -37,108 +40,55 @@ class RequestJournal:
 
     def __init__(self, path: str):
         self.path = path
-        self._ensure_header()
-
-    # -- reading --------------------------------------------------------------
+        if not os.path.exists(path):
+            reset_log(path, HEADER)
 
     def interrupted(self) -> list[dict]:
-        """Begin events with no terminal (done/recovered) event, in
-        admission order — the daemon's recovery work list. A missing or
-        foreign journal yields nothing (and is re-headed)."""
-        events = self._load_events()
+        """Begin events with no terminal (done/recovered) event — the
+        daemon's recovery work list. Each pending id appears once, at the
+        position of its latest begin. A foreign journal yields nothing
+        (and is re-headed)."""
+        events = read_log(self.path, HEADER)
+        if events is None:
+            reset_log(self.path, HEADER)
+            return []
         begins: dict[str, dict] = {}
-        order: list[str] = []
         for event in events:
             kind = event.get("kind")
             request_id = event.get("id")
             if not isinstance(request_id, str):
                 continue
             if kind == "begin" and isinstance(event.get("request"), dict):
-                if request_id not in begins:
-                    order.append(request_id)
+                begins.pop(request_id, None)  # move to the latest begin
                 begins[request_id] = event
             elif kind in ("done", "recovered"):
                 begins.pop(request_id, None)
-        return [begins[request_id] for request_id in order
-                if request_id in begins]
-
-    def _load_events(self) -> list[dict]:
-        if not os.path.exists(self.path):
-            return []
-        events: list[dict] = []
-        header_ok = False
-        with open(self.path) as handle:
-            for line_no, line in enumerate(handle):
-                try:
-                    event = json.loads(line)
-                except ValueError:
-                    continue  # torn write: ignore, keep earlier events
-                if line_no == 0:
-                    header_ok = (
-                        isinstance(event, dict)
-                        and event.get("kind") == "header"
-                        and event.get("schema") == SCHEMA
-                        and event.get("fingerprint") == FINGERPRINT
-                    )
-                    if not header_ok:
-                        break
-                    continue
-                if isinstance(event, dict):
-                    events.append(event)
-        if not header_ok:
-            self._write_header()
-            return []
-        return events
-
-    # -- writing --------------------------------------------------------------
-
-    def _ensure_header(self) -> None:
-        if not os.path.exists(self.path):
-            self._write_header()
-
-    def _write_header(self) -> None:
-        with open(self.path, "w") as handle:
-            handle.write(
-                json.dumps(
-                    {
-                        "kind": "header",
-                        "schema": SCHEMA,
-                        "fingerprint": FINGERPRINT,
-                    }
-                )
-                + "\n"
-            )
-            handle.flush()
-            os.fsync(handle.fileno())
-
-    def _append(self, event: dict) -> None:
-        with open(self.path, "a") as handle:
-            handle.write(json.dumps(event) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        return list(begins.values())
 
     def begin(self, request_id: str, fingerprint: str, request: dict) -> None:
         """Durably record an admitted request before any work happens."""
-        self._append(
+        append_event(
+            self.path,
             {
                 "kind": "begin",
                 "id": request_id,
                 "fingerprint": fingerprint,
                 "request": request,
-            }
+            },
         )
 
     def done(self, request_id: str, fingerprint: str, status: str) -> None:
-        self._append(
+        append_event(
+            self.path,
             {
                 "kind": "done",
                 "id": request_id,
                 "fingerprint": fingerprint,
                 "status": status,
-            }
+            },
         )
 
     def recovered(self, request_id: str, status: str) -> None:
-        self._append(
-            {"kind": "recovered", "id": request_id, "status": status}
+        append_event(
+            self.path, {"kind": "recovered", "id": request_id, "status": status}
         )

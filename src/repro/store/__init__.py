@@ -3,9 +3,11 @@
 - :mod:`repro.store.fingerprints` — canonical serialization of lattice
   values, entry keys, jump-function expressions, and procedure-level
   content fingerprints (lowered IR + MOD/REF slice + configuration).
-- :mod:`repro.store.artifacts` — the on-disk store: a fingerprinted,
-  fsync'd, torn-line-tolerant ``index.jsonl`` (same discipline as the
-  resilience journal) over content-addressed ``objects/<sha256>.json``
+- :mod:`repro.store.durable` — every crash-safe file operation: the
+  atomic write and the headered, fsync'd, torn-line-tolerant JSONL log
+  that the store index and the sweep and request journals share.
+- :mod:`repro.store.artifacts` — the on-disk store: a fingerprinted
+  ``index.jsonl`` log over content-addressed ``objects/<sha256>.json``
   payloads, plus an in-memory stand-in with the same duck type.
 - :mod:`repro.store.incremental` — snapshot construction, the
   fingerprint/jump-function diff, the invalidation closure, and the

@@ -6,16 +6,18 @@ Layout under the store directory::
     objects/<sha256>.json    canonical-JSON payloads, content-addressed
     objects/<sha256>.bin     raw binary blobs (slab artifacts), ditto
 
-``index.jsonl`` follows the resilience journal's discipline: line 0 is a
-header carrying the store schema; a torn final line (crash mid-append)
-is skipped; a missing, foreign, or corrupt header resets the index —
-every object file it pointed at simply becomes garbage that later
-snapshots may re-reference (content addressing makes re-publication
-free). Snapshot lines are keyed by ``(config, program)``; the *last*
-matching line wins, so re-publishing is an append, never a rewrite.
+``index.jsonl`` is a headered log of :mod:`repro.store.durable`, the
+module that owns the crash discipline shared with the sweep and request
+journals: line 0 is a header carrying the store schema; a torn line
+(crash mid-append) is skipped; a missing, foreign, or corrupt header
+resets the index — every object file it pointed at simply becomes
+garbage that later snapshots may re-reference (content addressing makes
+re-publication free). Snapshot lines are keyed by ``(config,
+program)``; the *last* matching line wins, so re-publishing is an
+append, never a rewrite.
 
-Objects are written canonically (sorted keys, no whitespace) to a
-temporary file and renamed into place, and every read re-hashes the
+Objects are written canonically (sorted keys, no whitespace) with
+:func:`~repro.store.durable.atomic_write`, and every read re-hashes the
 bytes against the file's name — a truncated or tampered object can only
 produce a :class:`StoreError`, never a silently wrong payload.
 
@@ -30,18 +32,19 @@ import contextlib
 import hashlib
 import json
 import os
-import tempfile
 
 try:  # advisory index locking; POSIX-only, degrades to unlocked
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
+from repro.store.durable import append_event, atomic_write, read_log, reset_log
 from repro.store.fingerprints import SCHEMA, canonical_dumps
 
 _INDEX = "index.jsonl"
 _LOCK = "index.lock"
 _OBJECTS = "objects"
+_HEADER = {"kind": "header", "schema": SCHEMA}
 
 
 class StoreError(Exception):
@@ -70,11 +73,12 @@ class ArtifactStore:
 
         Two daemon requests (or two sweep workers) publishing the same
         fingerprint race on ``index.jsonl``: the append itself is a
-        single ``write`` on an ``O_APPEND`` descriptor, but the
-        check-then-write-header path can *truncate* the index a
-        concurrent writer just appended to. The lock lives on a separate
-        file so readers (which tolerate torn lines by design) never
-        block and the index file itself is never opened just to lock it.
+        single ``write`` on an ``O_APPEND`` descriptor, but a header
+        write, reset, or compaction *replaces* the index, and a line a
+        concurrent writer appends to the replaced file is lost. The lock
+        lives on a separate file so readers (which tolerate torn lines
+        by design) never block and the index file itself is never opened
+        just to lock it.
         """
         if fcntl is None:  # pragma: no cover - non-POSIX platforms
             yield
@@ -87,97 +91,61 @@ class ArtifactStore:
             fcntl.flock(fd, fcntl.LOCK_UN)
             os.close(fd)
 
-    # -- objects --------------------------------------------------------------
+    # -- objects and blobs ----------------------------------------------------
 
     def put_object(self, payload) -> str:
         """Persist one canonical-JSON payload; returns its sha256 name.
         Identical payloads across snapshots share one file."""
-        text = canonical_dumps(payload)
-        sha = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        target = os.path.join(self._objects_dir, f"{sha}.json")
-        if os.path.exists(target):
-            # dedup only against a *verified* twin; a corrupted or torn
-            # file on disk gets rewritten so re-publication self-heals
-            try:
-                with open(target, encoding="utf-8") as handle:
-                    if handle.read() == text:
-                        return sha
-            except OSError:
-                pass
-        fd, tmp = tempfile.mkstemp(dir=self._objects_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, target)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        return sha
+        return self._put(canonical_dumps(payload).encode("utf-8"), "json")
 
     def get_object(self, sha: str):
         """Load and verify one payload; :class:`StoreError` on any
         missing, truncated, or corrupted object."""
-        target = os.path.join(self._objects_dir, f"{sha}.json")
+        data = self._get(sha, "json")
         try:
-            with open(target, encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise StoreError(f"object {sha} unreadable: {exc}") from exc
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        if digest != sha:
-            raise StoreError(
-                f"object {sha} failed content verification (got {digest})"
-            )
-        self._touch(target)
-        try:
-            return json.loads(text)
+            return json.loads(data)
         except ValueError as exc:
             raise StoreError(f"object {sha} is not JSON: {exc}") from exc
 
-    # -- binary blobs ---------------------------------------------------------
-
     def put_blob(self, data: bytes) -> str:
         """Persist one raw binary blob (a serialized slab); returns its
-        sha256 name. Same write discipline as :meth:`put_object` — dedup
-        only against a verified twin, temp-file + rename + fsync."""
-        sha = hashlib.sha256(data).hexdigest()
-        target = os.path.join(self._objects_dir, f"{sha}.bin")
-        if os.path.exists(target):
-            try:
-                with open(target, "rb") as handle:
-                    if handle.read() == data:
-                        return sha
-            except OSError:
-                pass
-        fd, tmp = tempfile.mkstemp(dir=self._objects_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, target)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        return sha
+        sha256 name."""
+        return self._put(data, "bin")
 
     def get_blob(self, sha: str) -> bytes:
         """Load and verify one blob; :class:`StoreError` on any missing,
-        truncated, or corrupted blob. A verified read refreshes the
-        file's mtime — the "recently verified" signal :meth:`gc` evicts
-        by."""
-        target = os.path.join(self._objects_dir, f"{sha}.bin")
+        truncated, or corrupted blob."""
+        return self._get(sha, "bin")
+
+    def _put(self, data: bytes, suffix: str) -> str:
+        """Write ``objects/<sha256>.<suffix>`` atomically. Dedup only
+        against a *verified* twin: a corrupted or torn file on disk gets
+        rewritten, so re-publication self-heals."""
+        sha = hashlib.sha256(data).hexdigest()
+        target = os.path.join(self._objects_dir, f"{sha}.{suffix}")
+        try:
+            with open(target, "rb") as handle:
+                if handle.read() == data:
+                    return sha
+        except OSError:
+            pass
+        atomic_write(target, data)
+        return sha
+
+    def _get(self, sha: str, suffix: str) -> bytes:
+        """Read ``objects/<sha>.<suffix>`` and re-hash it against its
+        name. A verified read refreshes the file's mtime — the "recently
+        verified" signal :meth:`gc` evicts by."""
+        target = os.path.join(self._objects_dir, f"{sha}.{suffix}")
         try:
             with open(target, "rb") as handle:
                 data = handle.read()
         except OSError as exc:
-            raise StoreError(f"blob {sha} unreadable: {exc}") from exc
+            raise StoreError(f"object {sha}.{suffix} unreadable: {exc}") from exc
         digest = hashlib.sha256(data).hexdigest()
         if digest != sha:
             raise StoreError(
-                f"blob {sha} failed content verification (got {digest})"
+                f"object {sha}.{suffix} failed content verification (got {digest})"
             )
         self._touch(target)
         return data
@@ -243,66 +211,34 @@ class ArtifactStore:
     def _compact_index(self, removed: set[str]) -> int:
         """Rewrite the index without snapshot lines whose meta references
         an evicted sha (their objects are gone; keeping the lines would
-        turn every future load into a verification failure). Caller
-        holds the index lock."""
-        if not os.path.exists(self._index_path):
+        turn every future load into a verification failure). A foreign
+        index is left for :meth:`load_snapshot` to reset and report.
+        Caller holds the index lock."""
+        events = read_log(self._index_path, _HEADER)
+        if not events:
             return 0
-        kept: list[str] = []
-        dropped = 0
-        with open(self._index_path) as handle:
-            for line_no, line in enumerate(handle):
-                if line_no == 0:
-                    continue  # header is rewritten below
-                try:
-                    event = json.loads(line)
-                except ValueError:
-                    continue  # torn line: compacting drops it
-                if (
-                    isinstance(event, dict)
-                    and event.get("kind") == "snapshot"
-                    and _references_any(event.get("meta"), removed)
-                ):
-                    dropped += 1
-                    continue
-                kept.append(line if line.endswith("\n") else line + "\n")
-        fd, tmp = tempfile.mkstemp(dir=self.path, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(
-                    json.dumps({"kind": "header", "schema": SCHEMA}) + "\n"
-                )
-                handle.writelines(kept)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self._index_path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        return dropped
+        kept = [
+            event
+            for event in events
+            if event.get("kind") != "snapshot"
+            or not _references_any(event.get("meta"), removed)
+        ]
+        reset_log(self._index_path, _HEADER, kept)
+        return len(events) - len(kept)
 
     # -- the snapshot index ---------------------------------------------------
 
     def append_snapshot(self, config_key: str, program: str, meta: dict) -> None:
         """Publish a snapshot line (fsync'd append; header written on
-        first use or after a reset). The whole check-header-then-append
-        runs under the advisory index lock so two concurrent publishers
-        can neither interleave a torn entry nor have one truncate the
-        index (header rewrite) while the other appends."""
-        line = json.dumps(
-            {
-                "kind": "snapshot",
-                "config": config_key,
-                "program": program,
-                "meta": meta,
-            }
-        )
+        first use). The whole check-header-then-append runs under the
+        advisory index lock so a concurrent publisher can never append to
+        a file the header write is about to replace."""
+        event = {"kind": "snapshot", "config": config_key, "program": program,
+                 "meta": meta}
         with self._index_lock():
             if not os.path.exists(self._index_path):
-                self._write_header()
-            with open(self._index_path, "a") as handle:
-                handle.write(line + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
+                reset_log(self._index_path, _HEADER)
+            append_event(self._index_path, event)
 
     def load_snapshot(self, config_key: str, program: str) -> dict | None:
         """The latest snapshot for ``(config, program)``, or ``None``.
@@ -313,50 +249,23 @@ class ArtifactStore:
         resetting the index — the caller reports the reset and runs
         cold.
         """
-        if not os.path.exists(self._index_path):
-            return None
-        found: dict | None = None
-        header_ok = False
-        with open(self._index_path) as handle:
-            for line_no, line in enumerate(handle):
-                try:
-                    event = json.loads(line)
-                except ValueError:
-                    continue  # torn write: ignore, keep earlier lines
-                if line_no == 0:
-                    header_ok = (
-                        isinstance(event, dict)
-                        and event.get("kind") == "header"
-                        and event.get("schema") == SCHEMA
-                    )
-                    if not header_ok:
-                        break
-                    continue
-                if not isinstance(event, dict):
-                    continue
-                if event.get("kind") != "snapshot":
-                    continue
-                if (
-                    event.get("config") == config_key
-                    and event.get("program") == program
-                    and isinstance(event.get("meta"), dict)
-                ):
-                    found = event["meta"]  # last matching line wins
-        if not header_ok:
+        events = read_log(self._index_path, _HEADER)
+        if events is None:
             with self._index_lock():
-                self._write_header()
+                reset_log(self._index_path, _HEADER)
             raise StoreIndexError(
                 "store index unreadable or foreign; reset to empty"
             )
+        found: dict | None = None
+        for event in events:
+            if (
+                event.get("kind") == "snapshot"
+                and event.get("config") == config_key
+                and event.get("program") == program
+                and isinstance(event.get("meta"), dict)
+            ):
+                found = event["meta"]  # last matching line wins
         return found
-
-    def _write_header(self) -> None:
-        with open(self._index_path, "w") as handle:
-            handle.write(
-                json.dumps({"kind": "header", "schema": SCHEMA}) + "\n"
-            )
-            handle.flush()
-            os.fsync(handle.fileno())
 
 
 def _references_any(meta, shas: set[str]) -> bool:

@@ -5,6 +5,7 @@ import pytest
 from repro.frontend import astnodes as ast
 from repro.frontend.errors import SemanticError
 from repro.frontend.symbols import GlobalId, SymbolKind, parse_program
+from repro.interp import run_program
 
 
 MINI = """
@@ -97,6 +98,20 @@ class TestSymbolKinds:
             "program p\nparameter (a = 2, b = a * a, c = b + 1)\nn = c\nend\n"
         )
         assert prog.procedure("p").symtab.lookup("c").const_value == 5
+
+    def test_named_constant_arithmetic_matches_statements(self):
+        # FORTRAN truncates 2 ** (-1) to the INTEGER 0 in PARAMETER and
+        # in a statement alike
+        source = (
+            "program p\n  integer n, m\n  parameter (k = 2 ** (-1) * 4)\n"
+            "  n = k\n  m = 2 ** (-1) * 4\n  write n\n  write m\nend\n"
+        )
+        assert parse_program(source).procedure("p").symtab.lookup("k").const_value == 0
+        assert run_program(source).outputs == [0, 0]
+
+    def test_named_constant_division_by_zero_rejected(self):
+        with pytest.raises(SemanticError, match="division by zero"):
+            parse_program("program p\nparameter (k = 0 ** (-1))\nn = k\nend\n")
 
     def test_assignment_to_named_constant_rejected(self):
         with pytest.raises(SemanticError, match="named constant"):

@@ -448,6 +448,17 @@ class TestJournal:
         reborn = AnalysisService(journal=RequestJournal(journal_path))
         assert reborn.recovered == []
 
+    def test_reused_request_id_is_replayed_once(self, tmp_path):
+        journal_path = str(tmp_path / "requests.jsonl")
+        journal = RequestJournal(journal_path)
+        request = {"id": "r1", "source": SOURCE}
+        journal.begin("r1", "fp", request)
+        journal.done("r1", "fp", "ok")
+        journal.begin("r1", "fp", request)  # the id reused, then a crash
+        reborn = AnalysisService(journal=RequestJournal(journal_path))
+        assert reborn.recovered == [{"id": "r1", "status": "replayed"}]
+        assert reborn.served["replayed"] == 1
+
 
 class TestDrain:
     def test_drain_refuses_with_rl552(self):

@@ -71,8 +71,6 @@ def _operand_value(operand: Operand, values: dict) -> LatticeValue:
         if operand.type is Type.LOGICAL:
             return bool(operand.value)
         return BOTTOM
-    if isinstance(operand, SSAName):
-        return values.get(SSAName(operand.symbol, operand.version), TOP)
     return values.get(operand, TOP)
 
 
@@ -114,11 +112,7 @@ def run_sccp(
             values[SSAName(symbol, 0)] = BOTTOM
 
     cfg = ssa.cfg
-    defs = ssa.definitions()
     uses = ssa.uses()
-    instr_block: dict[int, int] = {}
-    for block, instr in cfg.instructions():
-        instr_block[id(instr)] = block.id
 
     flow_list: list[tuple[int, int]] = [(_ENTRY_EDGE, cfg.entry_id)]
     ssa_list: list[object] = []
@@ -259,12 +253,7 @@ def _same_operand_identity(instr: BinOp) -> LatticeValue | None:
     if instr.op not in _SAME_OPERAND_RESULTS:
         return None
     left, right = instr.left, instr.right
-    same = False
-    if isinstance(left, SSAName) and isinstance(right, SSAName):
-        same = left.symbol is right.symbol and left.version == right.version
-    elif isinstance(left, Temp) and isinstance(right, Temp):
-        same = left == right
-    if not same:
+    if not isinstance(left, (SSAName, Temp)) or left != right:
         return None
     if _is_real_operand(left):
         return None  # NaN-style caveats: leave REALs alone

@@ -201,11 +201,8 @@ class SSAProcedure:
         found: dict[object, list[tuple[int, Instr]]] = {}
         for block, instr in self.cfg.instructions():
             for operand in instr.uses():
-                if isinstance(operand, Temp):
+                if isinstance(operand, (SSAName, Temp)):
                     found.setdefault(operand, []).append((block.id, instr))
-                elif isinstance(operand, SSAName):
-                    key = SSAName(operand.symbol, operand.version)
-                    found.setdefault(key, []).append((block.id, instr))
         return found
 
     def entry_use_spans(self, symbol: Symbol) -> list:

@@ -84,7 +84,15 @@ ReturnJumpTable = Mapping[str, Mapping[object, ValueExpr]]
 
 @dataclass
 class ValueNumbering:
-    """Value numbering result for one procedure."""
+    """Value numbering result for one procedure.
+
+    ``exprs`` maps SSA names and temps to their expressions and omits ⊥:
+    a missing key reads as ⊥ everywhere (:meth:`expr_of`,
+    :meth:`exit_expr`, :meth:`global_expr_at`, phi operands). Numberings
+    live as long as their stage-0 bundle (one per procedure and MOD,
+    returns and compose setting; see :class:`~repro.core.driver.SSACache`),
+    so leaving ⊥ out keeps what a sweep retains small.
+    """
 
     ssa: SSAProcedure
     program: "LoweredProgram"
@@ -98,8 +106,7 @@ class ValueNumbering:
             if operand.type is Type.LOGICAL:
                 return const_expr(bool(operand.value))
             return BOTTOM_EXPR  # REAL / CHARACTER literals
-        key = _key(operand)
-        return self.exprs.get(key, BOTTOM_EXPR)
+        return self.exprs.get(operand, BOTTOM_EXPR)
 
     def argument_expr(self, arg: Argument) -> ValueExpr:
         """The symbolic value of an actual parameter (⊥ for arrays)."""
@@ -124,12 +131,6 @@ class ValueNumbering:
         if version is None:
             return BOTTOM_EXPR
         return self.exprs.get(SSAName(symbol, version), BOTTOM_EXPR)
-
-
-def _key(operand: Operand):
-    if isinstance(operand, SSAName):
-        return SSAName(operand.symbol, operand.version)  # drop span for keying
-    return operand
 
 
 def _entry_value_expr(symbol: Symbol) -> ValueExpr:
@@ -159,7 +160,9 @@ def value_number(
     numbering = ValueNumbering(ssa=ssa, program=program)
     exprs = numbering.exprs
     for symbol in ssa.variables:
-        exprs[SSAName(symbol, 0)] = _entry_value_expr(symbol)
+        entry = _entry_value_expr(symbol)
+        if entry is not BOTTOM_EXPR:
+            exprs[SSAName(symbol, 0)] = entry
 
     rjf = return_jump_table or {}
     for block_id in ssa.cfg.reverse_postorder():
@@ -181,13 +184,9 @@ def _transfer(
     if isinstance(instr, Phi):
         dest = instr.dest
         assert isinstance(dest, VarDef)
-        incoming: list[ValueExpr] = []
-        for operand in instr.incoming.values():
-            key = _key(operand)
-            if isinstance(operand, SSAName) and key not in exprs:
-                incoming = [BOTTOM_EXPR]  # back edge: pessimistic
-                break
-            incoming.append(expr_of(operand))
+        # A back-edge operand is not numbered yet, so it reads as ⊥ and
+        # makes the phi ⊥: pessimistic at loops.
+        incoming = [expr_of(operand) for operand in instr.incoming.values()]
         merged = incoming[0] if incoming else BOTTOM_EXPR
         for other in incoming[1:]:
             if other != merged:
@@ -234,15 +233,12 @@ def _transfer(
 
 
 def _define(exprs: dict, dest, expr: ValueExpr) -> None:
-    if dest is None:
+    if dest is None or expr is BOTTOM_EXPR:
         return
     if isinstance(dest, VarDef):
-        if dest.symbol.type not in (Type.INTEGER, Type.LOGICAL):
-            expr = BOTTOM_EXPR
-        exprs[SSAName(dest.symbol, dest.version or 0)] = expr
-    else:
-        if dest.type not in (Type.INTEGER, Type.LOGICAL):
-            expr = BOTTOM_EXPR
+        if dest.symbol.type in (Type.INTEGER, Type.LOGICAL):
+            exprs[SSAName(dest.symbol, dest.version or 0)] = expr
+    elif dest.type in (Type.INTEGER, Type.LOGICAL):
         exprs[dest] = expr
 
 

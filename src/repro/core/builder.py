@@ -5,6 +5,10 @@ parameter — and of each implicitly passed global — onto the configured
 jump-function kind. The stage-1 return jump functions feed the value
 numbering, so constants surviving earlier calls are visible here (this is
 the "second evaluation" of each return jump function the paper describes).
+The numbering itself does not depend on the jump-function kind: stage 2
+reuses the ones stage 1 made against the final return table and numbers
+only the procedures still missing, so every kind projects one shared
+numbering per procedure.
 
 Stage 2 also emits the jump functions as the framework's flow edges
 (:func:`build_support_index`), so stage 3 is the generic
@@ -159,10 +163,15 @@ def build_forward_jump_functions(
     ``ssa_cache`` (a :class:`repro.core.driver.SSACache`, or anything with
     its ``get(name, use_mod)`` shape) reuses the SSA forms stage 1 built —
     SSA depends only on MOD information, not on the jump-function kind.
+
+    ``returns`` must be stage 1's result for the same ``use_mod``,
+    ``use_return_jump_functions`` and ``compose_return_functions``: its
+    numberings are projected as they are, and the procedures it lacks are
+    numbered here and added to it.
     """
     result = ForwardFunctions()
     active_modref = modref if config.use_mod else None
-    rjf_table = returns.table if config.use_return_jump_functions else {}
+    shared = returns.numberings
 
     scalar_globals = {
         gid: gvar
@@ -171,14 +180,18 @@ def build_forward_jump_functions(
     }
 
     for name, lowered_proc in lowered.procedures.items():
-        if ssa_cache is not None:
-            ssa = ssa_cache.get(name, config.use_mod)
-        else:
-            effects = make_call_effects(lowered, name, active_modref)
-            ssa = build_ssa(lowered_proc, effects)
-        numbering = value_number(
-            ssa, lowered, rjf_table, config.compose_return_functions
-        )
+        numbering = shared.get(name)
+        if numbering is None:
+            if ssa_cache is not None:
+                ssa = ssa_cache.get(name, config.use_mod)
+            else:
+                effects = make_call_effects(lowered, name, active_modref)
+                ssa = build_ssa(lowered_proc, effects)
+            numbering = value_number(
+                ssa, lowered, returns.table, config.compose_return_functions
+            )
+            shared[name] = numbering
+        ssa = numbering.ssa
         result.ssas[name] = ssa
         result.numberings[name] = numbering
 

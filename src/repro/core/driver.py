@@ -88,27 +88,36 @@ from repro.store.slabs import plan_slab, publish_slab
 
 
 class SSACache:
-    """Memoized SSA construction, keyed by (procedure, use_mod).
+    """Memoized SSA construction and value numbering for one program.
 
     SSA form depends on the lowered CFG and on which scalars each call
     kills — i.e. on MOD information, but on nothing else in the
-    configuration. Stages 1 and 2 each need it for every procedure under
-    every configuration, and on the large corpus programs dominators, phi
-    placement and renaming are about 70% of ``build_ssa`` (the structural
-    CFG copy most of the rest), so one bundle serves every (jump function
-    × returns) combination: at most two SSA forms per procedure ever exist
-    (with and without MOD). Consumers (value numbering, SCCP, the
-    dependence clients) never mutate the SSA CFG. Complete propagation's
-    DCE and copy propagation mutate only *lowered* instructions and block
-    lists, which no SSA form shares (see ``copy_cfg``); it still gets a
-    private cache, invalidated after every DCE round, because SSA built
-    before a round describes the old code.
+    configuration — so :meth:`get` keys it by (procedure, use_mod): at
+    most two SSA forms per procedure ever exist. Value numbering reads
+    the SSA form, the return jump table and ``compose_return_functions``,
+    and the table depends only on ``use_mod``,
+    ``use_return_jump_functions`` and ``compose_return_functions``.
+    :meth:`returns` therefore keeps one stage-1 result per setting of
+    those three; its ``numberings`` (completed by stage 2) are what every
+    jump-function kind, and every rung of the degradation ladder,
+    projects. A procedure is numbered at most once per setting.
+
+    Consumers (value numbering, SCCP, the dependence clients) never
+    mutate the SSA CFG. Complete propagation's DCE and copy propagation
+    mutate only *lowered* instructions and block lists, which no SSA form
+    shares (see ``copy_cfg``); it still gets a private cache per DCE
+    round, because SSA and numberings built before a round describe the
+    old code.
+
+    Entries are published by one dict store each, so a present entry is
+    final; two threads racing on a miss may both build it.
     """
 
     def __init__(self, lowered: LoweredProgram, modref: ModRefInfo):
         self._lowered = lowered
         self._modref = modref
         self._entries: dict[tuple[str, bool], SSAProcedure] = {}
+        self._returns: dict[tuple[bool, bool, bool], ReturnFunctionResult] = {}
         self.hits = 0
         self.misses = 0
 
@@ -126,8 +135,30 @@ class SSACache:
         self._entries[key] = ssa
         return ssa
 
+    def returns(
+        self, graph: CallGraph, config: AnalysisConfig
+    ) -> ReturnFunctionResult:
+        """Stage 1 for ``config``, built on the first request per (MOD,
+        returns, compose) setting: the jump function enters only when
+        stage 2 projects the numbering, and budgets and solver switches
+        never enter."""
+        key = (
+            config.use_mod,
+            config.use_return_jump_functions,
+            config.compose_return_functions,
+        )
+        cached = self._returns.get(key)
+        if cached is None:
+            cached = build_return_jump_functions(
+                self._lowered, graph, self._modref, config, ssa_cache=self
+            )
+            self._returns[key] = cached
+        return cached
+
     def clear(self) -> None:
         self._entries.clear()
+        self._returns.clear()
+
 
 
 @dataclass
@@ -550,7 +581,7 @@ def _config_stages(
     modref: ModRefInfo,
     config: AnalysisConfig,
     timings: dict[str, float],
-    ssa_cache: SSACache | None = None,
+    ssa_cache: SSACache,
     degradations: list[DegradationRecord] | None = None,
     store=None,
     incremental: bool = False,
@@ -559,10 +590,11 @@ def _config_stages(
 
     When the solve exhausts its :class:`SolveBudget` and the
     configuration allows degradation, the jump function walks one rung
-    down :data:`_DEGRADATION_LADDER` (stages 1–2 rebuilt for the cheaper
-    kind, RL510 recorded) and the solve retries with fresh fuel; below
-    the last rung VAL floors to the always-sound intraprocedural
-    baseline (RL512). Every step lands in ``degradations``.
+    down :data:`_DEGRADATION_LADDER` (stage 2 re-projects the shared
+    numbering onto the cheaper kind, RL510 recorded) and the solve
+    retries with fresh fuel; below the last rung VAL floors to the
+    always-sound intraprocedural baseline (RL512). Every step lands in
+    ``degradations``.
 
     With a ``store``, a healthy solve publishes its snapshot (keyed by
     configuration and main program); with ``incremental`` too, the first
@@ -594,9 +626,7 @@ def _config_stages(
         cancel_point()
         chaos_point(Stage.SSA)
         start = time.perf_counter()
-        returns = build_return_jump_functions(
-            lowered, graph, modref, current, ssa_cache=ssa_cache
-        )
+        returns = ssa_cache.returns(graph, current)
         timings["returns"] = (
             timings.get("returns", 0.0) + time.perf_counter() - start
         )
@@ -793,8 +823,9 @@ def analyze(
             cache.bypasses += 1
         stage0 = build_stage0(program)
         timings.update(stage0.timings)
-        # Each DCE round may mutate the lowered CFGs, so SSA forms are only
-        # shareable within a round: build a fresh cache per pipeline call.
+        # Each DCE round may mutate the lowered CFGs, so SSA forms and
+        # numberings are only shareable within a round: build a fresh
+        # cache per pipeline call.
         artifacts, complete_stats = run_complete_propagation(
             stage0.lowered,
             stage0.graph,

@@ -12,6 +12,11 @@ chains of returns in one pass (this is what makes ``ocean``-style
 initialization routines work). Procedures on call-graph cycles see missing
 summaries for their SCC-mates, which degrade to ⊥ — the 1993
 implementation's behaviour for not-yet-analyzed routines.
+
+Each table entry is written once, so a procedure whose callees all had
+entries when it was numbered was numbered against the final table: stage
+2 (:mod:`repro.core.builder`) projects that numbering as it is instead of
+redoing it.
 """
 
 from __future__ import annotations
@@ -34,7 +39,15 @@ ReturnTable = dict[str, dict[object, ValueExpr]]
 
 @dataclass
 class ReturnFunctionResult:
-    """The return jump function table plus per-procedure build artifacts."""
+    """The return jump function table plus per-procedure build artifacts.
+
+    ``numberings`` holds only numberings made against the final
+    ``table``: stage 1 keeps a procedure's numbering when every callee of
+    its calls already had an entry, and stage 2 adds the rest (recursive
+    SCC members, and every procedure when return jump functions are off)
+    the first time it needs them. Each entry is published by one dict
+    store, so a present entry is final.
+    """
 
     table: ReturnTable = field(default_factory=dict)
     ssas: dict[str, SSAProcedure] = field(default_factory=dict)
@@ -74,12 +87,17 @@ def build_return_jump_functions(
     its ``get(name, use_mod)`` shape) shares SSA forms with stage 2 and
     with other configurations; without one each procedure is converted
     here from scratch.
+
+    The result depends on ``config`` only through ``use_mod``,
+    ``use_return_jump_functions`` and ``compose_return_functions``, and
+    stage 2 must be given the result built for its own values of those.
     """
     result = ReturnFunctionResult()
     if not config.use_return_jump_functions:
         return result
 
     active_modref = modref if config.use_mod else None
+    table = result.table
     for scc in graph.bottom_up_sccs():
         for name in scc:
             lowered_proc = lowered.procedures[name]
@@ -88,15 +106,17 @@ def build_return_jump_functions(
             else:
                 effects = make_call_effects(lowered, name, active_modref)
                 ssa = build_ssa(lowered_proc, effects)
+            final = all(call.callee in table for call in ssa.calls())
             numbering = value_number(
                 ssa,
                 lowered,
-                result.table,
+                table,
                 config.compose_return_functions,
             )
             result.ssas[name] = ssa
-            result.numberings[name] = numbering
-            result.table[name] = _extract_functions(lowered_proc, numbering)
+            if final:
+                result.numberings[name] = numbering
+            table[name] = _extract_functions(lowered_proc, numbering)
     return result
 
 

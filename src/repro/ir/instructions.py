@@ -64,10 +64,15 @@ def bool_const(value: bool) -> Const:
 
 @dataclass(frozen=True, slots=True)
 class Temp:
-    """A single-assignment compiler temporary."""
+    """A single-assignment compiler temporary.
+
+    Identity is the index alone: lowering numbers a procedure's temps
+    uniquely, so ``type`` is payload and stays out of equality and
+    hashing.
+    """
 
     index: int
-    type: Type = Type.INTEGER
+    type: Type = field(default=Type.INTEGER, compare=False)
 
     def __str__(self) -> str:
         return f"t{self.index}"
@@ -89,12 +94,14 @@ class SSAName:
     """A versioned named variable, produced by SSA renaming.
 
     ``span`` is preserved from the :class:`VarUse` it replaced so constant
-    substitution can still reach the source text.
+    substitution can still reach the source text. Identity is
+    ``(symbol, version)``: the span stays out of equality and hashing, so
+    every reference to one SSA value is one dictionary key.
     """
 
     symbol: Symbol
     version: int
-    span: SourceSpan = DUMMY_SPAN
+    span: SourceSpan = field(default=DUMMY_SPAN, compare=False)
 
     def __str__(self) -> str:
         return f"{self.symbol.name}.{self.version}"

@@ -5,14 +5,19 @@ import pytest
 from repro.analysis.ssa import build_ssa, ensure_global_symbols
 from repro.callgraph import build_call_graph, compute_modref, make_call_effects
 from repro.frontend import parse_program
+from repro.frontend.astnodes import Type
+from repro.frontend.source import span_at
+from repro.frontend.symbols import Symbol, SymbolKind
 from repro.ir import lower_program
 from repro.ir.instructions import (
     ArgumentKind,
+    BinOp,
     Call,
     CallKill,
     Copy,
     Phi,
     SSAName,
+    Temp,
     VarDef,
 )
 
@@ -324,3 +329,49 @@ class TestEntryUseSpans:
         ssa, _ = ssa_of(source)
         symbol = ssa.lowered.procedure.symtab.lookup("n")
         assert len(ssa.entry_use_spans(symbol)) == 1
+
+
+class TestOperandIdentity:
+    """An SSA value is keyed by (symbol, version) and a temp by its
+    index: spans and types are payload, so every reference to one value
+    finds the same dictionary entry."""
+
+    SYMBOL = Symbol("n", SymbolKind.LOCAL, Type.INTEGER)
+
+    def test_ssa_names_equal_across_spans(self):
+        first = SSAName(self.SYMBOL, 1, span_at(2, 3, 10, 1))
+        second = SSAName(self.SYMBOL, 1, span_at(5, 7, 42, 1))
+        assert first.span != second.span
+        assert first == second
+        assert hash(first) == hash(second)
+        assert {first: "value"}[second] == "value"
+        assert {second: "value"}[first] == "value"
+        assert first == SSAName(self.SYMBOL, 1)
+
+    def test_ssa_names_differ_by_version_and_symbol(self):
+        other = Symbol("n", SymbolKind.LOCAL, Type.INTEGER)
+        assert SSAName(self.SYMBOL, 1) != SSAName(self.SYMBOL, 2)
+        assert SSAName(self.SYMBOL, 1) != SSAName(other, 1)
+
+    def test_temps_equal_across_types(self):
+        integer, real = Temp(3, Type.INTEGER), Temp(3, Type.REAL)
+        assert integer == real
+        assert hash(integer) == hash(real)
+        assert {integer: "value"}[real] == "value"
+        assert Temp(3) != Temp(4)
+
+    def test_two_references_to_one_value_keep_their_spans(self):
+        source = main_src(["m = n * n", "write m"])
+        ssa, _ = ssa_of(source)
+        block_id, product = next(
+            (b.id, i) for b, i in ssa.cfg.instructions() if isinstance(i, BinOp)
+        )
+        left, right = product.left, product.right
+        assert isinstance(left, SSAName) and left == right
+        assert left.span != right.span
+        assert [left.span.extract(source), right.span.extract(source)] == [
+            "n",
+            "n",
+        ]
+        assert ssa.uses()[left] == [(block_id, product), (block_id, product)]
+        assert ssa.entry_use_spans(left.symbol) == [left.span, right.span]

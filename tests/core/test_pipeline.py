@@ -1,16 +1,21 @@
 """The shared-artifact pipeline: stage-0 caching, sweep semantics, the
 process-parallel multi-program sweep, and the Table 3 baseline contract."""
 
+import sys
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro import AnalysisConfig, Analyzer, JumpFunctionKind, analyze
+from repro.core import builder, returns
 from repro.core.config import TABLE2_CONFIGS, TABLE3_CONFIGS
 from repro.core.driver import Stage0Cache, sweep_programs
 from repro.frontend import parse_program
 
 PROGRAM = """
 program main
-  integer n, m
+  integer n, m, k
   common /cfg/ gmax
   integer gmax
   call init
@@ -18,6 +23,8 @@ program main
   m = n * 2 + 1
   call work(n, m)
   call chain(4)
+  call relay(n, k)
+  call sink(k)
 end
 
 subroutine init
@@ -43,6 +50,21 @@ end
 subroutine leaf(x)
   integer x
   write x
+end
+
+subroutine relay(p, q)
+  integer p, q
+  call twice(p, q)
+end
+
+subroutine twice(r, s)
+  integer r, s
+  s = r * 2
+end
+
+subroutine sink(y)
+  integer y
+  write y
 end
 """
 
@@ -110,24 +132,164 @@ class TestStage0Cache:
             assert result.returns.ssas[name] is ssa
 
 
+def count_numberings(monkeypatch) -> Counter:
+    """Count ``value_number`` calls per procedure at both call sites."""
+    numbered: Counter = Counter()
+    for module in (returns, builder):
+        original = module.value_number
+
+        def counting(ssa, *args, _original=original, **kwargs):
+            numbered[ssa.name] += 1
+            return _original(ssa, *args, **kwargs)
+
+        monkeypatch.setattr(module, "value_number", counting)
+    return numbered
+
+
+class TestNumberingSharing:
+    """Value numbering reads the SSA form, the return table and the
+    compose switch; the jump function only picks a projection of it."""
+
+    def test_each_procedure_numbered_once_per_setting(self, monkeypatch):
+        numbered = count_numberings(monkeypatch)
+        results = Analyzer(PROGRAM, cache=Stage0Cache()).sweep(
+            {**TABLE2_CONFIGS, **TABLE3_CONFIGS}
+        )
+        # Outside complete mode the ten configurations span three
+        # (MOD, returns) settings: on/on, on/off and off/on. Complete
+        # propagation numbers afresh in every DCE round.
+        rounds = results["complete"].complete_stats.rounds
+        procedures = results["polynomial"].lowered.procedures
+        assert numbered == {name: 3 + rounds for name in procedures}
+
+    def test_ladder_rungs_share_one_numbering(self, monkeypatch):
+        numbered = count_numberings(monkeypatch)
+        result = analyze(
+            PROGRAM,
+            AnalysisConfig(jump_function=JumpFunctionKind.POLYNOMIAL, max_meets=0),
+            cache=Stage0Cache(),
+        )
+        assert len(result.degradations) > 1
+        assert set(numbered.values()) == {1}
+
+
 ALL_KINDS = list(JumpFunctionKind)
+
+
+class TestPartialTableNumberings:
+    """A recursive-SCC member numbered before its SCC-mates had return
+    jump functions must be renumbered before stage 2 projects it."""
+
+    # Stage 1 numbers ``a`` while ``b`` has no table entry yet. ``b``
+    # leaves x = 5 on every exit, which only a renumbered ``a`` passes on
+    # to ``c``.
+    RECURSIVE = """
+program main
+  call a(20)
+end
+
+subroutine a(m)
+  integer m
+  common /g/ x
+  integer x
+  call b(m)
+  call c(x)
+end
+
+subroutine b(m)
+  integer m
+  common /g/ x
+  integer x
+  if (m > 10) then
+    call a(m - 1)
+  endif
+  x = 5
+end
+
+subroutine c(v)
+  integer v
+  write v
+end
+"""
+    CONFIGS = {
+        f"{kind.value}-{rjf}-{compose}": AnalysisConfig(
+            jump_function=kind,
+            use_return_jump_functions=rjf == "rjf",
+            compose_return_functions=compose == "composed",
+        )
+        for kind in ALL_KINDS
+        for rjf in ("rjf", "no-rjf")
+        for compose in ("plain", "composed")
+    }
+
+    def test_cached_sweep_matches_fresh_analyze(self):
+        swept = Analyzer(self.RECURSIVE, cache=Stage0Cache()).sweep(self.CONFIGS)
+        for name, config in self.CONFIGS.items():
+            fresh = analyze(self.RECURSIVE, config, cache=None)
+            assert swept[name].all_constants() == fresh.all_constants(), name
+            assert swept[name].solved.val == fresh.solved.val, name
+            constant = (
+                config.use_return_jump_functions
+                and config.jump_function is not JumpFunctionKind.LITERAL
+            )
+            assert (swept[name].constants("c").get("v") == 5) == constant, name
+
+
+class TestConcurrentSharing:
+    """The daemon's threads share one stage-0 bundle, and with it the SSA
+    forms and numberings stage 2 completes on first use."""
+
+    def test_threads_on_one_bundle_match_fresh_runs(self):
+        sources = (PROGRAM, TestPartialTableNumberings.RECURSIVE)
+        expected = {
+            (source, config): analyze(source, config, cache=None).all_constants()
+            for source in sources
+            for config in TestPartialTableNumberings.CONFIGS.values()
+        }
+        cache = Stage0Cache()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = {
+                    key: pool.submit(analyze, key[0], key[1], cache=cache)
+                    for key in expected
+                }
+                results = {
+                    key: future.result(timeout=120)
+                    for key, future in futures.items()
+                }
+        finally:
+            sys.setswitchinterval(interval)
+        for key, result in results.items():
+            assert result.all_constants() == expected[key], key[1].describe()
 
 
 class TestCacheCorrectness:
     """Cached sweeps must be bit-identical to fresh, uncached runs."""
 
+    @pytest.mark.parametrize("compose", (False, True), ids=("plain", "composed"))
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     @pytest.mark.parametrize("use_mod", (True, False), ids=("mod", "no-mod"))
     @pytest.mark.parametrize("use_returns", (True, False), ids=("rjf", "no-rjf"))
-    def test_cached_sweep_matches_fresh_analyze(self, kind, use_mod, use_returns):
+    def test_cached_sweep_matches_fresh_analyze(
+        self, kind, use_mod, use_returns, compose
+    ):
         config = AnalysisConfig(
             jump_function=kind,
             use_return_jump_functions=use_returns,
             use_mod=use_mod,
+            compose_return_functions=compose,
         )
         analyzer = Analyzer(PROGRAM, cache=Stage0Cache())
-        # warm the cache with a different configuration first
-        analyzer.run(AnalysisConfig(jump_function=JumpFunctionKind.POLYNOMIAL))
+        # warm the cache with a different configuration first, composed
+        # when this one is plain and plain when it is composed
+        analyzer.run(
+            AnalysisConfig(
+                jump_function=JumpFunctionKind.POLYNOMIAL,
+                compose_return_functions=not compose,
+            )
+        )
         cached = analyzer.run(config)
         fresh = analyze(PROGRAM, config, cache=None)
         assert cached.constants_found == fresh.constants_found

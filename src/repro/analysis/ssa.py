@@ -163,7 +163,17 @@ def instrument_call_kills(cfg: ControlFlowGraph, effects: CallEffects) -> None:
 
 @dataclass
 class SSAProcedure:
-    """A procedure in SSA form plus renaming metadata."""
+    """A procedure in SSA form plus renaming metadata.
+
+    ``substitutions`` is the record memo of
+    :func:`repro.core.substitute.compute_substitutions`: the procedure's
+    read-only :class:`~repro.core.substitute.ProcedureSubstitutions` per
+    distinct set of constant entry values. It lives and dies with this
+    SSA form, so whatever shares the form (the stage-0
+    :class:`~repro.core.driver.SSACache`, across configurations and
+    daemon requests) shares its records, and code that is rebuilt
+    (complete propagation's DCE rounds) starts with an empty memo.
+    """
 
     lowered: LoweredProcedure
     cfg: ControlFlowGraph
@@ -173,6 +183,10 @@ class SSAProcedure:
     exit_reachable: bool = True
     #: site_id -> {global symbol -> version current just before the call}.
     call_versions: dict[int, dict[Symbol, int]] = field(default_factory=dict)
+    #: frozenset of constant (entry key, class, value) -> the record.
+    substitutions: dict[frozenset, object] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     @property
     def name(self) -> str:

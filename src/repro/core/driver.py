@@ -16,9 +16,11 @@ pipeline makes that explicit:
 
 - :func:`build_stage0` produces a :class:`Stage0Artifacts` bundle;
 - :class:`Stage0Cache` memoizes bundles by program identity (the source
-  text) and counts hits/misses;
+  text), looked up before anything is parsed, and counts hits/misses;
 - :func:`analyze` runs stages 1–4 for one configuration on top of a
-  bundle (consulting the module-level cache by default);
+  bundle (consulting the module-level cache by default), and stage 4
+  reuses each procedure's substitution record for a CONSTANTS(p) it has
+  seen (see :func:`~repro.core.substitute.compute_substitutions`);
 - :class:`Analyzer` parses once and sweeps many configurations over one
   bundle; :func:`sweep_programs` fans whole-program sweeps across worker
   processes for table regeneration.
@@ -33,6 +35,7 @@ benchmarks and the ``repro analyze --stats`` flag.
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
@@ -196,10 +199,19 @@ class Stage0Cache:
 
     Identity is the program's source text: two programs with identical
     text have identical lowering, call graph, and MOD/REF (stage 0 never
-    reads the configuration). ``hits``/``misses``/``bypasses`` make the
-    sharing observable — the sweep tests assert stage 0 runs exactly once
-    per program. Programs constructed without source text are never
-    cached (there is no identity to key on).
+    reads the configuration). :meth:`get` takes the text itself, and
+    looks it up before anything is parsed, or a parsed :class:`Program`,
+    whose ``source`` is exactly the text it was parsed from; so both
+    share entries. Only a miss on a text runs the frontend, and a text
+    that fails to parse is never cached. ``hits``/``misses``/``bypasses``
+    make the sharing observable — the sweep tests assert stage 0 runs
+    exactly once per program. Programs constructed without source text
+    are never cached (there is no identity to key on).
+
+    The daemon's threads share one cache: one lock guards each lookup
+    with its LRU bump, each insert with its evictions, and
+    :meth:`discard`. Stage 0 is built outside the lock, so two threads
+    that miss on one text may both build it.
     """
 
     def __init__(self, maxsize: int = 32):
@@ -210,29 +222,40 @@ class Stage0Cache:
         #: their DCE loop mutates the lowered program.
         self.bypasses = 0
         self._entries: OrderedDict[str, Stage0Artifacts] = OrderedDict()
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, program: Program) -> Stage0Artifacts:
-        """Fetch (or build and remember) the stage-0 bundle for ``program``."""
-        key = program.source
-        if not key:
-            return build_stage0(program)
-        cached = self._entries.get(key)
-        if cached is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return cached
-        self.misses += 1
+    def get(self, source: str | Program) -> Stage0Artifacts:
+        """Fetch (or build and remember) the stage-0 bundle for
+        ``source``: program text, or a parsed program."""
+        key = source if isinstance(source, str) else source.source
+        if key:
+            with self._lock:
+                cached = self._entries.get(key)
+                if cached is not None:
+                    self.hits += 1
+                    self._entries.move_to_end(key)
+                    return cached
+                self.misses += 1
+        program = parse_program(source) if isinstance(source, str) else source
         artifacts = build_stage0(program)
-        self._entries[key] = artifacts
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
+        if key:
+            with self._lock:
+                self._entries[key] = artifacts
+                while len(self._entries) > self.maxsize:
+                    self._entries.popitem(last=False)
         return artifacts
 
+    def discard(self, source: str) -> None:
+        """Forget the bundle for program text ``source``, if held."""
+        with self._lock:
+            self._entries.pop(source, None)
+
     def clear(self) -> None:
-        self._entries.clear()
+        with self._lock:
+            self._entries.clear()
 
     def counters(self) -> dict[str, int]:
         return {
@@ -796,7 +819,10 @@ def analyze(
 
     Stage 0 is fetched from ``cache`` (the module-level
     :data:`GLOBAL_STAGE0_CACHE` by default; pass ``cache=None`` to force a
-    fresh build — the cache-correctness tests diff the two paths).
+    fresh build — the cache-correctness tests diff the two paths). Source
+    text goes to the cache as it is, so a text the cache holds is never
+    parsed again; ``analyze`` parses only without a cache or for a
+    complete configuration, which builds a private stage 0.
 
     ``store`` (an :class:`repro.store.artifacts.ArtifactStore` or
     :class:`~repro.store.artifacts.MemoryStore`) persists the run's
@@ -808,7 +834,8 @@ def analyze(
     """
     config = config or AnalysisConfig()
     cancel_point()
-    program = parse_program(source) if isinstance(source, str) else source
+    if isinstance(source, str) and (cache is None or config.complete):
+        source = parse_program(source)
     chaos_point(Stage.FRONTEND)
     timings: dict[str, float] = {}
     degradations: list[DegradationRecord] = []
@@ -821,7 +848,7 @@ def analyze(
         # stage 0 and never publish the result to the cache.
         if cache is not None:
             cache.bypasses += 1
-        stage0 = build_stage0(program)
+        stage0 = build_stage0(source)
         timings.update(stage0.timings)
         # Each DCE round may mutate the lowered CFGs, so SSA forms and
         # numberings are only shareable within a round: build a fresh
@@ -841,13 +868,13 @@ def analyze(
     else:
         if cache is not None:
             hits_before = cache.hits
-            stage0 = cache.get(program)
+            stage0 = cache.get(source)
             stage0_cached = cache.hits > hits_before
             # chaos corruption clobbers the live cache entry, exactly
             # like a real poisoned cache would persist across fetches
             maybe_corrupt_stage0(stage0)
         else:
-            stage0 = build_stage0(program)
+            stage0 = build_stage0(source)
         timings.update(stage0.timings)
         artifacts = _config_stages(
             stage0.lowered, stage0.graph, stage0.modref, config, timings,
@@ -936,12 +963,19 @@ class Analyzer:
         tests assert byte-identical CONSTANTS sets and substitution
         counts — just cheaper (see ``result.incremental`` and the
         ``regions_warm`` solver counter).
+
+        The warm start comes from the store, not from stage 0, so an edit
+        drops the superseded text's bundle from :attr:`cache`: an edit
+        session holds one program version, not one per edit.
         """
-        self.program = (
+        program = (
             parse_program(new_source)
             if isinstance(new_source, str)
             else new_source
         )
+        if program.source != self.program.source:
+            self.cache.discard(self.program.source)
+        self.program = program
         return self.run(config, incremental=True)
 
     def sweep(

@@ -24,8 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.sccp import run_sccp
+from repro.analysis.ssa import SSAProcedure
 from repro.analysis.valuenum import entry_key_of
-from repro.core.lattice import BOTTOM, TOP, LatticeValue, is_constant
+from repro.core.lattice import BOTTOM, LatticeValue, is_constant
 from repro.core.solver import SolveResult
 from repro.frontend.source import SourceSpan
 from repro.frontend.symbols import Symbol
@@ -34,7 +35,12 @@ from repro.ir.instructions import Phi, SSAName
 
 @dataclass
 class ProcedureSubstitutions:
-    """Substitution facts for one procedure."""
+    """Substitution facts for one procedure.
+
+    Read-only once built: :func:`compute_substitutions` memoizes each
+    record on the SSA form it came from, so results of different
+    configurations (and different daemon requests) share it.
+    """
 
     proc: str
     #: every substituted reference: (span, constant value, symbol).
@@ -125,6 +131,16 @@ def compute_substitutions(
     reused); ``include_procs`` defaults to the procedures reached from the
     main program (never-called procedures contribute nothing, matching the
     paper's ⊤ convention).
+
+    A procedure's record is a pure function of its SSA form and the
+    constant entries of VAL(p): SCCP seeds ⊤ and ⊥ entries alike with ⊥,
+    and only constants are counted. So each record is memoized on the SSA
+    form (:attr:`~repro.analysis.ssa.SSAProcedure.substitutions`), keyed
+    by the frozenset of constant ``(entry key, class, value)`` triples;
+    the class keeps ``True`` apart from ``1``, as
+    :func:`~repro.core.lattice.meet` does. Records are shared, hence
+    read-only. Each is published with one dict store: two threads may
+    both build one, but neither sees half of one.
     """
     report = SubstitutionReport()
     procs = include_procs if include_procs is not None else solved.reached
@@ -132,51 +148,63 @@ def compute_substitutions(
         ssa = forward.ssas.get(name)
         if ssa is None:
             continue
-        val_env = solved.val.get(name, {})
-        entry_env: dict[Symbol, LatticeValue] = {}
-        for symbol in ssa.variables:
-            key = entry_key_of(symbol)
-            if key is None:
-                continue
-            value = val_env.get(key, BOTTOM)
-            entry_env[symbol] = BOTTOM if value is TOP else value
-        sccp = run_sccp(ssa, entry_env)
         constants = solved.constants(name)
-        proc_subs = ProcedureSubstitutions(proc=name)
-        seen_spans: set[tuple[int, int]] = set()
-        for block, instr in ssa.cfg.instructions():
-            if block.id not in sccp.executable_blocks:
-                continue
-            if isinstance(instr, Phi):
-                continue  # phi inputs are not source references
-            for operand in instr.uses():
-                if not isinstance(operand, SSAName):
-                    continue
-                span = operand.span
-                if span.start.offset == span.end.offset:
-                    continue  # synthesized use, no source text
-                value = sccp.value_of(operand)
-                if not is_constant(value):
-                    continue
-                span_key = span.text_range
-                if span_key in seen_spans:
-                    continue
-                seen_spans.add(span_key)
-                record = (span, value, operand.symbol)
-                proc_subs.references.append(record)
-                if operand.version == 0:
-                    key = entry_key_of(operand.symbol)
-                    if key is not None and key in constants:
-                        proc_subs.entry_references.append(record)
-        proc_subs.known_constants = len(constants)
-        referenced_keys = {
-            entry_key_of(symbol) for symbol in proc_subs.entry_symbols
-        }
-        proc_subs.irrelevant_keys = [
-            key for key in constants if key not in referenced_keys
-        ]
+        key = frozenset(
+            (entry, value.__class__, value) for entry, value in constants.items()
+        )
+        proc_subs = ssa.substitutions.get(key)
+        if proc_subs is None:
+            proc_subs = _record_procedure(name, ssa, constants)
+            ssa.substitutions[key] = proc_subs
         report.per_procedure[name] = proc_subs
     return report
+
+
+def _record_procedure(
+    name: str, ssa: SSAProcedure, constants: dict
+) -> ProcedureSubstitutions:
+    """One procedure's substitution sites under CONSTANTS(p) =
+    ``constants``."""
+    entry_env: dict[Symbol, LatticeValue] = {}
+    for symbol in ssa.variables:
+        key = entry_key_of(symbol)
+        if key is not None:
+            entry_env[symbol] = constants.get(key, BOTTOM)
+    sccp = run_sccp(ssa, entry_env)
+    proc_subs = ProcedureSubstitutions(proc=name)
+    seen_spans: set[tuple[int, int]] = set()
+    for block, instr in ssa.cfg.instructions():
+        if block.id not in sccp.executable_blocks:
+            continue
+        if isinstance(instr, Phi):
+            continue  # phi inputs are not source references
+        for operand in instr.uses():
+            if not isinstance(operand, SSAName):
+                continue
+            span = operand.span
+            if span.start.offset == span.end.offset:
+                continue  # synthesized use, no source text
+            value = sccp.value_of(operand)
+            if not is_constant(value):
+                continue
+            span_key = span.text_range
+            if span_key in seen_spans:
+                continue
+            seen_spans.add(span_key)
+            record = (span, value, operand.symbol)
+            proc_subs.references.append(record)
+            if operand.version == 0:
+                key = entry_key_of(operand.symbol)
+                if key is not None and key in constants:
+                    proc_subs.entry_references.append(record)
+    proc_subs.known_constants = len(constants)
+    referenced_keys = {
+        entry_key_of(symbol) for symbol in proc_subs.entry_symbols
+    }
+    proc_subs.irrelevant_keys = [
+        key for key in constants if key not in referenced_keys
+    ]
+    return proc_subs
 
 
 def format_constant(value: LatticeValue) -> str:

@@ -236,16 +236,21 @@ def globals_fingerprint(program: Program) -> str:
     return sha256_of({"schema": SCHEMA, "globals": rows})
 
 
-def encode_forward_jfs(proc: str, lowered: LoweredProgram, sites) -> list:
-    """The procedure's forward jump functions, one entry per call site
-    in textual (lowering) order, without raw site ids."""
-    entries = []
+def encode_all_forward_jfs(
+    lowered: LoweredProgram, sites
+) -> dict[str, list]:
+    """Every procedure's forward jump functions: procedure name -> one
+    entry per call site in textual (lowering) order, without raw site
+    ids. One sorted pass over the program's call sites, so publishing or
+    diffing a snapshot is linear in the number of sites."""
+    payloads: dict[str, list] = {name: [] for name in lowered.procedures}
     for site_id in sorted(lowered.call_sites):
         caller, _ = lowered.call_sites[site_id]
-        if caller != proc:
-            continue
         site = sites.get(site_id)
         if site is None:
+            continue
+        entries = payloads.get(caller)
+        if entries is None:
             continue
         entries.append(
             {
@@ -262,7 +267,7 @@ def encode_forward_jfs(proc: str, lowered: LoweredProgram, sites) -> list:
                 },
             }
         )
-    return entries
+    return payloads
 
 
 def encode_return_jfs(proc: str, table) -> dict:

@@ -53,7 +53,7 @@ from repro.store.fingerprints import (
     SCHEMA,
     decode_env,
     encode_env,
-    encode_forward_jfs,
+    encode_all_forward_jfs,
     encode_return_jfs,
     globals_fingerprint,
     procedure_fingerprint,
@@ -105,12 +105,12 @@ def publish_snapshot(
 ) -> dict:
     """Write one configuration's artifacts and append the snapshot line.
     Returns the snapshot meta (tests inspect it)."""
+    payloads = encode_all_forward_jfs(lowered, forward.sites)
     procs: dict[str, dict] = {}
     for name in sorted(lowered.procedures):
-        jf_payload = encode_forward_jfs(name, lowered, forward.sites)
         procs[name] = {
             "fp": procedure_fingerprint(name, lowered, modref, cfg_key),
-            "jf": store.put_object(jf_payload),
+            "jf": store.put_object(payloads[name]),
             "rjf": store.put_object(encode_return_jfs(name, returns_table)),
             "env": store.put_object(encode_env(solved.val.get(name, {}))),
             "reached": name in solved.reached,
@@ -147,6 +147,7 @@ def diff_snapshot(
             changed = set(current)
         else:
             changed = set()
+            payloads = encode_all_forward_jfs(lowered, forward.sites)
             for name in current:
                 stored = stored_procs.get(name)
                 if stored is None:
@@ -156,10 +157,7 @@ def diff_snapshot(
                 if stored["fp"] != fp:
                     changed.add(name)
                     continue
-                jf_sha = sha256_of(
-                    encode_forward_jfs(name, lowered, forward.sites)
-                )
-                if stored["jf"] != jf_sha:
+                if stored["jf"] != sha256_of(payloads[name]):
                     changed.add(name)
         # descendants over current adjacency plus the snapshot adjacency
         # of changed/removed procedures (a deleted edge must still

@@ -59,6 +59,7 @@ from repro.store.fingerprints import (
     decode_expr,
     decode_key,
     decode_value,
+    encode_all_forward_jfs,
     encode_expr,
     encode_key,
     encode_value,
@@ -261,47 +262,6 @@ def deserialize_slab(blob: bytes) -> SlabProgram:
         raise
     except Exception as exc:
         raise StoreError(f"slab blob untrusted: {exc}") from exc
-
-
-# -- jump-function payloads, one pass ----------------------------------------
-
-
-def encode_all_forward_jfs(
-    lowered: LoweredProgram, sites
-) -> dict[str, list]:
-    """Every procedure's forward jump-function payload in one sweep.
-
-    Byte-identical per procedure to
-    :func:`repro.store.fingerprints.encode_forward_jfs`, but a single
-    sorted iteration over the program's call sites instead of one full
-    rescan per procedure — the per-procedure version is quadratic at the
-    10k tier, which would eat the entire warm-path win during the diff.
-    """
-    payloads: dict[str, list] = {name: [] for name in lowered.procedures}
-    for site_id in sorted(lowered.call_sites):
-        caller, _ = lowered.call_sites[site_id]
-        site = sites.get(site_id)
-        if site is None:
-            continue
-        entries = payloads.get(caller)
-        if entries is None:
-            continue
-        entries.append(
-            {
-                "callee": site.callee,
-                "formals": {
-                    name: encode_expr(jf.expr)
-                    for name, jf in sorted(site.formals.items())
-                },
-                "globals": {
-                    encode_key(gid): encode_expr(jf.expr)
-                    for gid, jf in sorted(
-                        site.globals.items(), key=lambda kv: encode_key(kv[0])
-                    )
-                },
-            }
-        )
-    return payloads
 
 
 # -- publish and plan ---------------------------------------------------------

@@ -1,17 +1,21 @@
 """The shared-artifact pipeline: stage-0 caching, sweep semantics, the
 process-parallel multi-program sweep, and the Table 3 baseline contract."""
 
+import random
 import sys
+import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro import AnalysisConfig, Analyzer, JumpFunctionKind, analyze
-from repro.core import builder, returns
+from repro.core import builder, driver, returns, substitute
 from repro.core.config import TABLE2_CONFIGS, TABLE3_CONFIGS
 from repro.core.driver import Stage0Cache, sweep_programs
+from repro.core.lattice import is_constant
 from repro.frontend import parse_program
+from repro.frontend.errors import FrontendError
 
 PROGRAM = """
 program main
@@ -130,6 +134,136 @@ class TestStage0Cache:
         result = analyze(PROGRAM, cache=Stage0Cache())
         for name, ssa in result.forward.ssas.items():
             assert result.returns.ssas[name] is ssa
+
+    def test_held_text_skips_the_frontend(self, monkeypatch):
+        parses = count_parses(monkeypatch)
+        cache = Stage0Cache()
+        first = analyze(PROGRAM, cache=cache)
+        second = analyze(PROGRAM, cache=cache)
+        assert len(parses) == 1
+        assert second.program is first.program
+        assert second.all_constants() == first.all_constants()
+
+    @pytest.mark.parametrize(
+        "text",
+        (
+            "program m\nn = 1\nwrite n\nend",
+            "program m\r\nn = 1\r\nwrite n\r\nend\r\n",
+            "\n\n   program m\nn = 1\nwrite n\nend\n",
+        ),
+        ids=("no-trailing-newline", "crlf", "leading-blanks"),
+    )
+    def test_text_and_program_share_one_entry(self, text):
+        program = parse_program(text)
+        assert program.source == text
+        cache = Stage0Cache()
+        assert cache.get(text) is cache.get(program)
+        assert (cache.misses, cache.hits, len(cache)) == (1, 1, 1)
+
+    def test_malformed_text_is_never_cached(self):
+        cache = Stage0Cache()
+        errors = []
+        for _ in range(2):
+            with pytest.raises(FrontendError) as caught:
+                analyze("program p\nn = \nend\n", cache=cache)
+            errors.append((type(caught.value), str(caught.value)))
+        assert errors[0] == errors[1]
+        assert len(cache) == 0
+
+    def test_concurrent_gets_never_raise(self):
+        # Eight threads thrash a five-entry cache over six programs for
+        # three seconds. A lookup that lost its key to another thread's
+        # eviction between reading the entry and bumping it used to
+        # raise KeyError, dozens of times per run.
+        programs = [
+            parse_program(f"program m\nn = {i}\nwrite n\nend\n")
+            for i in range(6)
+        ]
+        cache = Stage0Cache(maxsize=5)
+
+        def thrash(seed):
+            rng = random.Random(seed)
+            deadline = time.monotonic() + 3.0
+            while time.monotonic() < deadline:
+                cache.get(rng.choice(programs))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(thrash, seed) for seed in range(8)]
+                for future in futures:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(cache) <= cache.maxsize
+
+    def test_edits_retire_superseded_versions(self):
+        cache = Stage0Cache()
+        analyzer = Analyzer(PROGRAM, cache=cache)
+        analyzer.run()
+        edits = [PROGRAM.replace("n = 10", f"n = {10 + i}") for i in range(1, 4)]
+        for text in edits:
+            assert analyzer.reanalyze(text).incremental.mode == "warm"
+        assert len(cache) == 1
+        back = analyzer.reanalyze(PROGRAM)
+        fresh = analyze(PROGRAM, cache=None)
+        assert len(cache) == 1
+        assert back.all_constants() == fresh.all_constants()
+        assert back.solved.val == fresh.solved.val
+        assert back.transformed_source() == fresh.transformed_source()
+
+
+def count_parses(monkeypatch) -> list:
+    """Record every frontend run the driver starts."""
+    parses = []
+    original = driver.parse_program
+
+    def counting(source):
+        parses.append(source)
+        return original(source)
+
+    monkeypatch.setattr(driver, "parse_program", counting)
+    return parses
+
+
+def record_sccp_inputs(monkeypatch) -> list:
+    """Record each SCCP run as (SSA form, constant part of its entry
+    environment), holding the SSA forms so their ids stay unique."""
+    inputs = []
+    original = substitute.run_sccp
+
+    def recording(ssa, entry_env=None):
+        constants = frozenset(
+            (symbol, value.__class__, value)
+            for symbol, value in (entry_env or {}).items()
+            if is_constant(value)
+        )
+        inputs.append((ssa, constants))
+        return original(ssa, entry_env)
+
+    monkeypatch.setattr(substitute, "run_sccp", recording)
+    return inputs
+
+
+class TestRecordMemo:
+    """Stage 4 records each (SSA form, CONSTANTS(p)) pair once."""
+
+    def test_rerun_makes_no_sccp_call(self, monkeypatch):
+        analyzer = Analyzer(PROGRAM, cache=Stage0Cache())
+        first = analyzer.run()
+        inputs = record_sccp_inputs(monkeypatch)
+        again = analyzer.run()
+        assert inputs == []
+        assert again.transformed_source() == first.transformed_source()
+
+    def test_sweep_runs_sccp_once_per_distinct_input(self, monkeypatch):
+        inputs = record_sccp_inputs(monkeypatch)
+        Analyzer(PROGRAM, cache=Stage0Cache()).sweep(
+            {**TABLE2_CONFIGS, **TABLE3_CONFIGS}
+        )
+        distinct = {(id(ssa), constants) for ssa, constants in inputs}
+        assert inputs and len(inputs) == len(distinct)
 
 
 def count_numberings(monkeypatch) -> Counter:
@@ -296,6 +430,10 @@ class TestCacheCorrectness:
         assert cached.references_substituted == fresh.references_substituted
         assert cached.all_constants() == fresh.all_constants()
         assert cached.solved.val == fresh.solved.val
+        # a memo that handed this config another config's record would
+        # show in the substituted references
+        assert cached.transformed_source() == fresh.transformed_source()
+        assert references_by_procedure(cached) == references_by_procedure(fresh)
 
     def test_repeated_sweeps_stable(self):
         analyzer = Analyzer(PROGRAM, cache=Stage0Cache())
@@ -303,6 +441,13 @@ class TestCacheCorrectness:
         second = analyzer.sweep(TABLE2_CONFIGS)
         for name in TABLE2_CONFIGS:
             assert first[name].all_constants() == second[name].all_constants()
+
+
+def references_by_procedure(result) -> dict:
+    return {
+        name: [(span.text_range, value) for span, value, _ in record.references]
+        for name, record in result.substitutions.per_procedure.items()
+    }
 
 
 class TestBaselineSemantics:

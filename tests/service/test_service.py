@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from repro.core import driver
 from repro.core.config import AnalysisConfig
 from repro.core.driver import analyze
 from repro.interp import run_program
@@ -144,6 +145,27 @@ class TestServingTiers:
         )
         assert other["served"] == "cold"
         assert other["fingerprint"] != first["fingerprint"]
+
+    def test_second_config_of_a_held_program_skips_the_frontend(
+        self, monkeypatch
+    ):
+        parses = []
+        original = driver.parse_program
+
+        def counting(source):
+            parses.append(source)
+            return original(source)
+
+        monkeypatch.setattr(driver, "parse_program", counting)
+        service = AnalysisService()
+        first = service.handle({"id": "a", "source": SOURCE})
+        other = service.handle(
+            {"id": "b", "source": SOURCE, "config": {"use_mod": False}}
+        )
+        assert (first["served"], other["served"]) == ("cold", "cold")
+        assert len(parses) == 1
+        fresh = analyze(SOURCE, AnalysisConfig(use_mod=False), cache=None)
+        assert other["result"]["constants_found"] == fresh.constants_found
 
     def test_removed_compiled_exprs_axis_is_rl555(self):
         # the compiled-kernel option is gone: a client still sending it

@@ -7,10 +7,16 @@ import os
 
 import pytest
 
-from repro.core.config import AnalysisConfig
+from repro.core.config import AnalysisConfig, JumpFunctionKind
 from repro.core.driver import Analyzer, analyze
 from repro.store.artifacts import ArtifactStore, MemoryStore
-from repro.store.fingerprints import config_key
+from repro.store.fingerprints import (
+    config_key,
+    encode_all_forward_jfs,
+    encode_expr,
+    encode_key,
+)
+from repro.workloads import suite
 
 SOURCE = """
 program m
@@ -218,3 +224,48 @@ class TestSweepSharesStore:
         for name in sources:
             counters = second.summaries[name]["pt"].solver_counters
             assert counters["regions_warm"] == 3
+
+
+def forward_payload_of(proc, lowered, sites) -> list:
+    """The reference encoder: one procedure's call sites, filtered out of
+    every site in the program, in site-id order."""
+    entries = []
+    for site_id in sorted(lowered.call_sites):
+        caller, _ = lowered.call_sites[site_id]
+        site = sites.get(site_id)
+        if caller != proc or site is None:
+            continue
+        entries.append(
+            {
+                "callee": site.callee,
+                "formals": {
+                    name: encode_expr(jf.expr)
+                    for name, jf in sorted(site.formals.items())
+                },
+                "globals": {
+                    encode_key(gid): encode_expr(jf.expr)
+                    for gid, jf in sorted(
+                        site.globals.items(), key=lambda kv: encode_key(kv[0])
+                    )
+                },
+            }
+        )
+    return entries
+
+
+class TestForwardPayloads:
+    """The one-pass encoder that publish and diff share equals the
+    per-procedure filter on every procedure."""
+
+    @pytest.mark.parametrize("name", [*suite.suite_names(), "large_chain"])
+    def test_one_pass_matches_per_procedure_filter(self, name):
+        result = analyze(
+            suite.load(name).source,
+            AnalysisConfig(jump_function=JumpFunctionKind.POLYNOMIAL),
+            cache=None,
+        )
+        sites = result.forward.sites
+        payloads = encode_all_forward_jfs(result.lowered, sites)
+        assert set(payloads) == set(result.lowered.procedures)
+        for proc, payload in payloads.items():
+            assert payload == forward_payload_of(proc, result.lowered, sites), proc

@@ -14,6 +14,8 @@ CONSTANTS sets were reset to ⊤", §4.2). Three steps:
 3. **Dead store elimination** — assignments to scalars that are never
    subsequently observed (liveness-based), iterated to a fixpoint.
    This is what removes the "conflicting definitions" the paper mentions.
+   A call observes the globals its callee may read (REF), so a store
+   the callee reads is never dead.
 """
 
 from __future__ import annotations
@@ -26,10 +28,13 @@ from repro.analysis.liveness import (
     compute_liveness,
     exit_live_set,
 )
+from repro.callgraph.modref import ModRefInfo
 from repro.core.lattice import LatticeValue, is_constant
 from repro.frontend.astnodes import Type
+from repro.frontend.symbols import SymbolKind
 from repro.ir.instructions import (
     BinOp,
+    Call,
     CJump,
     Const,
     Convert,
@@ -94,15 +99,46 @@ def _cond_value(terminator: CJump, expr_of, env) -> LatticeValue:
     return BOTTOM
 
 
-def eliminate_dead_stores(lowered_proc: LoweredProcedure) -> int:
+def _reads(lowered_proc: LoweredProcedure, modref: ModRefInfo | None):
+    """The liveness keys an instruction reads: its operands, and for a
+    call also every global of this procedure that the callee may REF —
+    every global when ``modref`` is ``None``."""
+    globals_by_id = {
+        symbol.global_id: symbol
+        for symbol in lowered_proc.procedure.symtab
+        if symbol.kind is SymbolKind.GLOBAL
+    }
+
+    def reads(instr) -> list:
+        keys = _use_keys(instr)
+        if isinstance(instr, Call):
+            if modref is None:
+                keys.extend(globals_by_id.values())
+            else:
+                keys.extend(
+                    globals_by_id[gid]
+                    for gid in modref.ref_globals.get(instr.callee, ())
+                    if gid in globals_by_id
+                )
+        return keys
+
+    return reads
+
+
+def eliminate_dead_stores(
+    lowered_proc: LoweredProcedure, modref: ModRefInfo | None = None
+) -> int:
     """Remove pure instructions whose destinations are dead. Iterates
-    until stable; returns the number of instructions removed."""
+    until stable; returns the number of instructions removed. A call
+    reads the globals REF gives its callee in ``modref``, or every
+    global without one."""
     cfg = lowered_proc.cfg
     variables = list(lowered_proc.procedure.symtab)
     boundary = exit_live_set(variables)
+    reads = _reads(lowered_proc, modref)
     removed_total = 0
     while True:
-        liveness = compute_liveness(cfg, boundary)
+        liveness = compute_liveness(cfg, boundary, reads)
         removed = 0
         for block_id, block in cfg.blocks.items():
             live = set(liveness.live_out[block_id])
@@ -123,7 +159,7 @@ def eliminate_dead_stores(lowered_proc: LoweredProcedure) -> int:
                     continue
                 if key is not None:
                     live.discard(key)
-                live.update(_use_keys(instr))
+                live.update(reads(instr))
                 keep.append(instr)
             keep.reverse()
             block.instrs = keep
@@ -136,13 +172,15 @@ def eliminate_dead_code(
     lowered_proc: LoweredProcedure,
     expr_of,
     env,
+    modref: ModRefInfo | None = None,
 ) -> DCEStats:
-    """Run the full DCE pipeline on one procedure."""
+    """Run the full DCE pipeline on one procedure, in place; ``modref``
+    as for :func:`eliminate_dead_stores`."""
     from repro.analysis.copyprop import propagate_copies
 
     stats = DCEStats()
     stats.folded_branches = fold_constant_branches(lowered_proc, expr_of, env)
     stats.removed_blocks = len(lowered_proc.cfg.remove_unreachable())
     propagate_copies(lowered_proc)  # forwards temps so their copies die
-    stats.removed_stores = eliminate_dead_stores(lowered_proc)
+    stats.removed_stores = eliminate_dead_stores(lowered_proc, modref)
     return stats

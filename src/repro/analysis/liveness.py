@@ -12,6 +12,7 @@ reference; the result is the caller's value).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.frontend.symbols import Symbol, SymbolKind
 from repro.ir.cfg import ControlFlowGraph
@@ -86,12 +87,15 @@ def exit_live_set(variables) -> set[LiveKey]:
 
 
 def compute_liveness(
-    cfg: ControlFlowGraph, boundary: set[LiveKey] | None = None
+    cfg: ControlFlowGraph,
+    boundary: set[LiveKey] | None = None,
+    uses: Callable[[Instr], list[LiveKey]] = _use_keys,
 ) -> LivenessResult:
     """Iterate backward dataflow to a fixpoint.
 
     ``boundary`` is the live set at Return instructions (see
-    :func:`exit_live_set`); Stop terminators observe nothing.
+    :func:`exit_live_set`); Stop terminators observe nothing. ``uses``
+    gives the keys an instruction reads (default: its operands).
     """
     cfg.refresh()
     boundary = boundary or set()
@@ -106,7 +110,7 @@ def compute_liveness(
         block_gen: set[LiveKey] = set()
         block_kill: set[LiveKey] = set()
         for instr in block.instrs:
-            for key in _use_keys(instr):
+            for key in uses(instr):
                 if key not in block_kill:
                     block_gen.add(key)
             def_key = _def_key(instr)

@@ -90,7 +90,8 @@ def ensure_global_symbols(lowered: LoweredProgram) -> None:
 
 
 def copy_cfg(cfg: ControlFlowGraph) -> ControlFlowGraph:
-    """Copy a CFG deeply enough that SSA construction cannot touch ``cfg``.
+    """Copy a CFG deeply enough that SSA construction, or complete
+    propagation's DCE, cannot touch ``cfg``.
 
     New objects: the graph, every block with its ``instrs`` and ``preds``
     lists, every instruction, every list or dict an instruction holds,
@@ -99,14 +100,11 @@ def copy_cfg(cfg: ControlFlowGraph) -> ControlFlowGraph:
     instruction holds that is immutable — operands (``Const``, ``Temp``,
     ``VarUse``, ``SSAName``), ``VarDef``, ``SourceSpan``, enums, tuples,
     strings and numbers — plus the ``Symbol`` identities both forms name.
-    Sharing is safe because nothing shared is ever mutated: SSA
-    construction changes only fields of its own blocks, instructions and
-    arguments (``block.instrs = ...``, ``set_dest``, ``replace_uses``),
-    and complete propagation's DCE and copy propagation, which later
-    mutate the lowered CFG, edit only lowered instructions and block
-    lists, none of which the copy keeps. A lowered CFG holds no ``Phi``
-    or ``CallKill`` (SSA construction adds both after the copy), so no
-    instruction refers to another.
+    Sharing is safe because nothing shared is ever mutated: both change
+    only fields of their own blocks, instructions and arguments
+    (``block.instrs = ...``, ``set_dest``, ``replace_uses``). A lowered
+    CFG holds no ``Phi`` or ``CallKill`` (SSA construction adds both
+    after the copy), so no instruction refers to another.
     """
     clone = ControlFlowGraph()
     clone.entry_id = cfg.entry_id

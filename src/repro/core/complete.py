@@ -7,6 +7,13 @@ CONSTANTS to ⊤ and re-analyze the transformed program from scratch
 ("In each case, only one pass of dead code elimination was needed", §4.2
 — the loop typically runs two analysis rounds, the second confirming a
 fixpoint).
+
+Round 1 is the plain analysis of the program's shared stage 0, so the
+driver runs it like any other configuration and hands its artifacts in.
+DCE edits a structural copy (``copy_cfg``) of each reached procedure,
+never a stage-0 CFG. A round that changed something runs on a new
+:class:`LoweredProgram` that holds the rewritten copies and shares every
+untouched procedure.
 """
 
 from __future__ import annotations
@@ -15,9 +22,11 @@ import time
 from dataclasses import dataclass, field
 
 from repro.analysis.dce import DCEStats, eliminate_dead_code
+from repro.analysis.ssa import copy_cfg
 from repro.callgraph.graph import build_call_graph
 from repro.callgraph.modref import compute_modref
-from repro.ir.lower import LoweredProgram, refresh_call_sites
+from repro.ir.instructions import Call
+from repro.ir.lower import LoweredProcedure, LoweredProgram
 
 
 @dataclass
@@ -30,60 +39,66 @@ class CompleteStats:
     removed_blocks: int = 0
     removed_stores: int = 0
     per_round: list[dict[str, DCEStats]] = field(default_factory=list)
-    #: wall-clock spent rebuilding the call graph and MOD/REF after
-    #: mutating rounds (the only stage-0 work complete mode repeats).
-    rebuild_seconds: float = 0.0
 
 
 def run_complete_propagation(
     lowered: LoweredProgram,
-    graph,
-    modref,
+    artifacts,
     config,
     run_pipeline,
     timings: dict[str, float] | None = None,
-) -> tuple[object, CompleteStats]:
-    """Drive the analyze/DCE loop over a private stage-0 bundle.
+) -> tuple[LoweredProgram, object, CompleteStats]:
+    """Drive the DCE/analyze loop from round 1's ``artifacts``, the
+    stages 1–3 result over ``lowered``.
 
-    ``run_pipeline(lowered, graph, modref)`` must run stages 1–3 and
-    return an artifacts object with ``solved`` and ``forward`` attributes.
-    The caller supplies the initial call graph and MOD/REF; they are
-    rebuilt here only after a round whose DCE actually mutated the
-    program, so stable rounds share the previous round's summaries.
-    Returns the artifacts of the final (stable) round. Mutates ``lowered``
-    in place."""
+    ``run_pipeline(lowered, graph, modref)`` must run stages 1–3 on a
+    rewritten program and return an artifacts object with ``graph``,
+    ``modref``, ``solved`` and ``forward`` attributes. The call graph and
+    MOD/REF are rebuilt only after a round whose DCE changed something.
+    Returns the final round's program, its artifacts and the stats.
+    Never mutates ``lowered`` or anything it holds."""
     stats = CompleteStats()
     while True:
-        artifacts = run_pipeline(lowered, graph, modref)
         stats.rounds += 1
         if stats.rounds > config.max_complete_rounds:
-            return artifacts, stats
+            return lowered, artifacts, stats
+        procedures = dict(lowered.procedures)
         round_stats: dict[str, DCEStats] = {}
-        any_change = False
         for name in sorted(artifacts.solved.reached):
             numbering = artifacts.forward.numberings.get(name)
             if numbering is None:
                 continue
+            original = lowered.procedures[name]
+            rewritten = LoweredProcedure(original.procedure, copy_cfg(original.cfg))
             proc_stats = eliminate_dead_code(
-                lowered.procedures[name],
+                rewritten,
                 numbering.expr_of,
                 artifacts.solved.val[name],
+                # without MOD, DCE may not use REF either: a call reads
+                # every global
+                artifacts.modref if config.use_mod else None,
             )
             round_stats[name] = proc_stats
             if proc_stats.any_change:
-                any_change = True
+                rewritten.call_instrs = [
+                    instr
+                    for _, instr in rewritten.cfg.instructions()
+                    if isinstance(instr, Call)
+                ]
+                procedures[name] = rewritten
             stats.folded_branches += proc_stats.folded_branches
             stats.removed_blocks += proc_stats.removed_blocks
             stats.removed_stores += proc_stats.removed_stores
         stats.per_round.append(round_stats)
-        if not any_change:
-            return artifacts, stats
+        if not any(s.any_change for s in round_stats.values()):
+            return lowered, artifacts, stats
         stats.dce_rounds_with_changes += 1
         start = time.perf_counter()
-        refresh_call_sites(lowered)
+        lowered = LoweredProgram(lowered.program, procedures)
         graph = build_call_graph(lowered)
         modref = compute_modref(lowered, graph)
-        elapsed = time.perf_counter() - start
-        stats.rebuild_seconds += elapsed
         if timings is not None:
-            timings["modref"] = timings.get("modref", 0.0) + elapsed
+            timings["modref"] = (
+                timings.get("modref", 0.0) + time.perf_counter() - start
+            )
+        artifacts = run_pipeline(lowered, graph, modref)

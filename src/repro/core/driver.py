@@ -26,9 +26,9 @@ pipeline makes that explicit:
   processes for table regeneration.
 
 Complete propagation (``config.complete``) iterates analysis with
-dead-code elimination, which *mutates* the lowered program — those runs
-build a private stage 0 (counted as a cache bypass) so cached artifacts
-stay pristine. Per-stage wall-clock timings and the cache counters are
+dead-code elimination. Its first round is the shared pipeline above, and
+its DCE rewrites copies, so no configuration mutates a cached stage-0
+artifact. Per-stage wall-clock timings and the cache counters are
 surfaced through :attr:`AnalysisResult.timings` for the §3.1.5 cost
 benchmarks and the ``repro analyze --stats`` flag.
 """
@@ -106,11 +106,8 @@ class SSACache:
     projects. A procedure is numbered at most once per setting.
 
     Consumers (value numbering, SCCP, the dependence clients) never
-    mutate the SSA CFG. Complete propagation's DCE and copy propagation
-    mutate only *lowered* instructions and block lists, which no SSA form
-    shares (see ``copy_cfg``); it still gets a private cache per DCE
-    round, because SSA and numberings built before a round describe the
-    old code.
+    mutate the SSA CFG. A complete-propagation round after the first
+    analyzes a rewritten program, so it gets a cache of its own.
 
     Entries are published by one dict store each, so a present entry is
     final; two threads racing on a miss may both build it.
@@ -203,8 +200,8 @@ class Stage0Cache:
     looks it up before anything is parsed, or a parsed :class:`Program`,
     whose ``source`` is exactly the text it was parsed from; so both
     share entries. Only a miss on a text runs the frontend, and a text
-    that fails to parse is never cached. ``hits``/``misses``/``bypasses``
-    make the sharing observable — the sweep tests assert stage 0 runs
+    that fails to parse is never cached. ``hits``/``misses`` make the
+    sharing observable — the sweep tests assert stage 0 runs
     exactly once per program. Programs constructed without source text
     are never cached (there is no identity to key on).
 
@@ -218,9 +215,6 @@ class Stage0Cache:
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
-        #: complete-propagation runs that built a private stage 0 because
-        #: their DCE loop mutates the lowered program.
-        self.bypasses = 0
         self._entries: OrderedDict[str, Stage0Artifacts] = OrderedDict()
         self._lock = threading.Lock()
 
@@ -261,7 +255,6 @@ class Stage0Cache:
         return {
             "stage0_cache_hits": self.hits,
             "stage0_cache_misses": self.misses,
-            "stage0_cache_bypasses": self.bypasses,
             "stage0_cache_entries": len(self._entries),
         }
 
@@ -432,8 +425,8 @@ def _attempt_solve(
     any parallel failure (worker loss, pool breakage) degrades to this
     same sequential path with an RL540 record — never a crash. Parallel
     is skipped for warm starts (the wave scheduler is cold-only), for
-    complete-mode rounds (DCE mutates the lowered program away from its
-    source, which is what pool workers rebuild from), and for programs
+    complete-mode rounds (a DCE'd round's program is not its source
+    text, which is what pool workers rebuild from), and for programs
     with no retained source text.
     """
     try:
@@ -821,8 +814,7 @@ def analyze(
     :data:`GLOBAL_STAGE0_CACHE` by default; pass ``cache=None`` to force a
     fresh build — the cache-correctness tests diff the two paths). Source
     text goes to the cache as it is, so a text the cache holds is never
-    parsed again; ``analyze`` parses only without a cache or for a
-    complete configuration, which builds a private stage 0.
+    parsed again; ``analyze`` parses only without a cache.
 
     ``store`` (an :class:`repro.store.artifacts.ArtifactStore` or
     :class:`~repro.store.artifacts.MemoryStore`) persists the run's
@@ -831,32 +823,42 @@ def analyze(
     only the regions the fingerprint diff invalidated. Complete
     propagation ignores the store entirely: its DCE loop rewrites the
     program between rounds, so there is no stable identity to key on.
+    Its CONSTANTS describe the final round's DCE'd program,
+    ``result.lowered``.
     """
     config = config or AnalysisConfig()
     cancel_point()
-    if isinstance(source, str) and (cache is None or config.complete):
+    if isinstance(source, str) and cache is None:
         source = parse_program(source)
     chaos_point(Stage.FRONTEND)
     timings: dict[str, float] = {}
     degradations: list[DegradationRecord] = []
 
-    complete_stats: CompleteStats | None = None
     stage0_cached = False
     chaos_point(Stage.LOWERING)
-    if config.complete:
-        # The DCE loop mutates the lowered program: give it a private
-        # stage 0 and never publish the result to the cache.
-        if cache is not None:
-            cache.bypasses += 1
+    if cache is not None:
+        hits_before = cache.hits
+        stage0 = cache.get(source)
+        stage0_cached = cache.hits > hits_before
+        # chaos corruption clobbers the live cache entry, exactly
+        # like a real poisoned cache would persist across fetches
+        maybe_corrupt_stage0(stage0)
+    else:
         stage0 = build_stage0(source)
-        timings.update(stage0.timings)
-        # Each DCE round may mutate the lowered CFGs, so SSA forms and
-        # numberings are only shareable within a round: build a fresh
-        # cache per pipeline call.
-        artifacts, complete_stats = run_complete_propagation(
-            stage0.lowered,
-            stage0.graph,
-            stage0.modref,
+    timings.update(stage0.timings)
+    artifacts = _config_stages(
+        stage0.lowered, stage0.graph, stage0.modref, config, timings,
+        ssa_cache=stage0.ssa_cache,
+        degradations=degradations,
+        store=None if config.complete else store,
+        incremental=incremental,
+    )
+    lowered = stage0.lowered
+    complete_stats: CompleteStats | None = None
+    if config.complete:
+        lowered, artifacts, complete_stats = run_complete_propagation(
+            lowered,
+            artifacts,
             config,
             lambda lowered, graph, modref: _config_stages(
                 lowered, graph, modref, config, timings,
@@ -864,24 +866,6 @@ def analyze(
                 degradations=degradations,
             ),
             timings=timings,
-        )
-    else:
-        if cache is not None:
-            hits_before = cache.hits
-            stage0 = cache.get(source)
-            stage0_cached = cache.hits > hits_before
-            # chaos corruption clobbers the live cache entry, exactly
-            # like a real poisoned cache would persist across fetches
-            maybe_corrupt_stage0(stage0)
-        else:
-            stage0 = build_stage0(source)
-        timings.update(stage0.timings)
-        artifacts = _config_stages(
-            stage0.lowered, stage0.graph, stage0.modref, config, timings,
-            ssa_cache=stage0.ssa_cache,
-            degradations=degradations,
-            store=store,
-            incremental=incremental,
         )
 
     cancel_point()
@@ -893,7 +877,7 @@ def analyze(
     return AnalysisResult(
         program=stage0.program,
         config=config,
-        lowered=stage0.lowered,
+        lowered=lowered,
         call_graph=artifacts.graph,
         modref=artifacts.modref,
         returns=artifacts.returns,
@@ -983,8 +967,9 @@ class Analyzer:
     ) -> dict[str, AnalysisResult]:
         """Run a named family of configurations (e.g. a table's columns).
 
-        Every non-``complete`` configuration shares one stage-0 bundle;
-        the whole Table 2 sweep lowers and summarizes the program once.
+        Every configuration shares one stage-0 bundle, and a
+        ``complete`` one runs its first round on it; the whole Table 2 ∪ 3
+        sweep lowers and summarizes the program once.
         """
         return {name: self.run(config) for name, config in configs.items()}
 

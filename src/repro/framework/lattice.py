@@ -21,7 +21,7 @@ comparable with ``==``; the memo slices pair each value with its class
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
+from typing import Hashable
 
 from repro.core.lattice import BOTTOM, TOP, meet as constant_meet
 
@@ -53,14 +53,6 @@ class Lattice:
         """Whether ``value`` is the floor (enables the ⊥ short-circuit
         and seed-time kills). Default: identity with ``bottom``."""
         return value is self.bottom
-
-    def meet_all(self, values: Iterable[Value]) -> Value:
-        result = self.top
-        for value in values:
-            result = self.meet(result, value)
-            if self.is_bottom(result):
-                return result
-        return result
 
 
 class ConstantLattice(Lattice):

@@ -78,11 +78,21 @@ class LoweredProcedure:
 
 @dataclass
 class LoweredProgram:
-    """Whole-program lowering result."""
+    """Whole-program lowering result. The call-site table is built from
+    the procedures' ``call_instrs``, so a program assembled from
+    rewritten procedures (complete propagation's DCE rounds) indexes
+    exactly the calls it holds."""
 
     program: Program
     procedures: dict[str, LoweredProcedure]
-    call_sites: dict[int, tuple[str, Call]] = field(default_factory=dict)
+    call_sites: dict[int, tuple[str, Call]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.call_sites = {
+            call.site_id: (name, call)
+            for name, lowered_proc in self.procedures.items()
+            for call in lowered_proc.call_instrs
+        }
 
     def procedure(self, name: str) -> LoweredProcedure:
         return self.procedures[name.lower()]
@@ -315,9 +325,12 @@ class _ProcedureLowerer:
         self._lower_stmts(stmt.body)
         if not self._current.is_terminated:
             next_i = self._new_temp(ast.Type.INTEGER)
+            # No span: the increment is synthesized, and a body that
+            # redefines the DO variable can make this use constant, which
+            # must not be spliced into the loop header.
             self._current.append(
-                BinOp(op="+", left=VarUse(induction, stmt.var.span),
-                      right=step_use, result=next_i)
+                BinOp(op="+", left=VarUse(induction), right=step_use,
+                      result=next_i)
             )
             self._current.append(
                 Copy(src=next_i, result=VarDef(induction, stmt.var.span))
@@ -529,26 +542,8 @@ def lower_program(program: Program) -> LoweredProgram:
     for name, proc in program.procedures.items():
         procedures[name] = _ProcedureLowerer(proc, counter).lower()
     lowered = LoweredProgram(program=program, procedures=procedures)
-    for name, lowered_proc in procedures.items():
-        for call in lowered_proc.call_instrs:
-            lowered.call_sites[call.site_id] = (name, call)
     _check_argument_shapes(lowered)
     return lowered
-
-
-def refresh_call_sites(lowered: LoweredProgram) -> None:
-    """Rebuild call-site bookkeeping after a transformation (e.g. DCE)
-    removed instructions. Site ids are stable; removed sites disappear."""
-    lowered.call_sites = {}
-    for name, lowered_proc in lowered.procedures.items():
-        calls = [
-            instr
-            for _, instr in lowered_proc.cfg.instructions()
-            if isinstance(instr, Call)
-        ]
-        lowered_proc.call_instrs = calls
-        for call in calls:
-            lowered.call_sites[call.site_id] = (name, call)
 
 
 def _check_argument_shapes(lowered: LoweredProgram) -> None:

@@ -53,7 +53,7 @@ from repro.resilience.journal import SweepJournal, sweep_fingerprint
 _sleep: Callable[[float], None] = time.sleep
 
 #: stage-0 cache counter keys workers report deltas for.
-_CACHE_KEYS = ("stage0_cache_hits", "stage0_cache_misses", "stage0_cache_bypasses")
+_CACHE_KEYS = ("stage0_cache_hits", "stage0_cache_misses")
 
 
 @dataclass(frozen=True)

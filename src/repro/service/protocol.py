@@ -12,8 +12,9 @@ in HTTP mode)::
 to a framework client (``copyprop`` / ``modref``). ``config`` admits the
 whitelisted :class:`~repro.core.config.AnalysisConfig` axes below —
 ``complete`` and ``parallel_regions`` are deliberately not servable
-(complete mode mutates the lowered program away from every cache
-identity; nested process pools belong to batch sweeps, not a daemon).
+(complete mode's CONSTANTS describe its own DCE'd program, not the
+request's source, and it ignores the artifact store the warm tier reads;
+nested process pools belong to batch sweeps, not a daemon).
 
 Responses are one JSON object either way::
 

@@ -137,3 +137,31 @@ end
         # the dead site is gone from the call-site table
         callees = [c.callee for _, c in result.lowered.call_sites.values()]
         assert callees.count("leaf") == 2
+
+
+class TestDeadStores:
+    def test_store_a_callee_reads_survives(self):
+        # s reads g through COMMON, so the g = 0 before call s(0) is live
+        # even though main never reads g again itself.
+        source = """
+program p
+  common /cg/ g
+  integer g
+  g = 1
+  call s(g)
+  g = 0
+  call s(0)
+  g = 0
+end
+
+subroutine s(a)
+  integer a
+  common /cg/ g
+  integer g
+  write g
+end
+"""
+        result = analyze(source, complete_config())
+        assert result.constants("s") == {}
+        assert run_program(source).outputs == [1, 0]
+        assert run_program(result.transformed_source()).outputs == [1, 0]

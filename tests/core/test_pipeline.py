@@ -16,6 +16,7 @@ from repro.core.driver import Stage0Cache, sweep_programs
 from repro.core.lattice import is_constant
 from repro.frontend import parse_program
 from repro.frontend.errors import FrontendError
+from repro.ir.printer import format_cfg
 
 PROGRAM = """
 program main
@@ -80,7 +81,6 @@ class TestStage0Cache:
         results = analyzer.sweep(TABLE2_CONFIGS)
         assert cache.misses == 1
         assert cache.hits == len(TABLE2_CONFIGS) - 1
-        assert cache.bypasses == 0
         # every run after the first observed the cached stage 0
         flags = [r.stage0_cached for r in results.values()]
         assert flags.count(False) == 1 and flags.count(True) == len(flags) - 1
@@ -93,16 +93,28 @@ class TestStage0Cache:
         assert len(lowereds) == 1
         assert len(graphs) == 1
 
-    def test_complete_config_bypasses_cache(self):
+    def test_complete_config_shares_stage0(self, monkeypatch):
         cache = Stage0Cache()
-        analyzer = Analyzer(PROGRAM, cache=cache)
-        analyzer.run(AnalysisConfig(complete=True))
-        assert cache.bypasses == 1
-        assert cache.misses == 0
-        # a complete run must not poison the shared artifacts
-        fresh = analyzer.run()
+        bundle = cache.get(PROGRAM)
+        printed = {
+            name: format_cfg(proc.cfg)
+            for name, proc in bundle.lowered.procedures.items()
+        }
+        parses = count_parses(monkeypatch)
+        complete = analyze(PROGRAM, AnalysisConfig(complete=True), cache=cache)
+        assert parses == []
+        assert complete.stage0_cached and cache.hits == 1
+        assert complete.complete_stats.dce_rounds_with_changes >= 1
+        # DCE rewrote copies: the cached bundle prints as it did
+        assert {
+            name: format_cfg(proc.cfg)
+            for name, proc in bundle.lowered.procedures.items()
+        } == printed
+        after = analyze(PROGRAM, cache=cache)
         clean = analyze(PROGRAM, cache=None)
-        assert fresh.all_constants() == clean.all_constants()
+        assert after.all_constants() == clean.all_constants()
+        assert after.solved.val == clean.solved.val
+        assert after.transformed_source() == clean.transformed_source()
 
     def test_cache_keyed_by_source_identity(self):
         cache = Stage0Cache()
@@ -289,12 +301,12 @@ class TestNumberingSharing:
         results = Analyzer(PROGRAM, cache=Stage0Cache()).sweep(
             {**TABLE2_CONFIGS, **TABLE3_CONFIGS}
         )
-        # Outside complete mode the ten configurations span three
-        # (MOD, returns) settings: on/on, on/off and off/on. Complete
-        # propagation numbers afresh in every DCE round.
+        # The ten configurations span three (MOD, returns) settings:
+        # on/on, on/off and off/on. Complete propagation's first round
+        # shares on/on; it numbers afresh in every later DCE round.
         rounds = results["complete"].complete_stats.rounds
         procedures = results["polynomial"].lowered.procedures
-        assert numbered == {name: 3 + rounds for name in procedures}
+        assert numbered == {name: 3 + rounds - 1 for name in procedures}
 
     def test_ladder_rungs_share_one_numbering(self, monkeypatch):
         numbered = count_numberings(monkeypatch)

@@ -178,3 +178,19 @@ end
         source = "program main\nread n\nwrite n\nend\n"
         result = analyze(source)
         assert result.transformed_source() == source
+
+    def test_do_header_never_substituted(self):
+        # The inner loop redefines i1, so SCCP proves the outer loop's
+        # increment reads i1 = 1; the header is not a reference to it.
+        source = """
+program main
+  integer i1, n1
+  do i1 = 1, 1
+    do i1 = 1, 0
+      n1 = 0
+    enddo
+  enddo
+end
+"""
+        result = analyze(source)
+        assert result.transformed_source() == source

@@ -1,16 +1,14 @@
-"""Unit tests for the framework primitives: the edge-function algebra,
-the lattice contracts, and the flow-graph scheduling skeleton."""
+"""Unit tests for the framework primitives: the edge functions, the
+lattice contracts, and the flow-graph scheduling skeleton."""
 
 from repro.core.lattice import BOTTOM, TOP
 from repro.framework import (
     BottomEdge,
     ConstantEdge,
     ConstantLattice,
-    EdgeFunction,
     IdentityEdge,
     PowersetLattice,
 )
-from repro.framework.edges import MeetEdge, SubstitutedEdge
 from repro.framework.graph import FlowGraph, reverse_flow_graph
 
 
@@ -23,7 +21,7 @@ class TestEdgeAlgebra:
         assert edge.constant_value() == 7
 
     def test_identity_fetches_its_key(self):
-        edge = EdgeFunction.identity("x")
+        edge = IdentityEdge("x")
         assert edge.apply({"x": 3}) == 3
         assert edge.apply({}) is BOTTOM
         assert edge.support() == ("x",)
@@ -35,55 +33,6 @@ class TestEdgeAlgebra:
         assert edge.support() == ()
         # None means "not a constant" — ⊥ must not fold away, it floors.
         assert edge.constant_value() is None
-
-    def test_compose_with_empty_bindings_is_self(self):
-        edge = IdentityEdge("x")
-        assert edge.compose({}) is edge
-
-    def test_constant_composes_to_itself(self):
-        composed = ConstantEdge(4).compose({"x": IdentityEdge("y")})
-        assert composed.constant_value() == 4
-        assert composed.apply({}) == 4
-
-    def test_identity_composes_by_substitution(self):
-        # λenv. env[x] ∘ [x ↦ λenv. env[y]]  =  λenv. env[y]
-        composed = IdentityEdge("x").compose({"x": IdentityEdge("y")})
-        assert composed.apply({"y": 9}) == 9
-        assert composed.support() == ("y",)
-
-    def test_identity_compose_reads_through_unbound_keys(self):
-        edge = IdentityEdge("x")
-        assert edge.compose({"z": ConstantEdge(1)}) is edge
-
-    def test_substituted_edge_merges_support(self):
-        class Sum(EdgeFunction):
-            def apply(self, env):
-                return env["a"] + env["b"]
-
-            def support(self):
-                return ("a", "b")
-
-        composed = Sum().compose({"a": IdentityEdge("p")})
-        assert isinstance(composed, SubstitutedEdge)
-        assert composed.support() == ("p", "b")
-        assert composed.apply({"p": 2, "b": 3}) == 5
-
-    def test_meet_edge_is_pointwise(self):
-        lattice = ConstantLattice()
-        met = ConstantEdge(3).meet_with(lattice, ConstantEdge(3))
-        assert met.apply({}) == 3
-        conflicting = ConstantEdge(3).meet_with(lattice, ConstantEdge(4))
-        assert conflicting.apply({}) is BOTTOM
-
-    def test_meet_edge_flattens_and_merges_support(self):
-        lattice = ConstantLattice()
-        inner = IdentityEdge("x").meet_with(lattice, IdentityEdge("y"))
-        outer = inner.meet_with(lattice, IdentityEdge("z"))
-        assert isinstance(outer, MeetEdge)
-        assert len(outer.members) == 3
-        assert outer.support() == ("x", "y", "z")
-        assert outer.apply({"x": 1, "y": 1, "z": 1}) == 1
-        assert outer.apply({"x": 1, "y": 2, "z": 1}) is BOTTOM
 
     def test_memo_token_defaults_to_edge_identity(self):
         edge = IdentityEdge("x")
@@ -105,11 +54,6 @@ class TestConstantLattice:
     def test_is_bottom(self):
         assert self.lattice.is_bottom(BOTTOM)
         assert not self.lattice.is_bottom(0)
-
-    def test_meet_all(self):
-        assert self.lattice.meet_all([TOP, 2, 2]) == 2
-        assert self.lattice.meet_all([2, 3]) is BOTTOM
-        assert self.lattice.meet_all([]) is TOP
 
 
 class TestPowersetLattice:

@@ -9,6 +9,7 @@ the stack, which is exactly the point.
 from hypothesis import HealthCheck, given, settings
 
 from repro import AnalysisConfig, Analyzer, JumpFunctionKind
+from repro.core.config import TABLE2_CONFIGS, TABLE3_CONFIGS
 from repro.core.lattice import is_constant
 from repro.frontend.parser import parse_source
 from repro.frontend.symbols import parse_program
@@ -18,7 +19,12 @@ from repro.interp import InterpError, check_soundness, run_program
 from .strategies import programs
 
 FUZZ_SETTINGS = settings(
-    max_examples=40,
+    # tier-1 draws 40 examples; the CI soak loads conftest.py's profile
+    max_examples=(
+        settings.default.max_examples
+        if settings.get_current_profile_name() == "soak"
+        else 40
+    ),
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
@@ -77,8 +83,33 @@ def test_analyzer_sound_on_random_programs(source):
         ),
     ):
         result = analyzer.run(config)
-        violations = check_soundness(result, trace)
+        # complete-mode CONSTANTS describe the final DCE'd program; the
+        # output laws below hold that program to the source's behaviour
+        observed = (
+            run_program(result.lowered, max_steps=300_000)
+            if config.complete
+            else trace
+        )
+        violations = check_soundness(result, observed)
         assert violations == [], "\n".join(str(v) for v in violations)
+
+
+@given(source=programs())
+@FUZZ_SETTINGS
+def test_transformations_preserve_outputs_on_random_programs(source):
+    """Output laws: every configuration's transformed source, and the
+    program complete propagation's DCE leaves, print what the source
+    prints."""
+    try:
+        expected = run_program(source, max_steps=300_000).outputs
+    except InterpError:
+        return
+    results = Analyzer(source).sweep({**TABLE2_CONFIGS, **TABLE3_CONFIGS})
+    for name, result in results.items():
+        transformed = run_program(result.transformed_source(), max_steps=300_000)
+        assert transformed.outputs == expected, name
+    dce = run_program(results["complete"].lowered, max_steps=300_000)
+    assert dce.outputs == expected
 
 
 @given(source=programs())

@@ -242,7 +242,9 @@ def make_call_effects(
     and without side-effect summaries nothing rules that out ("the
     presence of any call in a routine eliminated potential constants
     along paths leaving the call site", §4.2). Alias kills carry no
-    callee binding, so no return jump function can rescue them.
+    callee binding, so no return jump function can rescue them; only a
+    by-reference actual that is a local of the caller is rebound to its
+    formal, since no COMMON storage can alias it.
     """
     caller = lowered.procedures[caller_name].procedure
     global_symbols = [
@@ -258,6 +260,7 @@ def make_call_effects(
         if not s.is_array and s.type in (Type.INTEGER, Type.LOGICAL)
     ]
     by_gid = {s.global_id: s for s in global_symbols}
+    aliased = set(global_symbols) | set(caller_formals)
 
     def effects(call: Call) -> list[tuple[Symbol, tuple[str, object]]]:
         callee = lowered.procedures[call.callee].procedure
@@ -272,7 +275,10 @@ def make_call_effects(
                 kills.append((symbol, ("alias", symbol.name)))
             for formal, arg in zip(callee.formals, call.args):
                 if arg.kind is ArgumentKind.VAR and arg.symbol is not None:
-                    if arg.symbol.type in (Type.INTEGER, Type.LOGICAL):
+                    if (
+                        arg.symbol.type in (Type.INTEGER, Type.LOGICAL)
+                        and arg.symbol not in aliased
+                    ):
                         kills.append((arg.symbol, ("formal", formal.name)))
             return kills
         for gid in sorted(

@@ -773,7 +773,6 @@ def _config_stages(
                     graph=graph,
                     modref=modref,
                     forward=forward,
-                    returns_table=returns.table,
                     solved=solved,
                 )
         except (StoreError, OSError, ValueError) as exc:
@@ -989,15 +988,13 @@ class SweepSummary:
     solver_counters: dict[str, int]
     #: RL5xx degradation descriptions (empty on a healthy run).
     degradations: tuple[str, ...] = ()
-    #: stage-0 cache counter deltas observed while producing this cell,
-    #: measured in whichever process actually ran it — so ``--stats`` is
-    #: truthful in both in-process and worker-pool sweeps.
-    cache_counters: dict[str, int] = field(default_factory=dict)
+    #: the cell's stage 0 came from the stage-0 cache of whichever
+    #: process ran it — so ``--stats`` is truthful in both in-process
+    #: and worker-pool sweeps.
+    stage0_cached: bool = False
 
 
-def summarize(
-    result: AnalysisResult, *, cache_counters: dict[str, int] | None = None
-) -> SweepSummary:
+def summarize(result: AnalysisResult) -> SweepSummary:
     return SweepSummary(
         constants_found=result.constants_found,
         references_substituted=result.references_substituted,
@@ -1005,7 +1002,7 @@ def summarize(
         timings=dict(result.timings),
         solver_counters=result.solved.counters(),
         degradations=tuple(r.describe() for r in result.degradations),
-        cache_counters=dict(cache_counters or {}),
+        stage0_cached=result.stage0_cached,
     )
 
 

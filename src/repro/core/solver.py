@@ -27,11 +27,10 @@ deferred single evaluation meets the same value the skipped intermediate
 ones would have converged to). Within a region the
 :class:`~repro.framework.engine.ClientEngine` applies the usual sparse
 discipline: seed once at first reach, re-evaluate only on support
-deltas. In region mode ``passes`` is the *maximum* per-region sweep
-count — the worst-case number of times any single jump function is
-re-evaluated, which is what §3.1.5 charges — while ``region_passes``
-totals the per-region sweeps and ``regions`` counts converged regions.
-A sanitized solve runs the fully iterating global schedule instead.
+deltas. ``passes`` is the *maximum* per-region sweep count — the
+worst-case number of times any single jump function is re-evaluated,
+which is what §3.1.5 charges — while ``region_passes`` totals the
+per-region sweeps and ``regions`` counts converged regions.
 
 A :class:`WarmStart` lets an incremental re-analysis adopt stored
 fixed-point environments for regions whose inputs provably did not
@@ -42,7 +41,7 @@ from reached clean callers into invalidated regions are evaluated.
 as the reference implementation the sparse engine is cross-checked and
 benchmarked against — all schedules compute the same greatest fixpoint,
 so their VAL sets (and therefore CONSTANTS sets and Table 2/3 counts)
-agree exactly.
+agree exactly. It is also the solve a lattice sanitizer observes.
 
 Because the lattice has bounded depth (each value lowers at most twice),
 the solver terminates after O(Σ |keys|) meets; the cost of each pass is
@@ -131,7 +130,6 @@ def solve(
     graph: CallGraph,
     forward: ForwardFunctions,
     *,
-    sanitizer=None,
     budget=None,
     warm: WarmStart | None = None,
     flat: bool = False,
@@ -145,12 +143,6 @@ def solve(
     it does to the counters). ``warm`` adopts stored fixed points for
     clean regions.
 
-    ``sanitizer`` (e.g. a
-    :class:`repro.diagnostics.sanitizer.LatticeSanitizer`) observes every
-    transfer and VAL update for lattice-invariant checking, on the fully
-    iterating global schedule (warm starts are ignored); ``None`` — the
-    default — solves at full speed.
-
     ``budget`` (a :class:`repro.resilience.budgets.SolveBudget`) caps
     passes here and evaluation/meet fuel inside the engine; exhaustion
     raises :class:`~repro.resilience.errors.BudgetExhaustedError`, which
@@ -161,11 +153,10 @@ def solve(
     ``flat=True`` routes the whole solve through the flat slab engine
     (:mod:`repro.core.slab`): integer-coded lattice slots, CSR fan-out,
     batched drains. Byte-identical VALs, different representation-level
-    counters (see the slab module docstring). Sanitized solves need the
-    boxed transfers to observe and warm starts adopt boxed
-    environments, so either one falls back to the object engine.
+    counters (see the slab module docstring). Warm starts adopt boxed
+    environments, so a warm solve falls back to the object engine.
     """
-    if flat and sanitizer is None and warm is None:
+    if flat and warm is None:
         from repro.core.slab import solve_flat
 
         return solve_flat(lowered, graph, forward, budget=budget)
@@ -178,7 +169,6 @@ def solve(
         graph,
         ConstPropClient(forward),
         budget=budget,
-        sanitizer=sanitizer,
         warm=warm,
     )
 
@@ -189,12 +179,19 @@ def solve_dense(
     forward: ForwardFunctions,
     *,
     budget=None,
+    sanitizer=None,
 ) -> SolveResult:
     """The dense reference solver: re-evaluate every jump function at
     every site of a popped caller. Kept as the oracle the sparse engine
     is cross-checked against, the baseline it is benchmarked against,
     and the crash fallback the driver degrades to (``budget`` caps it
     the same way :func:`solve` is capped).
+
+    ``sanitizer`` (a :class:`repro.diagnostics.sanitizer.LatticeSanitizer`)
+    observes every binding transferred — a killed key transfers ⊥ — and
+    every VAL entry a meet lowers. Each pop re-evaluates every jump
+    function of the caller, so its monotone-transfer check sees each
+    binding at every environment the caller passes through.
     """
     result = SolveResult(val=initial_val(lowered))
     val = result.val
@@ -221,9 +218,18 @@ def solve_dense(
                 else:
                     result.evaluations += 1
                     incoming = function.evaluate(env)
+                if sanitizer is not None:
+                    sanitizer.observe_transfer(
+                        call.site_id, callee_name, key, incoming
+                    )
                 result.meets += 1
-                lowered_value = meet(callee_env[key], incoming)
-                if lowered_value != callee_env[key]:
+                old = callee_env[key]
+                lowered_value = meet(old, incoming)
+                if lowered_value != old:
+                    if sanitizer is not None:
+                        sanitizer.observe_update(
+                            callee_name, key, old, lowered_value
+                        )
                     callee_env[key] = lowered_value
                     changed = True
             if changed or callee_name not in result.reached:

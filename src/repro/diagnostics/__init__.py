@@ -2,7 +2,7 @@
 
 ``repro lint`` front end lives in :mod:`repro.cli`; this package holds
 the framework (:mod:`.core`), the shipped checkers (:mod:`.passes`), the
-lattice sanitizer the engine hooks call (:mod:`.sanitizer`), and the
+lattice sanitizer the dense solver calls (:mod:`.sanitizer`), and the
 text/JSON/SARIF renderers (:mod:`.emit`).
 """
 

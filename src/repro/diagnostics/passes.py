@@ -23,9 +23,10 @@ copy-chain                  (framework copyprop client) one entry value
                             copy-of-copy chain across call bindings.
 dead-copy                   (framework copyprop client) formals provably
                             duplicating storage the callee already sees.
-lattice-sanitizer           (opt-in) re-solves with descent/chain-depth/
-                            monotonicity checking and cross-checks the
-                            sparse engine against the dense reference.
+lattice-sanitizer           (opt-in) re-solves densely with descent/
+                            chain-depth/monotonicity checking and
+                            cross-checks the production sparse solve
+                            against it.
 ==========================  =================================================
 
 Every pass reads the shared :class:`~repro.diagnostics.core.LintContext`;
@@ -592,9 +593,10 @@ class DeadCopyPass(LintPass):
 
 
 class LatticeSanitizerPass(LintPass):
-    """Opt-in (``repro lint --sanitize``): re-solves the program with the
-    :class:`~repro.diagnostics.sanitizer.LatticeSanitizer` attached, then
-    cross-checks the sparse fixpoint against the dense reference solver.
+    """Opt-in (``repro lint --sanitize``): runs the dense reference
+    solver with the :class:`~repro.diagnostics.sanitizer.LatticeSanitizer`
+    attached, then cross-checks the production :func:`solve` — the
+    region schedule every real analysis runs — against that fixpoint.
     Costs two extra solves, which is why it is not on by default."""
 
     name = "lattice-sanitizer"
@@ -604,9 +606,11 @@ class LatticeSanitizerPass(LintPass):
 
     def run(self, ctx: LintContext) -> Iterator[Diagnostic]:
         sanitizer = LatticeSanitizer()
-        sparse = solve(ctx.lowered, ctx.graph, ctx.forward, sanitizer=sanitizer)
+        dense = solve_dense(
+            ctx.lowered, ctx.graph, ctx.forward, sanitizer=sanitizer
+        )
         yield from sanitizer.diagnostics(self.name)
-        dense = solve_dense(ctx.lowered, ctx.graph, ctx.forward)
+        sparse = solve(ctx.lowered, ctx.graph, ctx.forward)
         for violation in cross_check(sparse.val, dense.val):
             yield violation.diagnostic(self.name)
 

@@ -14,17 +14,17 @@ facts (paper §2, §3.1.5):
    (and its uniqueness) is forfeit.
 
 A :class:`LatticeSanitizer` is handed to
-:func:`repro.core.solver.solve` (or a
-:class:`~repro.framework.engine.ClientEngine` directly); the engine
-calls :meth:`observe_transfer` for every evaluate-and-meet and
-:meth:`observe_update` for every VAL mutation, including seed-time
-kills. Violations are *recorded*, never raised — a
+:func:`repro.core.solver.solve_dense`, the reference solver, which
+re-evaluates every jump function of a caller each time it pops that
+caller. It calls :meth:`observe_transfer` for every evaluate-and-meet
+(a killed key transfers ⊥) and :meth:`observe_update` for every VAL
+entry a meet lowers. Violations are *recorded*, never raised — a
 broken transfer still solves to ⊥ via the meet, and the caller decides
 what to do with the report (the lint pass turns each violation into a
 :class:`~repro.diagnostics.core.Diagnostic`).
 
-:func:`cross_check` implements the fourth guarantee — the sparse
-delta-driven engine and the dense reference solver reach the same
+:func:`cross_check` implements the fourth guarantee — the production
+sparse solve and the sanitized dense reference reach the same
 fixpoint — by diffing two VAL maps binding by binding.
 """
 
@@ -90,11 +90,10 @@ class LatticeViolation:
 
 
 class LatticeSanitizer:
-    """Observes every transfer and VAL update of one solve.
+    """Observes every transfer and VAL update of one dense solve.
 
-    The engine only pays for the hooks when a sanitizer is attached (one
-    ``is not None`` test per edge otherwise), so production solves run at
-    full speed and ``repro lint --sanitize`` turns the checking on.
+    Only the reference solver carries the hooks, so the sparse engine's
+    hot loop has none; ``repro lint --sanitize`` turns the checking on.
     """
 
     __slots__ = ("violations", "transfers_observed", "updates_observed",
@@ -110,7 +109,7 @@ class LatticeSanitizer:
         #: (procedure, key) -> strict lowerings seen so far.
         self._drops: dict[tuple[str, object], int] = {}
 
-    # -- engine hooks -------------------------------------------------------
+    # -- solver hooks -------------------------------------------------------
 
     def observe_transfer(
         self, site_id: int, callee: str, key: object, incoming: LatticeValue
@@ -138,7 +137,7 @@ class LatticeSanitizer:
     def observe_update(
         self, proc: str, key: object, old: LatticeValue, new: LatticeValue
     ) -> None:
-        """One VAL mutation (meet result or seed-time kill)."""
+        """One VAL mutation (a meet that changed the entry)."""
         self.updates_observed += 1
         if not _descends(old, new):
             self.violations.append(

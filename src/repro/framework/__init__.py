@@ -14,7 +14,7 @@ Layering (no cycles):
 
 - :mod:`repro.framework.worklist` and :mod:`repro.framework.driver`
   hold the scheduling core: the reverse-postorder priority worklist and
-  the region / global schedule loops.
+  the region schedule loop.
 - :mod:`repro.framework.lattice`, :mod:`repro.framework.edges`, and
   :mod:`repro.framework.client` define the client contracts and the
   indexed edge structure (:class:`~repro.framework.client.FlowIndex`,

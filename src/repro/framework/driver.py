@@ -1,11 +1,9 @@
-"""The generic fixed-point drivers — the scheduling core of stage 3.
+"""The generic fixed-point driver — the scheduling core of stage 3.
 
 :func:`drive_region_schedule` is the SCC-condensed callers-first
-schedule every unsanitized solve runs, and :func:`drive_global_schedule`
-is the fully iterating global priority-worklist schedule a sanitized
-solve runs. They are analysis-agnostic: the ``engine`` is duck-typed to
-the four-method surface :class:`repro.framework.engine.ClientEngine`
-exposes —
+schedule :func:`repro.framework.engine.solve_client` runs. It is
+analysis-agnostic: the ``engine`` is duck-typed to the four-method
+surface :class:`repro.framework.engine.ClientEngine` exposes —
 
 ``seed(proc) -> dict[callee, dict[key, None]]``
     first visit: evaluate every (intra-region) edge once, kill unbound
@@ -15,9 +13,9 @@ exposes —
 ``callees(proc) -> tuple[str, ...]``
     flow successors, for reachability;
 ``flush_region(proc, only=None) -> dict[callee, dict[key, None]]``
-    evaluate the cross-region edges exactly once (region mode only).
+    evaluate the cross-region edges exactly once.
 
-``result`` is likewise duck-typed: the drivers read/write ``reached``,
+``result`` is likewise duck-typed: the driver reads/writes ``reached``,
 ``passes``, ``pops``, ``regions``, ``region_passes``, and (warm starts)
 ``regions_warm``/``val`` — the attribute surface of
 :class:`repro.framework.engine.SolveResult`.
@@ -190,40 +188,3 @@ def drive_region_schedule(
     result.passes = max_local
     result.pops = worklist.pops
 
-
-def drive_global_schedule(
-    engine,
-    worklist,
-    result,
-    *,
-    roots: Iterable[str],
-    budget=None,
-) -> None:
-    """One reverse-postorder priority queue over the whole flow graph,
-    every edge re-evaluated whenever its support lowers. The fully
-    iterating schedule sanitizers observe; computes the identical
-    fixpoint as the region schedule."""
-    for root in roots:
-        worklist.push(root, root)
-    pending: dict[str, dict] = defaultdict(dict)
-    seeded: set[str] = set()
-    while worklist:
-        caller = worklist.pop()
-        if budget is not None:
-            budget.check_passes(worklist.passes)
-        result.reached.add(caller)
-        if caller not in seeded:
-            seeded.add(caller)
-            pending.pop(caller, None)  # the seed evaluates everything
-            changed = engine.seed(caller)
-        else:
-            deltas = pending.pop(caller, None)
-            changed = engine.apply_deltas(caller, deltas) if deltas else {}
-        for callee, keys in changed.items():
-            pending[callee].update(keys)
-            worklist.push(callee, callee)
-        for callee in engine.callees(caller):
-            if callee not in seeded:
-                worklist.push(callee, callee)  # reach even without deltas
-    result.passes = worklist.passes
-    result.pops = worklist.pops

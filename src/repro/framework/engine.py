@@ -26,7 +26,7 @@ floor is never transferred again (both counted under ``bottom_skips``);
 kills are applied once at seed time (counted under ``skipped``).
 
 :func:`solve_client` runs a client to its greatest fixpoint on the
-shared :mod:`~repro.framework.driver` loops and returns a
+shared :mod:`~repro.framework.driver` region schedule and returns a
 :class:`SolveResult`; :func:`repro.core.solver.solve` is exactly
 ``solve_client`` with the constant-propagation client (plus the flat
 slab dispatch).
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, fields
 from repro.core.lattice import is_constant
 from repro.core.regions import region_schedule
 from repro.framework.client import AnalysisClient, RegionPartition
-from repro.framework.driver import drive_global_schedule, drive_region_schedule
+from repro.framework.driver import drive_region_schedule
 from repro.framework.worklist import PriorityWorklist
 
 __all__ = ["ClientEngine", "ENGINE_COUNTERS", "SolveResult", "solve_client"]
@@ -97,7 +97,7 @@ class SolveResult:
     memo_hits: int = 0
     memo_misses: int = 0
     bottom_skips: int = 0
-    #: SCC regions converged by this solve (0 under the global schedule).
+    #: SCC regions converged by this solve (0 for the dense solver).
     regions: int = 0
     #: total per-region sweeps — Σ of each region's local pass count.
     region_passes: int = 0
@@ -161,14 +161,6 @@ class ClientEngine:
     rides along in the slice so a LOGICAL ``.true.`` never aliases an
     INTEGER ``1``.
 
-    ``sanitizer`` is the optional lattice-invariant observer (duck-typed
-    to :class:`repro.diagnostics.sanitizer.LatticeSanitizer`; the engine
-    deliberately does not import it): when attached, every transfer is
-    reported through ``observe_transfer(site_id, callee, key, incoming)``
-    and every VAL mutation — including seed-time kills — through
-    ``observe_update(proc, key, old, new)``. Detached (the default), the
-    hooks cost one ``is not None`` test per edge.
-
     ``budget`` (a :class:`repro.resilience.budgets.SolveBudget`, also
     duck-typed) caps evaluation/meet fuel, checked once per seed or
     delta batch — off the per-edge hot path, so a runaway solve overruns
@@ -182,7 +174,6 @@ class ClientEngine:
         "_stats",
         "_memo",
         "_tokens",
-        "_sanitizer",
         "_budget",
         "_partition",
         "_seeds",
@@ -201,16 +192,14 @@ class ClientEngine:
         lattice,
         val: dict[str, dict],
         stats,
-        sanitizer=None,
+        partition: RegionPartition,
         budget=None,
-        partition: RegionPartition | None = None,
     ):
         self._index = index
         self._val = val
         self._stats = stats
         self._memo: dict[tuple, object] = {}
         self._tokens: list = []  # strong refs: memo ids never recycle
-        self._sanitizer = sanitizer
         self._budget = budget
         self._partition = partition
         self._top = lattice.top
@@ -220,17 +209,11 @@ class ClientEngine:
         # what a missing source key reads as: the floor when the lattice
         # has one (constprop: ⊥), else ⊤ (the neutral element).
         self._default = lattice.bottom if lattice.bottom is not None else lattice.top
-        # With a partition, seed/delta traffic is intra-region only;
-        # cross-region edges wait for flush_region. Without one (the
-        # global schedule) the full index drives everything.
-        if partition is None:
-            self._seeds = index.seeds
-            self._kills = index.kills
-            self._dependents = index.dependents
-        else:
-            self._seeds = partition.internal_seeds
-            self._kills = partition.internal_kills
-            self._dependents = partition.internal_dependents
+        # seed/delta traffic is intra-region only; cross-region edges
+        # wait for flush_region
+        self._seeds = partition.internal_seeds
+        self._kills = partition.internal_kills
+        self._dependents = partition.internal_dependents
 
     def callees(self, caller: str) -> tuple[str, ...]:
         return self._index.callees.get(caller, ())
@@ -245,7 +228,6 @@ class ClientEngine:
         sits at ⊤."""
         val = self._val
         caller_env = val[caller]
-        sanitizer = self._sanitizer
         top = self._top
         is_bottom = self._is_bottom
         lattice_meet = self._meet
@@ -273,13 +255,9 @@ class ClientEngine:
                     # without evaluation
                     bottom_skips += 1
                     incoming = self._floor
-            if sanitizer is not None:
-                sanitizer.observe_transfer(edge.site_id, callee, key, incoming)
             meets += 1
             new = incoming if old is top else lattice_meet(old, incoming)
             if new != old:
-                if sanitizer is not None:
-                    sanitizer.observe_update(callee, key, old, new)
                 env[key] = new
                 keys = changed.get(callee)
                 if keys is None:
@@ -293,7 +271,6 @@ class ClientEngine:
     def _apply_kills(self, pairs, changed: dict, only=None) -> None:
         val = self._val
         stats = self._stats
-        sanitizer = self._sanitizer
         floor = self._floor
         for callee, key in pairs:
             if only is not None and callee not in only:
@@ -304,8 +281,6 @@ class ClientEngine:
             if self._is_bottom(old):
                 continue
             stats.meets += 1
-            if sanitizer is not None:
-                sanitizer.observe_update(callee, key, old, floor)
             env[key] = floor  # meet(old, ⊥) is ⊥ for every old
             keys = changed.get(callee)
             if keys is None:
@@ -362,7 +337,7 @@ class ClientEngine:
         Region-scheduled solves call this when the caller's region has
         converged; ``only`` restricts the flush to the named targets (the
         warm-start frontier from a clean caller into invalidated
-        regions). Requires a partition."""
+        regions)."""
         partition = self._partition
         changed: dict[str, dict] = {}
         edges = partition.external_seeds.get(caller, ())
@@ -409,7 +384,6 @@ def solve_client(
     client: AnalysisClient,
     *,
     budget=None,
-    sanitizer=None,
     warm=None,
 ) -> SolveResult:
     """Solve ``client``'s dataflow problem to its greatest fixpoint.
@@ -417,13 +391,8 @@ def solve_client(
     Region-scheduled over the client's flow graph (SCC condensation,
     callers-first, cross-region edges deferred to one final-environment
     flush); ``warm`` (a :class:`repro.core.solver.WarmStart`) adopts
-    stored fixed points for clean regions. An attached ``sanitizer``
-    runs the fully iterating global schedule instead: its
-    monotone-descent check needs to see *every* transfer, and region
-    deferral transfers cross-region edges exactly once — which would
-    hide, say, a non-monotone function sitting on one. Sanitized solves
-    therefore also ignore warm starts. ``budget`` caps passes (per
-    region, in region mode) and engine fuel through the
+    stored fixed points for clean regions. ``budget`` caps passes (per
+    region) and engine fuel through the
     :class:`~repro.resilience.budgets.SolveBudget` hooks.
     """
     flow_graph = client.flow_graph(lowered, graph)
@@ -433,14 +402,6 @@ def solve_client(
     )
     roots = client.roots(lowered, graph)
     worklist = PriorityWorklist(flow_graph.rpo_index())
-    if sanitizer is not None:
-        engine = ClientEngine(
-            index, client.lattice, result.val, result, sanitizer, budget
-        )
-        drive_global_schedule(
-            engine, worklist, result, roots=roots, budget=budget
-        )
-        return result
     schedule = region_schedule(flow_graph)
     engine = ClientEngine(
         index,

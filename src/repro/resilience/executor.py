@@ -23,10 +23,9 @@ failure as data:
   completed cell as it lands, so an interrupted sweep resumes from the
   completed cells instead of restarting.
 
-Workers additionally report their stage-0 cache hit/miss deltas per cell
-(the in-process sweep shares one cache, worker processes each rebuild
-their own — the counters now say so truthfully instead of pretending the
-parent's cache served everyone).
+Each cell also reports whether its stage 0 came from the stage-0 cache
+of the process that ran it: the in-process sweep shares one cache,
+while worker processes each build their own.
 """
 
 from __future__ import annotations
@@ -38,12 +37,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 
 from repro.core.config import AnalysisConfig
-from repro.core.driver import (
-    GLOBAL_STAGE0_CACHE,
-    SweepSummary,
-    analyze,
-    summarize,
-)
+from repro.core.driver import SweepSummary, analyze, summarize
 from repro.frontend.symbols import parse_program
 from repro.resilience import chaos
 from repro.resilience.errors import FailureKind, FailureRecord
@@ -51,9 +45,6 @@ from repro.resilience.journal import SweepJournal, sweep_fingerprint
 
 #: monkeypatchable backoff sleep (tests run with zero delay).
 _sleep: Callable[[float], None] = time.sleep
-
-#: stage-0 cache counter keys workers report deltas for.
-_CACHE_KEYS = ("stage0_cache_hits", "stage0_cache_misses")
 
 
 @dataclass(frozen=True)
@@ -95,7 +86,8 @@ class SweepOutcome:
     executed_cells: int = 0
     #: task re-attempts across all programs.
     retries: int = 0
-    #: per-worker stage-0 cache hit/miss deltas, summed across cells.
+    #: stage-0 cache hits and misses of the executed cells, each counted
+    #: in the process that ran it.
     cache_counters: dict[str, int] = field(default_factory=dict)
     #: the config names every program was asked to run.
     expected_configs: tuple[str, ...] = ()
@@ -138,11 +130,6 @@ _LOST = "worker-lost"
 _TIMED_OUT = "timed-out"
 
 
-def _cache_snapshot() -> dict[str, int]:
-    counters = GLOBAL_STAGE0_CACHE.counters()
-    return {key: counters[key] for key in _CACHE_KEYS}
-
-
 def _run_task(item) -> _TaskResult:
     """One program through its remaining configurations.
 
@@ -173,7 +160,6 @@ def _run_task(item) -> _TaskResult:
             )
             return _TaskResult(name, cells, failures)
         for config_name, config in config_items:
-            before = _cache_snapshot()
             start = time.perf_counter()
             try:
                 result = analyze(
@@ -188,9 +174,7 @@ def _run_task(item) -> _TaskResult:
                     )
                 )
                 continue
-            after = _cache_snapshot()
-            deltas = {key: after[key] - before[key] for key in _CACHE_KEYS}
-            cells[config_name] = summarize(result, cache_counters=deltas)
+            cells[config_name] = summarize(result)
         return _TaskResult(name, cells, failures)
     finally:
         if spec is not None:
@@ -294,9 +278,9 @@ def run_sweep(
     config_items = tuple(configs.items())
     outcome = SweepOutcome(
         summaries={name: {} for name in sources},
+        cache_counters={"stage0_cache_hits": 0, "stage0_cache_misses": 0},
         expected_configs=tuple(configs),
     )
-    outcome.cache_counters = {key: 0 for key in _CACHE_KEYS}
 
     journal: SweepJournal | None = None
     if policy.journal_path:
@@ -361,10 +345,11 @@ def run_sweep(
                 for config_name, cell in result.cells.items():
                     outcome.summaries[name][config_name] = cell
                     outcome.executed_cells += 1
-                    for key in _CACHE_KEYS:
-                        outcome.cache_counters[key] += cell.cache_counters.get(
-                            key, 0
-                        )
+                    key = (
+                        "stage0_cache_hits" if cell.stage0_cached
+                        else "stage0_cache_misses"
+                    )
+                    outcome.cache_counters[key] += 1
                     if journal is not None:
                         journal.record_cell(name, config_name, cell)
                 for record in result.failures:

@@ -51,7 +51,7 @@ def summary_to_json(summary: SweepSummary) -> dict:
         "timings": summary.timings,
         "solver_counters": summary.solver_counters,
         "degradations": list(summary.degradations),
-        "cache_counters": summary.cache_counters,
+        "stage0_cached": summary.stage0_cached,
     }
 
 
@@ -63,7 +63,7 @@ def summary_from_json(payload: dict) -> SweepSummary:
         timings=payload["timings"],
         solver_counters=payload["solver_counters"],
         degradations=tuple(payload.get("degradations", ())),
-        cache_counters=payload.get("cache_counters", {}),
+        stage0_cached=payload.get("stage0_cached", False),
     )
 
 

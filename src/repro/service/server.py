@@ -61,6 +61,11 @@ from repro.service.protocol import (
 )
 
 
+#: jump-function evaluation budget forced onto requests while the
+#: breaker holds the service at DEGRADE or COLD.
+DEGRADE_EVALUATIONS = 20_000
+
+
 @dataclass
 class ServicePolicy:
     """Every knob the daemon's robustness spine exposes."""
@@ -72,14 +77,9 @@ class ServicePolicy:
     request_timeout: float = 30.0
     breaker_threshold: int = 3
     breaker_cooldown: float = 5.0
-    #: jump-function evaluation budget forced onto requests while the
-    #: breaker holds the service at DEGRADE or COLD.
-    degrade_evaluations: int = 20_000
-    drain_timeout: float = 10.0
     #: replay journaled in-flight requests on restart (False = refuse
     #: them with RL556); either way the decision is deterministic.
     replay: bool = True
-    cache_capacity: int = 256
     #: mirror exact responses into the artifact store's response tier.
     #: Off, the store still serves solver-side warm starts — boxed
     #: snapshots and persistent slabs — so a repeat request re-solves
@@ -117,8 +117,7 @@ class AnalysisService:
         )
         self._inflight = InFlightTable()
         self.cache = ResponseCache(
-            self.policy.cache_capacity,
-            store if self.policy.persist_responses else None,
+            store=store if self.policy.persist_responses else None
         )
         self._slots = threading.BoundedSemaphore(self.policy.workers)
         self._draining = threading.Event()
@@ -320,8 +319,8 @@ class AnalysisService:
             return replace(config, intraprocedural_only=True)
         if mode in (ServiceMode.DEGRADE, ServiceMode.COLD):
             budget = config.max_evaluations
-            if budget is None or budget > self.policy.degrade_evaluations:
-                budget = self.policy.degrade_evaluations
+            if budget is None or budget > DEGRADE_EVALUATIONS:
+                budget = DEGRADE_EVALUATIONS
             return replace(
                 config, max_evaluations=budget, degrade_on_budget=True
             )
@@ -496,13 +495,11 @@ class AnalysisService:
     def draining(self) -> bool:
         return self._draining.is_set()
 
-    def drain(self, timeout: float | None = None) -> bool:
+    def drain(self, timeout: float = 10.0) -> bool:
         """Stop admitting (RL552), wait for in-flight work, report
         whether everything finished inside the drain window."""
         self._draining.set()
-        deadline = self._clock() + (
-            timeout if timeout is not None else self.policy.drain_timeout
-        )
+        deadline = self._clock() + timeout
         with self._active_cond:
             while self._active > 0:
                 remaining = deadline - self._clock()

@@ -269,16 +269,3 @@ def encode_all_forward_jfs(
         )
     return payloads
 
-
-def encode_return_jfs(proc: str, table) -> dict:
-    """The procedure's return jump functions (stage 1), stored for
-    observability. Deliberately *not* part of the change comparison: a
-    procedure's own return jump function affects neither its entry
-    environment nor its outgoing forward jump functions — callers'
-    forward functions absorb callee return functions during value
-    numbering, so any effect shows up in the callers' payloads."""
-    row = table.get(proc, {})
-    return {
-        encode_key(key): encode_expr(expr)
-        for key, expr in sorted(row.items(), key=lambda kv: encode_key(kv[0]))
-    }

@@ -2,10 +2,10 @@
 
 A *snapshot* records, per procedure and configuration: the content
 fingerprint, the canonical forward jump-function payload (by object
-sha), the stage-1 return jump functions (observability only — see
-:func:`repro.store.fingerprints.encode_return_jfs` for why they are
-excluded from the change comparison), the solved entry environment, the
-reached flag, and the call-graph adjacency at publication time.
+sha), the solved entry environment, the reached flag, and the
+call-graph adjacency at publication time. Return jump functions are not
+stored: callers' forward jump functions absorb them during value
+numbering, so a change to one shows up in the callers' payloads.
 
 The invalidation rule, given that stages 0–2 are rebuilt from source on
 every run (they are cheap and config-independent stage 0 is cached
@@ -54,7 +54,6 @@ from repro.store.fingerprints import (
     decode_env,
     encode_env,
     encode_all_forward_jfs,
-    encode_return_jfs,
     globals_fingerprint,
     procedure_fingerprint,
     sha256_of,
@@ -100,7 +99,6 @@ def publish_snapshot(
     graph: CallGraph,
     modref,
     forward,
-    returns_table,
     solved: SolveResult,
 ) -> dict:
     """Write one configuration's artifacts and append the snapshot line.
@@ -111,7 +109,6 @@ def publish_snapshot(
         procs[name] = {
             "fp": procedure_fingerprint(name, lowered, modref, cfg_key),
             "jf": store.put_object(payloads[name]),
-            "rjf": store.put_object(encode_return_jfs(name, returns_table)),
             "env": store.put_object(encode_env(solved.val.get(name, {}))),
             "reached": name in solved.reached,
             "callees": graph.callees(name),

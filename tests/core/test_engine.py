@@ -19,6 +19,7 @@ from repro.core.jump_functions import CallSiteFunctions
 from repro.core.lattice import BOTTOM
 from repro.core.returns import build_return_jump_functions
 from repro.core.solver import SolveResult, initial_val, solve, solve_dense
+from repro.framework.client import RegionPartition
 from repro.framework.edges import ConstantEdge, ExprEdge, IdentityEdge
 from repro.framework.engine import ClientEngine
 from repro.framework.lattice import ConstantLattice
@@ -39,7 +40,11 @@ def pipeline(source, config=None):
 
 
 def engine_for(index, result):
-    return ClientEngine(index, ConstantLattice(), result.val, result)
+    # one region holding every procedure: every edge is intra-region
+    one_region = RegionPartition(index, dict.fromkeys(result.val, 0))
+    return ClientEngine(
+        index, ConstantLattice(), result.val, result, partition=one_region
+    )
 
 
 class TestHashConsing:

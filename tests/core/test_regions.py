@@ -10,8 +10,7 @@ result-equivalent to the dense reference solver.
 
 from repro import analyze
 from repro.core.regions import region_schedule
-from repro.core.solver import solve, solve_dense
-from repro.diagnostics.sanitizer import LatticeSanitizer
+from repro.core.solver import solve_dense
 
 
 def run(source):
@@ -201,14 +200,9 @@ end
 """
 
     def test_region_passes_strictly_lower(self):
-        # a sanitized solve runs the fully iterating global schedule
+        # the dense reference re-evaluates every site of each popped caller
         result = analyze(self.SOURCE)
-        legacy = solve(
-            result.lowered,
-            result.call_graph,
-            result.forward,
-            sanitizer=LatticeSanitizer(),
-        )
+        legacy = solve_dense(result.lowered, result.call_graph, result.forward)
         assert result.solved.reached == legacy.reached
         assert result.solved.val == legacy.val
         assert result.solved.passes < legacy.passes

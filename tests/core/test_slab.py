@@ -169,19 +169,6 @@ class TestSolveFlat:
         flat = solve(lowered, graph, forward, flat=True)
         assert flat.slab_slots > 0
 
-    def test_sanitizer_falls_back_to_object_engine(self):
-        from repro.diagnostics.sanitizer import LatticeSanitizer
-
-        lowered, graph, forward = pipeline(DIAMOND)
-        sanitizer = LatticeSanitizer()
-        result = solve(
-            lowered, graph, forward, flat=True, sanitizer=sanitizer
-        )
-        # sanitizing is about observability: the flat engine has no
-        # per-meet hooks, so the gate must route to the object engine
-        assert result.slab_slots == 0
-        assert result.val["d"]["z"] is BOTTOM
-
     def test_mid_solve_intern_clear_under_flat(self):
         # slab kernels close over slot ids and the pool, never interned
         # expression nodes: dropping the intern table between build and

@@ -6,12 +6,17 @@ mutating the analysis result before running the pass — exactly the
 programmatically-built inputs those passes guard against.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.core.config import JumpFunctionKind
 from repro.core.exprs import ValueExpr, const_expr, entry_expr
 from repro.core.jump_functions import CallSiteFunctions, JumpFunction
+from repro.core.lattice import BOTTOM, is_constant
 from repro.diagnostics import LintContext, run_passes
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 CLEAN = """
 program main
@@ -326,3 +331,29 @@ class TestLatticeSanitizerPass:
         report = lint(CLEAN, "lattice-sanitizer")
         assert report.diagnostics == []
         assert report.passes_run == ["lattice-sanitizer"]
+
+    def test_checks_the_production_region_schedule(self, monkeypatch):
+        # a region schedule that drops one constant to ⊥ after it
+        # converges must be caught: the pass cross-checks the schedule
+        # every real solve runs, not a debug-only one
+        from repro.core.driver import analyze
+        from repro.framework import engine
+
+        ctx = LintContext(
+            result=analyze((EXAMPLES / "pipeline.f").read_text())
+        )
+        converge = engine.drive_region_schedule
+
+        def corrupted(sparse, schedule, worklist, result, **kwargs):
+            converge(sparse, schedule, worklist, result, **kwargs)
+            proc, key = next(
+                (proc, key)
+                for proc, env in result.val.items()
+                for key, value in env.items()
+                if is_constant(value)
+            )
+            result.val[proc][key] = BOTTOM
+
+        monkeypatch.setattr(engine, "drive_region_schedule", corrupted)
+        report = run_passes(ctx, select=["lattice-sanitizer"])
+        assert codes(report) == ["RL304"]

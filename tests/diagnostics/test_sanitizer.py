@@ -1,5 +1,5 @@
 """Tests for the lattice sanitizer: unit-level hook behavior, the
-engine-threaded integration path (a hand-written non-monotone transfer
+dense-solver integration path (a hand-written non-monotone transfer
 must be *reported*, not crashed on), and the sparse/dense cross-check."""
 
 import pytest
@@ -149,7 +149,7 @@ def _solve_with_rising_edge(sanitizer=None):
         _RisingExpr(), JumpFunctionKind.POLYNOMIAL
     )
     forward.index = None  # rebuild the support index over the tampered table
-    return solve(
+    return solve_dense(
         result.lowered, result.call_graph, forward, sanitizer=sanitizer
     )
 
@@ -158,7 +158,7 @@ class TestEngineIntegration:
     def test_clean_solve_has_no_violations(self):
         result = analyze(RECURSIVE, cache=None)
         sanitizer = LatticeSanitizer()
-        solve(
+        solve_dense(
             result.lowered, result.call_graph, result.forward,
             sanitizer=sanitizer,
         )
@@ -185,8 +185,8 @@ class TestEngineIntegration:
     def test_detached_engine_result_unchanged(self):
         # attaching the sanitizer must not perturb the fixpoint
         result = analyze(RECURSIVE, cache=None)
-        plain = solve(result.lowered, result.call_graph, result.forward)
-        observed = solve(
+        plain = solve_dense(result.lowered, result.call_graph, result.forward)
+        observed = solve_dense(
             result.lowered, result.call_graph, result.forward,
             sanitizer=LatticeSanitizer(),
         )
@@ -207,14 +207,12 @@ class TestFullSuite:
         for workload in load_suite(scale=1.0).values():
             result = analyze(workload.source, cache=None)
             sanitizer = LatticeSanitizer()
-            sparse = solve(
+            dense = solve_dense(
                 result.lowered, result.call_graph, result.forward,
                 sanitizer=sanitizer,
             )
             assert sanitizer.clean, (
                 f"{workload.name}: {[str(v) for v in sanitizer.violations]}"
             )
-            dense = solve_dense(
-                result.lowered, result.call_graph, result.forward
-            )
+            sparse = solve(result.lowered, result.call_graph, result.forward)
             assert cross_check(sparse.val, dense.val) == []

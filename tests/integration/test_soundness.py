@@ -60,6 +60,47 @@ def test_complete_mode_sound(traces, name):
     assert violations == [], "\n".join(str(v) for v in violations)
 
 
+def test_no_mod_aliased_actuals_stay_killed():
+    """Without MOD a global or caller formal passed by reference stays
+    killed after the call: the callee may write the same storage through
+    COMMON (an aliasing-rule violation, RL112, that execution still
+    defines), so the formal's return jump function must not rebind it."""
+    source = """
+program m
+  common /c/ g
+  integer g
+  g = 1
+  call s(g)
+  call u(g)
+  call t(g)
+end
+subroutine s(p)
+  integer p
+  common /c/ g
+  integer g
+  g = 0
+end
+subroutine u(q)
+  integer q
+  write q
+end
+subroutine t(a)
+  integer a
+  a = 1
+  call s(a)
+  call v(a)
+end
+subroutine v(r)
+  integer r
+  write r
+end
+"""
+    config = AnalysisConfig(JumpFunctionKind.POLYNOMIAL, use_mod=False)
+    result = Analyzer(source).run(config)
+    violations = check_soundness(result, run_program(source))
+    assert violations == [], "\n".join(str(v) for v in violations)
+
+
 def test_soundness_checker_catches_lies():
     """Sanity-check the oracle itself: corrupt a VAL set and make sure a
     violation is reported."""

@@ -64,6 +64,35 @@ def test_jump_function_chain_on_random_programs(source):
                 )
 
 
+#: (weaker, stronger) Table 2/3 columns the paper finds ordered: MOD
+#: information and return jump functions only ever add constants.
+RICHER_THAN = (
+    ("polynomial_no_mod", "polynomial_with_mod"),
+    ("polynomial_no_rjf", "polynomial"),
+    ("pass_through_no_rjf", "pass_through"),
+)
+
+
+@given(source=programs())
+@FUZZ_SETTINGS
+def test_mod_and_return_functions_never_lose_constants(source):
+    """Every CONSTANTS(p) entry the weaker configuration finds, the
+    stronger one finds too, with the same value and class."""
+    analyzer = Analyzer(source)
+    configs = {**TABLE2_CONFIGS, **TABLE3_CONFIGS}
+    for weak_name, strong_name in RICHER_THAN:
+        weak = analyzer.run(configs[weak_name])
+        strong = analyzer.run(configs[strong_name])
+        for proc in weak.lowered.procedures:
+            strong_constants = strong.constants(proc)
+            for key, value in weak.constants(proc).items():
+                found = strong_constants.get(key)
+                assert (found.__class__, found) == (value.__class__, value), (
+                    f"{strong_name} lost {proc}.{key}={value!r} "
+                    f"found by {weak_name}"
+                )
+
+
 @given(source=programs())
 @FUZZ_SETTINGS
 def test_analyzer_sound_on_random_programs(source):

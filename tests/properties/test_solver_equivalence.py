@@ -2,9 +2,9 @@
 fixpoint: on every program they must produce identical VAL sets, by
 value and by lattice-element class.
 
-Dense re-evaluation (the reference oracle), the region-scheduled sparse
-engine :func:`~repro.core.solver.solve` runs, and the fully iterating
-global schedule a sanitized solve runs all meet the same monotone
+Dense re-evaluation (the reference oracle, plain and with the lattice
+sanitizer attached) and the region-scheduled sparse engine
+:func:`~repro.core.solver.solve` runs all meet the same monotone
 jump-function evaluations into the same lattice from ⊤, so
 chaotic-iteration theory promises one greatest fixpoint. These checks
 hold the implementations to it over the workload suite and randomly
@@ -90,7 +90,7 @@ def solve_three_ways(source, config):
     return (
         solve_dense(lowered, graph, forward),
         solve(lowered, graph, forward),
-        solve(lowered, graph, forward, sanitizer=LatticeSanitizer()),
+        solve_dense(lowered, graph, forward, sanitizer=LatticeSanitizer()),
     )
 
 
@@ -104,17 +104,17 @@ def test_suite_matches_dense(name):
 
 
 def test_sanitized_schedule_agrees():
-    """A sanitized solve drives the global worklist loop instead of the
-    region schedule; same fixpoint either way, and the sanitizer sees a
-    clean run."""
+    """The sanitizer observes the dense reference solve; the region
+    schedule reaches the same fixpoint, and the sanitizer sees a clean
+    run."""
     lowered, graph, forward = pipeline(SUITE["fpppp"].source)
     region = solve(lowered, graph, forward)
     sanitizer = LatticeSanitizer()
-    global_schedule = solve(lowered, graph, forward, sanitizer=sanitizer)
-    assert tagged(region.val) == tagged(global_schedule.val)
-    assert region.reached == global_schedule.reached
+    sanitized = solve_dense(lowered, graph, forward, sanitizer=sanitizer)
+    assert tagged(region.val) == tagged(sanitized.val)
+    assert region.reached == sanitized.reached
     assert region.regions > 0
-    assert global_schedule.regions == 0
+    assert sanitized.regions == 0
     assert sanitizer.transfers_observed > 0
     assert sanitizer.violations == []
 

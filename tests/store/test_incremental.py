@@ -59,6 +59,14 @@ class TestWarmReanalyze:
         assert again.incremental.mode == "warm"
         assert again.incremental.clean == 3
         assert again.solved.regions_warm == 3
+        # each procedure's snapshot entry holds exactly what the planner
+        # reads
+        snapshot = analyzer.store.load_snapshot(
+            config_key(AnalysisConfig()), "m"
+        )
+        assert set(snapshot["procs"]) == {"m", "foo", "bar"}
+        for entry in snapshot["procs"].values():
+            assert set(entry) == {"fp", "jf", "env", "reached", "callees"}
 
     def test_leaf_edit_invalidates_only_leaf(self):
         analyzer = Analyzer(SOURCE)

@@ -3,9 +3,7 @@
 Constant propagation is the paper's analysis — exactly what
 :func:`repro.core.solver.solve` runs — and its work counters are the
 ``--bench-check`` baseline. Copy propagation pays the same edge walk
-plus the richer lattice; MOD/REF re-derives the Cooper–Kennedy
-summaries through the reverse flow graph and is cross-checked against
-the reference implementation."""
+plus the richer lattice."""
 
 import pytest
 
@@ -15,12 +13,7 @@ from repro.core.builder import build_forward_jump_functions
 from repro.core.config import AnalysisConfig
 from repro.core.returns import build_return_jump_functions
 from repro.framework import solve_client
-from repro.framework.clients import (
-    ConstPropClient,
-    CopyPropClient,
-    ModRefClient,
-    cross_check_modref,
-)
+from repro.framework.clients import ConstPropClient, CopyPropClient
 from repro.frontend.symbols import parse_program
 from repro.ir import lower_program
 from repro.workloads import load, suite_names
@@ -81,15 +74,3 @@ def test_copyprop_client(benchmark, prepared, reporter, bench_counters):
         lines.append(f"{lowered.program.main:<12} {facts:>11}")
     reporter("Copy facts beyond constprop (per program)", "\n".join(lines))
 
-
-def test_modref_client(benchmark, prepared, bench_counters):
-    """The reverse-flow client, cross-checked against the reference."""
-    results = benchmark(
-        lambda: [
-            solve_client(lowered, graph, ModRefClient())
-            for lowered, graph, _ in prepared
-        ]
-    )
-    bench_counters.update(_sum_counters(results))
-    for (lowered, graph, _), result in zip(prepared, results):
-        assert cross_check_modref(lowered, graph, result) == []

@@ -11,7 +11,6 @@ non-trivial SCCs.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from repro.ir.instructions import Call
@@ -64,7 +63,22 @@ class CallGraph:
         passes under exactly this schedule). Procedures unreachable from
         the main program follow in name order, so the index is total.
         """
-        return dfs_reverse_postorder(self.nodes, self.callees, (self.main,))
+        postorder: list[str] = []
+        seen = {self.main}
+        stack = [(self.main, iter(self.callees(self.main)))]
+        while stack:
+            node, children = stack[-1]
+            for child in children:
+                if child not in seen:
+                    seen.add(child)
+                    stack.append((child, iter(self.callees(child))))
+                    break
+            else:
+                postorder.append(node)
+                stack.pop()
+        order = list(reversed(postorder))
+        order.extend(name for name in self.nodes if name not in seen)
+        return order
 
     def rpo_index(self) -> dict[str, int]:
         """Map each procedure to its reverse-postorder position."""
@@ -74,8 +88,54 @@ class CallGraph:
 
     def sccs(self) -> list[list[str]]:
         """Strongly connected components in *reverse topological order*
-        (callees before callers) — the bottom-up walk of §4.1 stage 1."""
-        return tarjan_sccs(self.nodes, self.callees)
+        (callees before callers) — the bottom-up walk of §4.1 stage 1.
+        Each component is sorted; Tarjan runs iteratively to dodge
+        recursion limits on deep graphs."""
+        index_counter = 0
+        stack: list[str] = []
+        lowlink: dict[str, int] = {}
+        index: dict[str, int] = {}
+        on_stack: set[str] = set()
+        result: list[list[str]] = []
+
+        for node in self.nodes:
+            if node in index:
+                continue
+            work = [(node, iter(self.callees(node)))]
+            index[node] = lowlink[node] = index_counter
+            index_counter += 1
+            stack.append(node)
+            on_stack.add(node)
+            while work:
+                current, children = work[-1]
+                advanced = False
+                for child in children:
+                    if child not in index:
+                        index[child] = lowlink[child] = index_counter
+                        index_counter += 1
+                        stack.append(child)
+                        on_stack.add(child)
+                        work.append((child, iter(self.callees(child))))
+                        advanced = True
+                        break
+                    if child in on_stack:
+                        lowlink[current] = min(lowlink[current], index[child])
+                if advanced:
+                    continue
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[current])
+                if lowlink[current] == index[current]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == current:
+                            break
+                    result.append(sorted(component))
+        return result
 
     def is_recursive(self, name: str) -> bool:
         """True if ``name`` sits on a call-graph cycle (incl. self-calls)."""
@@ -92,89 +152,6 @@ class CallGraph:
 
     def top_down_sccs(self) -> list[list[str]]:
         return list(reversed(self.sccs()))
-
-
-def dfs_reverse_postorder(
-    nodes: Iterable[str],
-    successors: Callable[[str], Iterable[str]],
-    roots: Iterable[str],
-) -> list[str]:
-    """Reverse postorder of an iterative DFS from each root in turn.
-    Nodes no root reaches follow in ``nodes`` order, so the order is
-    total."""
-    postorder: list[str] = []
-    seen: set[str] = set()
-    for root in roots:
-        if root in seen:
-            continue
-        seen.add(root)
-        stack: list[tuple[str, Iterator[str]]] = [(root, iter(successors(root)))]
-        while stack:
-            node, children = stack[-1]
-            for child in children:
-                if child not in seen:
-                    seen.add(child)
-                    stack.append((child, iter(successors(child))))
-                    break
-            else:
-                postorder.append(node)
-                stack.pop()
-    order = list(reversed(postorder))
-    order.extend(name for name in nodes if name not in seen)
-    return order
-
-
-def tarjan_sccs(
-    nodes: Iterable[str], successors: Callable[[str], Iterable[str]]
-) -> list[list[str]]:
-    """Strongly connected components in reverse topological order
-    (successors first), each sorted; iterative Tarjan to dodge recursion
-    limits on deep graphs."""
-    index_counter = 0
-    stack: list[str] = []
-    lowlink: dict[str, int] = {}
-    index: dict[str, int] = {}
-    on_stack: set[str] = set()
-    result: list[list[str]] = []
-
-    for node in nodes:
-        if node in index:
-            continue
-        work = [(node, iter(successors(node)))]
-        index[node] = lowlink[node] = index_counter
-        index_counter += 1
-        stack.append(node)
-        on_stack.add(node)
-        while work:
-            current, children = work[-1]
-            advanced = False
-            for child in children:
-                if child not in index:
-                    index[child] = lowlink[child] = index_counter
-                    index_counter += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(successors(child))))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    lowlink[current] = min(lowlink[current], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[current])
-            if lowlink[current] == index[current]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == current:
-                        break
-                result.append(sorted(component))
-    return result
 
 
 def build_call_graph(lowered: LoweredProgram) -> CallGraph:

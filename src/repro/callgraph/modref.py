@@ -70,11 +70,6 @@ def _classify(symbol: Symbol) -> tuple[str, object] | None:
     return None
 
 
-#: public alias — the framework MOD/REF client classifies with the same
-#: rule so the two implementations cannot drift on what counts as a slot.
-classify_symbol = _classify
-
-
 def site_binding_map(
     lowered: LoweredProgram, call: Call
 ) -> dict[str, tuple[str, object]]:
@@ -84,8 +79,7 @@ def site_binding_map(
     array element carries storage the callee's by-reference formal
     aliases, so the callee's effect on the formal is an effect on the
     caller's slot. Literal/expression actuals bind nothing (the callee
-    writes a temporary). This is the single binding rule both
-    :func:`compute_modref` and the framework MOD/REF client apply.
+    writes a temporary).
     """
     callee = lowered.procedures[call.callee].procedure
     binding: dict[str, tuple[str, object]] = {}
@@ -101,37 +95,6 @@ def site_binding_map(
         if slot is not None:
             binding[formal.name] = slot
     return binding
-
-
-def direct_effects(
-    lowered: LoweredProgram,
-) -> dict[str, tuple[frozenset, frozenset]]:
-    """Each procedure's *direct* (call-free) effects as slot sets:
-    ``{proc: (mod_slots, ref_slots)}`` with slots in
-    :func:`classify_symbol` form. The seed environment of the framework
-    MOD/REF client, computed by the same collector
-    :func:`compute_modref` seeds from."""
-    info = ModRefInfo(
-        mod_formals={name: set() for name in lowered.procedures},
-        mod_globals={name: set() for name in lowered.procedures},
-        ref_formals={name: set() for name in lowered.procedures},
-        ref_globals={name: set() for name in lowered.procedures},
-    )
-    for name, lowered_proc in lowered.procedures.items():
-        _collect_direct(name, lowered_proc, info)
-    return {
-        name: (
-            frozenset(
-                [("formal", formal) for formal in info.mod_formals[name]]
-                + [("global", gid) for gid in info.mod_globals[name]]
-            ),
-            frozenset(
-                [("formal", formal) for formal in info.ref_formals[name]]
-                + [("global", gid) for gid in info.ref_globals[name]]
-            ),
-        )
-        for name in lowered.procedures
-    }
 
 
 def compute_modref(lowered: LoweredProgram, graph: CallGraph) -> ModRefInfo:
@@ -214,9 +177,9 @@ def _propagate_site(
             info.ref_globals[caller].add(gid)
             changed = True
 
-    # Formals map through the binding at this site (the shared rule —
-    # passing a value is not itself a read or a write; the effect lands
-    # on the caller's slot iff the actual is bindable storage).
+    # Formals map through the binding at this site (passing a value is
+    # not itself a read or a write; the effect lands on the caller's slot
+    # iff the actual is bindable storage).
     binding = site_binding_map(lowered, call)
     for formal_name, slot in binding.items():
         if formal_name in info.mod_formals[callee_name]:

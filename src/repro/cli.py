@@ -46,10 +46,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--analysis",
         choices=["constprop", "copyprop", "modref"],
         default="constprop",
-        help="which framework analysis to run: the paper's constant "
-             "propagation (default), interprocedural copy propagation, "
-             "or MOD/REF summaries re-derived through the dataflow "
-             "engine",
+        help="what to report: the paper's constant propagation "
+             "(default), interprocedural copy propagation, or the "
+             "MOD/REF summaries the analysis used",
     )
     analyze_cmd.add_argument("--no-mod", action="store_true",
                              help="drop interprocedural MOD information")
@@ -293,12 +292,25 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 return 1
         else:
             print("verify: IR and SSA invariants hold", file=sys.stderr)
-    if args.analysis != "constprop":
-        return _analyze_client(result, args)
     print(f"configuration: {result.config.describe()}")
     for diag in result.resilience_diagnostics():
         # RL5xx: the run degraded to stay alive — never report silently
         print(diag.format_text(), file=sys.stderr)
+    if args.profile_json:
+        import json
+
+        with open(args.profile_json, "w") as handle:
+            json.dump(result.stats_json(), handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print(f"wrote profile to {args.profile_json}", file=sys.stderr)
+    if args.analysis == "copyprop":
+        return _analyze_copyprop(result, args)
+    if args.analysis == "modref":
+        print("analysis: modref")
+        for proc, summary in result.modref_summaries().items():
+            print(f"MOD({proc}) = {{{', '.join(summary['mod'])}}}")
+            print(f"REF({proc}) = {{{', '.join(summary['ref'])}}}")
+        return 0
     print(f"constants substituted (pairs): {result.constants_found}")
     print(f"references replaced:           {result.references_substituted}")
     print()
@@ -313,109 +325,65 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(result.stats_report())
         for key, value in GLOBAL_STAGE0_CACHE.counters().items():
             print(f"  {key} {value}")
-    if args.profile_json:
-        import json
-
-        with open(args.profile_json, "w") as handle:
-            json.dump(result.stats_json(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote profile to {args.profile_json}", file=sys.stderr)
     if args.transform:
         print()
         print(result.transformed_source())
     return 0
 
 
-def _client_stats(client_result) -> None:
-    print()
-    print(f"{client_result.analysis} solver counters:")
-    for key, value in client_result.counters().items():
-        print(f"  {key:18} {value}")
-
-
-def _analyze_client(result, args: argparse.Namespace) -> int:
-    """Run one of the framework clients over the analyzed artifacts and
-    print its facts (``repro analyze --analysis copyprop|modref``)."""
+def _analyze_copyprop(result, args: argparse.Namespace) -> int:
+    """Run the copy-propagation client over the analyzed jump functions
+    and print its facts (``repro analyze --analysis copyprop``)."""
+    from repro.core.lattice import is_constant
+    from repro.framework.clients.copyprop import (
+        CopyOf,
+        CopyPropClient,
+        copy_facts,
+    )
     from repro.framework.engine import solve_client
 
     def pretty(key) -> str:
         return key if isinstance(key, str) else result.program.global_display(key)
 
-    print(f"configuration: {result.config.describe()}")
-    print(f"analysis: {args.analysis}")
-    if args.analysis == "copyprop":
-        from repro.framework.clients.copyprop import (
-            CopyOf,
-            CopyPropClient,
-            copy_facts,
-        )
-        from repro.core.lattice import is_constant
-
-        solved = solve_client(
-            result.lowered,
-            result.call_graph,
-            CopyPropClient(result.forward),
-        )
-        constants = copies = 0
-        for proc in sorted(solved.val):
-            env = solved.val[proc]
-            shown = {
-                key: value
-                for key, value in env.items()
-                if value.__class__ is CopyOf or is_constant(value)
-            }
-            constants += sum(
-                1 for v in shown.values() if v.__class__ is not CopyOf
-            )
-            if shown:
-                rendered = ", ".join(
-                    f"{pretty(k)} = "
-                    + (
-                        f"copy-of {v.proc}::{pretty(v.key)}"
-                        if v.__class__ is CopyOf
-                        else str(v)
-                    )
-                    for k, v in sorted(
-                        shown.items(), key=lambda item: pretty(item[0])
-                    )
-                )
-                print(f"COPIES({proc}) = {{{rendered}}}")
-        copies = sum(len(env) for env in copy_facts(solved).values())
-        print(f"constant facts: {constants}")
-        print(f"copy facts beyond constprop: {copies}")
-        if args.stats:
-            _client_stats(solved)
-        return 0
-    # modref
-    from repro.framework.clients.modref import (
-        ModRefClient,
-        cross_check_modref,
+    print("analysis: copyprop")
+    solved = solve_client(
+        result.lowered,
+        result.call_graph,
+        CopyPropClient(result.forward),
     )
-
-    solved = solve_client(result.lowered, result.call_graph, ModRefClient())
-
-    def render(slots) -> str:
-        names = sorted(
-            f"{pretty(payload)}" if kind == "formal" else pretty(payload)
-            for kind, payload in slots
-        )
-        return "{" + ", ".join(names) + "}"
-
+    constants = 0
     for proc in sorted(solved.val):
         env = solved.val[proc]
-        print(f"MOD({proc}) = {render(env.get('mod', frozenset()))}")
-        print(f"REF({proc}) = {render(env.get('ref', frozenset()))}")
-    findings = cross_check_modref(
-        result.lowered, result.call_graph, solved, info=result.modref
-    )
-    for diag in findings:
-        print(diag.format_text(), file=sys.stderr)
-    if not findings:
-        print("cross-check: summaries agree with callgraph.modref",
-              file=sys.stderr)
+        shown = {
+            key: value
+            for key, value in env.items()
+            if value.__class__ is CopyOf or is_constant(value)
+        }
+        constants += sum(
+            1 for v in shown.values() if v.__class__ is not CopyOf
+        )
+        if shown:
+            rendered = ", ".join(
+                f"{pretty(k)} = "
+                + (
+                    f"copy-of {v.proc}::{pretty(v.key)}"
+                    if v.__class__ is CopyOf
+                    else str(v)
+                )
+                for k, v in sorted(
+                    shown.items(), key=lambda item: pretty(item[0])
+                )
+            )
+            print(f"COPIES({proc}) = {{{rendered}}}")
+    copies = sum(len(env) for env in copy_facts(solved).values())
+    print(f"constant facts: {constants}")
+    print(f"copy facts beyond constprop: {copies}")
     if args.stats:
-        _client_stats(solved)
-    return 1 if findings else 0
+        print()
+        print("copyprop solver counters:")
+        for key, value in solved.counters().items():
+            print(f"  {key:18} {value}")
+    return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

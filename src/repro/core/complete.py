@@ -28,6 +28,9 @@ from repro.callgraph.modref import compute_modref
 from repro.ir.instructions import Call
 from repro.ir.lower import LoweredProcedure, LoweredProgram
 
+#: the most analysis rounds one complete-propagation run takes.
+MAX_COMPLETE_ROUNDS = 5
+
 
 @dataclass
 class CompleteStats:
@@ -60,7 +63,7 @@ def run_complete_propagation(
     stats = CompleteStats()
     while True:
         stats.rounds += 1
-        if stats.rounds > config.max_complete_rounds:
+        if stats.rounds > MAX_COMPLETE_ROUNDS:
             return lowered, artifacts, stats
         procedures = dict(lowered.procedures)
         round_stats: dict[str, DCEStats] = {}

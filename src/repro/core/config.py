@@ -20,10 +20,10 @@ layer (DESIGN.md §7): caps on solver passes, jump-function evaluations,
 and lattice meets. ``None`` (the default) is unlimited and costs nothing.
 When a cap is hit, ``degrade_on_budget`` walks the jump-function
 degradation ladder (polynomial → pass-through → intraprocedural →
-literal, then the intraprocedural-baseline floor) instead of failing;
-``solver_fallback`` retries a *crashed* sparse solve with the dense
-reference solver. Both downgrades are recorded on the result and
-surfaced as RL5xx diagnostics — never silent.
+literal, then the intraprocedural-baseline floor) instead of failing.
+A *crashed* sparse solve is always retried with the dense reference
+solver. Both downgrades are recorded on the result and surfaced as
+RL5xx diagnostics — never silent.
 """
 
 from __future__ import annotations
@@ -57,15 +57,12 @@ class AnalysisConfig:
     complete: bool = False
     intraprocedural_only: bool = False
     compose_return_functions: bool = False
-    max_complete_rounds: int = 5
     #: solver fuel (resilience layer): None = unlimited.
     max_solver_passes: int | None = None
     max_evaluations: int | None = None
     max_meets: int | None = None
     #: walk the jump-function ladder on budget exhaustion (vs. raise).
     degrade_on_budget: bool = True
-    #: retry a crashed sparse solve with the dense reference solver.
-    solver_fallback: bool = True
     #: solve stage 3 over a process pool of this many workers, wave by
     #: wave of the region condensation (None/0 = sequential). A failed
     #: parallel solve degrades to the sequential schedule (RL540).

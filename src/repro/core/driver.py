@@ -118,16 +118,12 @@ class SSACache:
         self._modref = modref
         self._entries: dict[tuple[str, bool], SSAProcedure] = {}
         self._returns: dict[tuple[bool, bool, bool], ReturnFunctionResult] = {}
-        self.hits = 0
-        self.misses = 0
 
     def get(self, name: str, use_mod: bool) -> SSAProcedure:
         key = (name, use_mod)
         cached = self._entries.get(key)
         if cached is not None:
-            self.hits += 1
             return cached
-        self.misses += 1
         effects = make_call_effects(
             self._lowered, name, self._modref if use_mod else None
         )
@@ -154,11 +150,6 @@ class SSACache:
             )
             self._returns[key] = cached
         return cached
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._returns.clear()
-
 
 
 @dataclass
@@ -332,6 +323,24 @@ class AnalysisResult:
         """The program text with substituted constants spliced in."""
         return transform_source(self.program.source, self.substitutions)
 
+    def modref_summaries(self) -> dict[str, dict[str, list[str]]]:
+        """MOD(p) and REF(p) of every procedure, formals by name and
+        globals by display name, each sorted: what ``repro analyze
+        --analysis modref`` prints and the daemon's ``summaries``."""
+        info = self.modref
+        display = self.program.global_display
+
+        def names(formals, globals_) -> list[str]:
+            return sorted([*formals, *map(display, globals_)])
+
+        return {
+            proc: {
+                "mod": names(info.mod_formals[proc], info.mod_globals[proc]),
+                "ref": names(info.ref_formals[proc], info.ref_globals[proc]),
+            }
+            for proc in sorted(self.lowered.procedures)
+        }
+
     def stats_report(self) -> str:
         """:meth:`stats_json` rendered as text for ``repro analyze
         --stats``."""
@@ -468,8 +477,6 @@ def _attempt_solve(
         # request — neither may be "recovered" by the dense fallback
         raise
     except Exception as exc:
-        if not config.solver_fallback:
-            raise
         degradations.append(
             DegradationRecord(
                 code=CODE_DEGRADED_DENSE,

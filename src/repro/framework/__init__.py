@@ -8,7 +8,7 @@ value-contexts formulation of Padhye & Khedker): a client supplies a
 :class:`~repro.framework.client.FlowEdge` call-graph edges, seed
 environments, and roots; :func:`~repro.framework.engine.solve_client`
 runs the seed/delta/flush fixed-point discipline over them. Constant
-propagation is one client among three.
+propagation is one of its two clients.
 
 Layering (no cycles):
 
@@ -22,10 +22,8 @@ Layering (no cycles):
 - :mod:`repro.framework.engine` is the sparse engine and the
   :class:`~repro.framework.engine.SolveResult` every solve returns.
 - :mod:`repro.framework.clients` hosts the shipped analyses:
-  constant propagation (what :func:`repro.core.solver.solve` runs),
-  interprocedural copy propagation (subsumes constprop), and
-  MOD/REF-as-dataflow (cross-checked against
-  :mod:`repro.callgraph.modref`).
+  constant propagation (what :func:`repro.core.solver.solve` runs) and
+  interprocedural copy propagation (subsumes constprop).
 """
 
 from repro.framework.client import (
@@ -43,11 +41,7 @@ from repro.framework.edges import (
     IdentityEdge,
 )
 from repro.framework.engine import SolveResult, solve_client
-from repro.framework.lattice import (
-    ConstantLattice,
-    Lattice,
-    PowersetLattice,
-)
+from repro.framework.lattice import ConstantLattice, Lattice
 
 __all__ = [
     "AnalysisClient",
@@ -61,7 +55,6 @@ __all__ = [
     "flow_edge",
     "IdentityEdge",
     "Lattice",
-    "PowersetLattice",
     "RegionPartition",
     "SolveResult",
     "solve_client",

@@ -14,9 +14,9 @@ reads the ``source`` node's environment. The structural fast-path
 fields (``const``, ``passthrough``) are derived from the edge function
 at construction so the engine's hot loop never virtual-calls for
 constants or identities — the hoisting §3.1.5 charges to building a
-jump function rather than to every pass. The field names
-``caller``/``callee`` are the forward (call-graph) reading; for
-reverse-flow clients "caller" simply reads as "flow predecessor".
+jump function rather than to every pass. Values flow along call edges,
+from ``caller`` to ``callee``, and the engine schedules over the call
+graph.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class FlowIndex:
         """Index ``edges`` by source (seeds), by read key (dependents),
         and by flow successor (callees). ``kill_sources`` maps a source
         node to the (target, key) bindings flooring when that source is
-        first visited (requires a lattice with a finite ⊥)."""
+        first visited."""
         seeds: dict[str, list[FlowEdge]] = defaultdict(list)
         dependents: dict[FlowBinding, list[FlowEdge]] = defaultdict(list)
         callees: dict[str, list[str]] = defaultdict(list)
@@ -200,7 +200,7 @@ class RegionPartition:
 
 class AnalysisClient:
     """One interprocedural dataflow problem, packaged for the generic
-    driver. Subclasses define the five hooks; everything else — the
+    driver. Subclasses define the four hooks; everything else — the
     worklist, region scheduling, memoization, budgets, counters — is
     shared framework machinery.
     """
@@ -221,15 +221,9 @@ class AnalysisClient:
         return {node: {key: top for key in node_keys} for node, node_keys in keys.items()}
 
     def roots(self, lowered, graph) -> tuple[str, ...]:
-        """The flow nodes activated first (constprop: the main program;
-        MOD/REF: every procedure)."""
+        """The flow nodes activated first (both shipped clients: the
+        main program)."""
         raise NotImplementedError
-
-    def flow_graph(self, lowered, graph):
-        """The graph values flow along — the call graph itself by
-        default; reverse-flow clients return a
-        :class:`~repro.framework.graph.FlowGraph`."""
-        return graph
 
     def flow_edges(self, lowered, graph) -> FlowIndex:
         """The client's transfer edges, indexed."""

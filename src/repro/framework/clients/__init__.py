@@ -6,9 +6,6 @@
   propagation over a lattice that refines the constant lattice with
   copy-of facts; provably subsumes constprop (projecting copies to ⊥
   recovers the constprop fixpoint exactly).
-- :mod:`repro.framework.clients.modref` — MOD/REF side-effect
-  summaries re-derived as a reverse-flow powerset dataflow problem,
-  cross-checked against :func:`repro.callgraph.modref.compute_modref`.
 
 Imported lazily (not by ``repro.framework``) so the contract layer
 stays import-light; CLI and tests import the concrete client they need.
@@ -16,12 +13,9 @@ stays import-light; CLI and tests import the concrete client they need.
 
 from repro.framework.clients.constprop import ConstPropClient
 from repro.framework.clients.copyprop import CopyOf, CopyPropClient
-from repro.framework.clients.modref import ModRefClient, cross_check_modref
 
 __all__ = [
     "ConstPropClient",
     "CopyOf",
     "CopyPropClient",
-    "ModRefClient",
-    "cross_check_modref",
 ]

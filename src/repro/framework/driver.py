@@ -20,13 +20,12 @@ surface :class:`repro.framework.engine.ClientEngine` exposes —
 ``regions_warm``/``val`` — the attribute surface of
 :class:`repro.framework.engine.SolveResult`.
 
-Soundness of the region schedule does not depend on the condensation
-order being topological for the flow direction: a delta delivered to an
+Both shipped clients flow along call edges, so the callers-first
+condensation order is topological for them and every region converges
+once. The driver does not rely on that: a delta delivered to an
 already-converged region re-queues it (the ``inbox``/``activate``
-machinery below), so even a client whose flow graph is processed
-against the stored order — e.g. the reverse-graph MOD/REF client —
-converges to the same greatest fixpoint, merely with more region
-passes.
+machinery below), so a late delivery costs region passes, never
+soundness.
 """
 
 from __future__ import annotations

@@ -183,7 +183,6 @@ class ClientEngine:
         "_floor",
         "_is_bottom",
         "_meet",
-        "_default",
     )
 
     def __init__(
@@ -206,9 +205,6 @@ class ClientEngine:
         self._floor = lattice.bottom
         self._is_bottom = lattice.is_bottom
         self._meet = lattice.meet
-        # what a missing source key reads as: the floor when the lattice
-        # has one (constprop: ⊥), else ⊤ (the neutral element).
-        self._default = lattice.bottom if lattice.bottom is not None else lattice.top
         # seed/delta traffic is intra-region only; cross-region edges
         # wait for flush_region
         self._seeds = partition.internal_seeds
@@ -231,7 +227,7 @@ class ClientEngine:
         top = self._top
         is_bottom = self._is_bottom
         lattice_meet = self._meet
-        default = self._default
+        floor = self._floor
         evaluations = meets = bottom_skips = 0
         for edge in edges:
             callee = edge.callee
@@ -247,14 +243,14 @@ class ClientEngine:
                 if passthrough is not None:
                     # pass-through: the evaluation *is* the env fetch
                     evaluations += 1
-                    incoming = caller_env.get(passthrough, default)
+                    incoming = caller_env.get(passthrough, floor)
                 elif edge.support:
                     incoming = self._poly_value(edge, caller_env)
                 else:
                     # support-free and not constant ⇒ the floor, applied
                     # without evaluation
                     bottom_skips += 1
-                    incoming = self._floor
+                    incoming = floor
             meets += 1
             new = incoming if old is top else lattice_meet(old, incoming)
             if new != old:
@@ -357,12 +353,12 @@ class ClientEngine:
         support slice of the source environment."""
         stats = self._stats
         support = edge.support
-        default = self._default
+        floor = self._floor
         if len(support) == 1:
-            values = _memo_value(caller_env.get(support[0], default))
+            values = _memo_value(caller_env.get(support[0], floor))
         else:
             values = tuple(
-                _memo_value(caller_env.get(key, default)) for key in support
+                _memo_value(caller_env.get(key, floor)) for key in support
             )
         token = edge.func.memo_token()
         memo_key = (id(token), values)
@@ -388,21 +384,20 @@ def solve_client(
 ) -> SolveResult:
     """Solve ``client``'s dataflow problem to its greatest fixpoint.
 
-    Region-scheduled over the client's flow graph (SCC condensation,
+    Region-scheduled over the call graph (SCC condensation,
     callers-first, cross-region edges deferred to one final-environment
     flush); ``warm`` (a :class:`repro.core.solver.WarmStart`) adopts
     stored fixed points for clean regions. ``budget`` caps passes (per
     region) and engine fuel through the
     :class:`~repro.resilience.budgets.SolveBudget` hooks.
     """
-    flow_graph = client.flow_graph(lowered, graph)
     index = client.flow_edges(lowered, graph)
     result = SolveResult(
         val=client.initial_env(lowered, graph), analysis=client.name
     )
     roots = client.roots(lowered, graph)
-    worklist = PriorityWorklist(flow_graph.rpo_index())
-    schedule = region_schedule(flow_graph)
+    worklist = PriorityWorklist(graph.rpo_index())
+    schedule = region_schedule(graph)
     engine = ClientEngine(
         index,
         client.lattice,

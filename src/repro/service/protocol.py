@@ -8,8 +8,9 @@ in HTTP mode)::
      "config": {"jump_function": "polynomial", "max_evaluations": 50000},
      "incremental": true, "timeout": 5.0, "stats": false}
 
-``analysis`` dispatches to the paper's constant propagation (default) or
-to a framework client (``copyprop`` / ``modref``). ``config`` admits the
+``analysis`` selects the result: the paper's constant propagation
+(default), the copy-propagation framework client (``copyprop``), or the
+MOD/REF summaries the analysis computed (``modref``). ``config`` admits the
 whitelisted :class:`~repro.core.config.AnalysisConfig` axes below —
 ``complete`` and ``parallel_regions`` are deliberately not servable
 (complete mode's CONSTANTS describe its own DCE'd program, not the

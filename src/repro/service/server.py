@@ -389,6 +389,14 @@ class AnalysisService:
                 },
             }
 
+        if request.analysis == "modref":
+            return {"summaries": result.modref_summaries()}
+
+        from repro.framework.clients.copyprop import (
+            CopyOf,
+            CopyPropClient,
+            copy_facts,
+        )
         from repro.framework.engine import solve_client
 
         def pretty(key) -> str:
@@ -396,62 +404,29 @@ class AnalysisService:
                 return key
             return result.program.global_display(key)
 
-        if request.analysis == "copyprop":
-            from repro.framework.clients.copyprop import (
-                CopyOf,
-                CopyPropClient,
-                copy_facts,
-            )
-
-            solved = solve_client(
-                result.lowered, result.call_graph,
-                CopyPropClient(result.forward),
-            )
-            facts = copy_facts(solved)
-            return {
-                "copies": {
-                    proc: {
-                        pretty(key): f"{value.proc}::{pretty(value.key)}"
-                        for key, value in sorted(
-                            env.items(), key=lambda item: pretty(item[0])
-                        )
-                    }
-                    for proc, env in sorted(facts.items())
-                    if env
-                },
-                "copy_facts": sum(len(env) for env in facts.values()),
-                "constant_facts": sum(
-                    1
-                    for env in solved.val.values()
-                    for value in env.values()
-                    if value.__class__ is not CopyOf
-                ),
-                "counters": dict(solved.counters()),
-            }
-
-        # modref
-        from repro.framework.clients.modref import (
-            ModRefClient,
-            cross_check_modref,
+        solved = solve_client(
+            result.lowered, result.call_graph,
+            CopyPropClient(result.forward),
         )
-
-        solved = solve_client(result.lowered, result.call_graph, ModRefClient())
-
-        def render_slots(slots) -> list[str]:
-            return sorted(pretty(payload) for _kind, payload in slots)
-
-        findings = cross_check_modref(
-            result.lowered, result.call_graph, solved, info=result.modref
-        )
+        facts = copy_facts(solved)
         return {
-            "summaries": {
+            "copies": {
                 proc: {
-                    "mod": render_slots(env.get("mod", frozenset())),
-                    "ref": render_slots(env.get("ref", frozenset())),
+                    pretty(key): f"{value.proc}::{pretty(value.key)}"
+                    for key, value in sorted(
+                        env.items(), key=lambda item: pretty(item[0])
+                    )
                 }
-                for proc, env in sorted(solved.val.items())
+                for proc, env in sorted(facts.items())
+                if env
             },
-            "cross_check": [d.format_text() for d in findings],
+            "copy_facts": sum(len(env) for env in facts.values()),
+            "constant_facts": sum(
+                1
+                for env in solved.val.values()
+                for value in env.values()
+                if value.__class__ is not CopyOf
+            ),
             "counters": dict(solved.counters()),
         }
 

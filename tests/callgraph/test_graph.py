@@ -1,4 +1,5 @@
-"""Unit tests for call graph construction and SCC condensation."""
+"""Unit tests for call graph construction, reverse postorder and SCC
+condensation."""
 
 from repro.callgraph import build_call_graph
 from repro.frontend import parse_program
@@ -109,6 +110,24 @@ class TestSCCs:
         big = [scc for scc in sccs if len(scc) > 1]
         assert big == [["even", "odd"]]
 
+    def test_sccs_find_cycles(self):
+        source = """
+program main
+  call f(1)
+end
+subroutine f(n)
+  integer n
+  call g(n)
+end
+subroutine g(n)
+  integer n
+  if (n > 0) call f(n - 1)
+end
+"""
+        components = {tuple(scc) for scc in graph_of(source).sccs()}
+        assert ("f", "g") in components
+        assert ("main",) in components
+
     def test_self_recursion_detected(self):
         source = """
 program main
@@ -131,3 +150,24 @@ end
     def test_top_down_is_reverse_of_bottom_up(self):
         graph = graph_of(DIAMOND)
         assert graph.top_down_sccs() == list(reversed(graph.bottom_up_sccs()))
+
+
+class TestReversePostorder:
+    def test_callers_before_callees(self):
+        graph = graph_of(DIAMOND)
+        assert graph.reverse_postorder() == ["main", "right", "left", "shared"]
+
+    def test_unreachable_procedures_follow_in_name_order(self):
+        source = CHAIN + (
+            "subroutine zorphan\nx = 1\nend\n"
+            "subroutine orphan\ncall zorphan\nend\n"
+        )
+        order = graph_of(source).reverse_postorder()
+        assert order == ["main", "a", "b", "orphan", "zorphan"]
+
+    def test_rpo_index_is_total(self):
+        graph = graph_of(MUTUAL)
+        index = graph.rpo_index()
+        assert sorted(index) == sorted(graph.nodes)
+        assert sorted(index.values()) == list(range(len(graph.nodes)))
+        assert index["main"] == 0

@@ -1,10 +1,18 @@
-"""Unit tests for interprocedural MOD/REF analysis."""
+"""Unit tests for interprocedural MOD/REF analysis, and for the
+``repro analyze --analysis modref`` and daemon renderings of it."""
+
+import glob
+
+import pytest
 
 from repro.callgraph import build_call_graph, compute_modref, make_call_effects
+from repro.cli import main
 from repro.frontend import parse_program
 from repro.frontend.symbols import GlobalId
 from repro.ir import lower_program
 from repro.analysis.ssa import ensure_global_symbols
+from repro.service import AnalysisService
+from repro.workloads import load, suite_names
 
 
 def modref_of(source):
@@ -12,6 +20,144 @@ def modref_of(source):
     ensure_global_symbols(lowered)
     graph = build_call_graph(lowered)
     return compute_modref(lowered, graph), lowered
+
+
+def summaries_of(source):
+    """``{proc: {"mod": [...], "ref": [...]}}`` from :func:`compute_modref`:
+    formals by name, globals by display name, each sorted."""
+    info, lowered = modref_of(source)
+    display = lowered.program.global_display
+    return {
+        proc: {
+            "mod": sorted(
+                [*info.mod_formals[proc], *map(display, info.mod_globals[proc])]
+            ),
+            "ref": sorted(
+                [*info.ref_formals[proc], *map(display, info.ref_globals[proc])]
+            ),
+        }
+        for proc in sorted(lowered.procedures)
+    }
+
+
+DIRECT_RECURSION = """
+program main
+  integer n
+  n = 5
+  call f(n)
+end
+subroutine f(a)
+  integer a
+  if (a > 0) then
+    a = a - 1
+    call f(a)
+  endif
+end
+"""
+
+# g writes its formal directly; f only does so via the f→g edge, and
+# g's recursive call back to f closes the cycle the solver must iterate
+# through.
+MUTUAL_RECURSION = """
+program main
+  integer n
+  n = 3
+  call f(n)
+end
+subroutine f(a)
+  integer a
+  call g(a)
+end
+subroutine g(b)
+  integer b
+  if (b > 0) then
+    call f(b)
+  endif
+  b = 0
+end
+"""
+
+TWO_CHAINS = """
+program main
+  common /c/ g
+  integer g
+  call chainw
+  call chainr
+end
+subroutine chainw
+  call leafw
+end
+subroutine leafw
+  common /c/ w
+  integer w
+  w = 7
+end
+subroutine chainr
+  call leafr
+end
+subroutine leafr
+  common /c/ r
+  integer r
+  write r
+end
+"""
+
+ZERO_FORMALS = """
+program main
+  common /c/ g
+  integer g
+  call setup
+  write g
+end
+subroutine setup
+  common /c/ x
+  integer x
+  x = 42
+end
+"""
+
+TRANSITIVE_NEST = """
+program main
+  integer n
+  call outer(n)
+end
+subroutine outer(p)
+  integer p
+  call inner(p)
+end
+subroutine inner(q)
+  integer q
+  q = 9
+end
+"""
+
+VALUE_ARG_BREAKS_CHAIN = TRANSITIVE_NEST.replace(
+    "call inner(p)", "call inner(p + 0)"
+)
+
+RECURSIVE_TWO_FORMALS = """
+program main
+  integer n
+  call rec(n, 3)
+end
+subroutine rec(a, d)
+  integer a, d
+  if (d > 0) then
+    call rec(a, d - 1)
+  else
+    a = 0
+  endif
+end
+"""
+
+# A procedure main never calls still gets its summaries.
+UNREACHED = ZERO_FORMALS + """
+subroutine orphan(z)
+  common /c/ y
+  integer z, y
+  z = y
+end
+"""
 
 
 class TestDirectEffects:
@@ -94,23 +240,8 @@ end
 
 
 class TestTransitiveEffects:
-    NEST = """
-program main
-  integer n
-  call outer(n)
-end
-subroutine outer(p)
-  integer p
-  call inner(p)
-end
-subroutine inner(q)
-  integer q
-  q = 9
-end
-"""
-
     def test_mod_propagates_through_binding(self):
-        info, _ = modref_of(self.NEST)
+        info, _ = modref_of(TRANSITIVE_NEST)
         assert info.modifies_formal("inner", "q")
         assert info.modifies_formal("outer", "p")
 
@@ -133,23 +264,16 @@ end
         assert info.modifies_global("main", GlobalId("c", 0))
 
     def test_value_argument_breaks_mod_chain(self):
-        source = """
-program main
-  integer n
-  call outer(n)
-end
-subroutine outer(p)
-  integer p
-  call inner(p + 0)
-end
-subroutine inner(q)
-  integer q
-  q = 9
-end
-"""
-        info, _ = modref_of(source)
+        info, _ = modref_of(VALUE_ARG_BREAKS_CHAIN)
         assert info.modifies_formal("inner", "q")
         assert not info.modifies_formal("outer", "p")
+
+    def test_value_argument_breaks_binding(self):
+        """``p + 0`` still reads p, but q's MOD does not bind back to it."""
+        info, _ = modref_of(VALUE_ARG_BREAKS_CHAIN)
+        assert info.mod_formals["inner"] == {"q"}
+        assert info.mod_formals["outer"] == set()
+        assert info.ref_formals["outer"] == {"p"}
 
     def test_global_passed_as_actual(self):
         source = """
@@ -167,21 +291,7 @@ end
         assert info.modifies_global("main", GlobalId("c", 0))
 
     def test_recursive_mod_converges(self):
-        source = """
-program main
-  integer n
-  call rec(n, 3)
-end
-subroutine rec(a, d)
-  integer a, d
-  if (d > 0) then
-    call rec(a, d - 1)
-  else
-    a = 0
-  endif
-end
-"""
-        info, _ = modref_of(source)
+        info, _ = modref_of(RECURSIVE_TWO_FORMALS)
         assert info.modifies_formal("rec", "a")
         assert not info.modifies_formal("rec", "d")
 
@@ -231,84 +341,33 @@ class TestRecursion:
     """MOD/REF must reach a fixpoint through recursive call cycles."""
 
     def test_direct_recursion_propagates_effects(self):
-        source = """
-program main
-  integer n
-  n = 5
-  call f(n)
-end
-subroutine f(a)
-  integer a
-  if (a > 0) then
-    a = a - 1
-    call f(a)
-  endif
-end
-"""
-        info, _ = modref_of(source)
+        info, _ = modref_of(DIRECT_RECURSION)
         assert info.modifies_formal("f", "a")
         assert info.references_formal("f", "a")
 
     def test_mutual_recursion_carries_mod_around_the_cycle(self):
-        # g writes its formal directly; f only does so via the f→g edge,
-        # and g's recursive call back to f closes the cycle the solver
-        # must iterate through.
-        source = """
-program main
-  integer n
-  n = 3
-  call f(n)
-end
-subroutine f(a)
-  integer a
-  call g(a)
-end
-subroutine g(b)
-  integer b
-  if (b > 0) then
-    call f(b)
-  endif
-  b = 0
-end
-"""
-        info, _ = modref_of(source)
+        info, _ = modref_of(MUTUAL_RECURSION)
         assert info.modifies_formal("g", "b")
         assert info.modifies_formal("f", "a")
         assert info.references_formal("g", "b")
         assert info.references_formal("f", "a")
+
+    def test_mutual_recursion_summary_contents(self):
+        """g writes its formal directly, f only through the f→g→f cycle;
+        neither touches a global."""
+        info, _ = modref_of(MUTUAL_RECURSION)
+        assert info.mod_formals["f"] == {"a"}
+        assert info.mod_formals["g"] == {"b"}
+        assert info.ref_formals["f"] == {"a"}
+        assert not info.mod_globals["f"] and not info.mod_globals["g"]
 
 
 class TestGlobalThroughTwoChains:
     """One COMMON slot MOD'd via one call chain and REF'd via another:
     both effects must surface in every caller on the respective chain."""
 
-    SRC = """
-program main
-  common /c/ g
-  integer g
-  call chainw
-  call chainr
-end
-subroutine chainw
-  call leafw
-end
-subroutine leafw
-  common /c/ w
-  integer w
-  w = 7
-end
-subroutine chainr
-  call leafr
-end
-subroutine leafr
-  common /c/ r
-  integer r
-  write r
-end
-"""
-
     def test_effects_at_the_leaves(self):
-        info, _ = modref_of(self.SRC)
+        info, _ = modref_of(TWO_CHAINS)
         gid = GlobalId("c", 0)
         assert info.modifies_global("leafw", gid)
         assert not info.references_global("leafw", gid)
@@ -316,7 +375,7 @@ end
         assert not info.modifies_global("leafr", gid)
 
     def test_each_chain_carries_only_its_own_effect(self):
-        info, _ = modref_of(self.SRC)
+        info, _ = modref_of(TWO_CHAINS)
         gid = GlobalId("c", 0)
         assert info.modifies_global("chainw", gid)
         assert not info.references_global("chainw", gid)
@@ -324,7 +383,7 @@ end
         assert not info.modifies_global("chainr", gid)
 
     def test_main_sees_both_effects(self):
-        info, _ = modref_of(self.SRC)
+        info, _ = modref_of(TWO_CHAINS)
         gid = GlobalId("c", 0)
         assert info.modifies_global("main", gid)
         assert info.references_global("main", gid)
@@ -332,21 +391,112 @@ end
 
 class TestZeroFormals:
     def test_procedure_with_no_formals(self):
-        source = """
-program main
-  common /c/ g
-  integer g
-  call setup
-  write g
-end
-subroutine setup
-  common /c/ x
-  integer x
-  x = 42
-end
-"""
-        info, lowered = modref_of(source)
+        info, lowered = modref_of(ZERO_FORMALS)
         assert lowered.procedure("setup").procedure.formals == []
         assert info.mod_formals["setup"] == set()
         assert info.ref_formals["setup"] == set()
         assert info.modifies_global("setup", GlobalId("c", 0))
+
+
+def summary(mod=(), ref=()):
+    return {"mod": list(mod), "ref": list(ref)}
+
+
+EDGE_CASES = {
+    "direct_recursion": (
+        DIRECT_RECURSION,
+        {"f": summary(["a"], ["a"]), "main": summary()},
+    ),
+    "mutual_recursion": (
+        MUTUAL_RECURSION,
+        {
+            "f": summary(["a"], ["a"]),
+            "g": summary(["b"], ["b"]),
+            "main": summary(),
+        },
+    ),
+    "two_chains": (
+        TWO_CHAINS,
+        {
+            "chainr": summary(ref=["c.g"]),
+            "chainw": summary(mod=["c.g"]),
+            "leafr": summary(ref=["c.g"]),
+            "leafw": summary(mod=["c.g"]),
+            "main": summary(["c.g"], ["c.g"]),
+        },
+    ),
+    "zero_formals": (
+        ZERO_FORMALS,
+        {"main": summary(["c.g"], ["c.g"]), "setup": summary(mod=["c.g"])},
+    ),
+    # passing p as an actual reads it; inner's write lands on p
+    "transitive_nest": (
+        TRANSITIVE_NEST,
+        {
+            "inner": summary(mod=["q"]),
+            "main": summary(),
+            "outer": summary(["p"], ["p"]),
+        },
+    ),
+    "value_arg_breaks_chain": (
+        VALUE_ARG_BREAKS_CHAIN,
+        {
+            "inner": summary(mod=["q"]),
+            "main": summary(),
+            "outer": summary(ref=["p"]),
+        },
+    ),
+    "recursive_two_formals": (
+        RECURSIVE_TWO_FORMALS,
+        {"main": summary(), "rec": summary(["a"], ["a", "d"])},
+    ),
+    "unreached": (
+        UNREACHED,
+        {
+            "main": summary(["c.g"], ["c.g"]),
+            "orphan": summary(["z"], ["c.g"]),
+            "setup": summary(mod=["c.g"]),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_edge_case_summaries(name):
+    source, expected = EDGE_CASES[name]
+    assert summaries_of(source) == expected
+
+
+@pytest.mark.parametrize(
+    "name", sorted(glob.glob("examples/*.f")) + suite_names()
+)
+def test_cli_and_daemon_print_compute_modref(name, tmp_path, capsys):
+    """``--analysis modref`` stdout and the daemon's ``summaries`` are
+    exactly :func:`compute_modref`'s sets, for every procedure of each
+    example file and suite program."""
+    if name.endswith(".f"):
+        with open(name) as handle:
+            source = handle.read()
+    else:
+        source = load(name).source
+    expected = summaries_of(source)
+    program_file = tmp_path / "program.f"
+    program_file.write_text(source)
+
+    assert main(["analyze", str(program_file), "--analysis", "modref"]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[1] == "analysis: modref"
+    printed = lines[2:]
+    assert printed == [
+        f"{kind.upper()}({proc}) = {{{', '.join(sets[kind])}}}"
+        for proc, sets in expected.items()
+        for kind in ("mod", "ref")
+    ]
+    assert captured.err == ""
+
+    response = AnalysisService().handle(
+        {"id": "m", "source": source, "analysis": "modref"}
+    )
+    assert response["status"] == "ok"
+    assert response["result"] == {"summaries": expected}

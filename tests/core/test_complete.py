@@ -3,6 +3,7 @@
 import pytest
 
 from repro import AnalysisConfig, JumpFunctionKind, analyze
+from repro.core import complete
 from repro.interp import run_program
 
 
@@ -19,10 +20,10 @@ class TestRounds:
         assert result.complete_stats.rounds == 1
         assert result.complete_stats.dce_rounds_with_changes == 0
 
-    def test_round_cap_respected(self):
+    def test_round_cap_respected(self, monkeypatch):
+        monkeypatch.setattr(complete, "MAX_COMPLETE_ROUNDS", 1)
         result = analyze(
-            "program m\nn = 1\nwrite n\nend\n",
-            complete_config(max_complete_rounds=1),
+            "program m\nn = 1\nwrite n\nend\n", complete_config()
         )
         assert result.complete_stats.rounds <= 2
 

@@ -2,6 +2,8 @@
 --analysis {constprop,copyprop,modref}`` and the copy-backed lint
 passes RL130 (copy chains) and RL131 (dead cross-procedure copies)."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -78,19 +80,43 @@ class TestAnalyzeCopyprop:
 
 
 class TestAnalyzeModref:
-    def test_prints_summaries_and_cross_checks(self, chain_file, capsys):
+    def test_prints_summaries(self, chain_file, capsys):
         assert main(["analyze", chain_file, "--analysis", "modref"]) == 0
         captured = capsys.readouterr()
-        assert "MOD(main)" in captured.out
-        assert "REF(inner)" in captured.out
-        assert "summaries agree with callgraph.modref" in captured.err
+        assert "analysis: modref" in captured.out
+        assert "MOD(main) = {}" in captured.out
+        assert "REF(main) = {cfg.n}" in captured.out
+        assert "REF(inner) = {q}" in captured.out
+        assert captured.err == ""
 
     def test_example_program_smoke(self, capsys):
         assert (
             main(["analyze", "examples/pipeline.f", "--analysis", "modref"])
             == 0
         )
-        assert "summaries agree" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "MOD(setup) = {cfg.gmax}" in captured.out
+        assert captured.err == ""
+
+
+@pytest.mark.parametrize("analysis", ["copyprop", "modref"])
+class TestClientAnalysesReport:
+    """Every ``--analysis`` prints the run's RL5xx degradations and
+    honours ``--profile-json``, not only constprop."""
+
+    def test_degradations_reach_stderr(self, analysis, capsys):
+        argv = ["analyze", "examples/pipeline.f", "--max-meets", "1"]
+        assert main(argv + ["--analysis", analysis]) == 0
+        err = capsys.readouterr().err
+        assert err.count("RL510") == 2
+        assert "RL512" in err
+
+    def test_profile_json_written(self, analysis, chain_file, tmp_path):
+        profile = tmp_path / "profile.json"
+        argv = ["analyze", chain_file, "--analysis", analysis]
+        assert main(argv + ["--profile-json", str(profile)]) == 0
+        payload = json.loads(profile.read_text())
+        assert "solve" in payload["timings_ms"]
 
 
 class TestCopyLintPasses:

@@ -141,20 +141,3 @@ class TestSparseDenseFallback:
         # the dense reference solver computes the same fixpoint
         assert result.solved.val == clean.solved.val
         assert result.constants_found == clean.constants_found
-
-    def test_fallback_disabled_raises(self):
-        spec = ChaosSpec(
-            faults=(
-                Fault(stage=Stage.SOLVE, kind="crash", scope="sparse"),
-            )
-        )
-        chaos.install(spec, label="recursive")
-        try:
-            with pytest.raises(chaos.ChaosError):
-                analyze(
-                    RECURSIVE,
-                    AnalysisConfig(solver_fallback=False),
-                    cache=Stage0Cache(),
-                )
-        finally:
-            chaos.uninstall()

@@ -39,15 +39,11 @@ class TestClassifyException:
         else:
             pytest.fail("solve_dense ran without a call graph")
 
-    @pytest.mark.parametrize("analysis", ["constprop", "copyprop", "modref"])
+    @pytest.mark.parametrize("analysis", ["constprop", "copyprop"])
     def test_framework_engine_crash_is_solve_stage(self, analysis, monkeypatch):
         # every analysis solves on the framework's ClientEngine; a crash
         # raised inside it must classify as SOLVE, not as unknown
-        from repro.framework.clients import (
-            ConstPropClient,
-            CopyPropClient,
-            ModRefClient,
-        )
+        from repro.framework.clients import ConstPropClient, CopyPropClient
         from repro.framework.engine import solve_client
         from repro.workloads import load
 
@@ -55,7 +51,6 @@ class TestClassifyException:
         client = {
             "constprop": lambda: ConstPropClient(result.forward),
             "copyprop": lambda: CopyPropClient(result.forward),
-            "modref": ModRefClient,
         }[analysis]()
 
         def broken_meet(self, a, b):

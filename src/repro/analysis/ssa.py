@@ -233,7 +233,7 @@ class SSAProcedure:
                     isinstance(operand, SSAName)
                     and operand.symbol is symbol
                     and operand.version == 0
-                    and operand.span.start.offset != operand.span.end.offset
+                    and operand.span.start_offset != operand.span.end_offset
                 ):
                     spans.append(operand.span)
         return spans

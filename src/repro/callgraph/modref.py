@@ -5,8 +5,8 @@ For each procedure ``p``:
 - ``MOD(p)``: the formals (by name) and globals (by :class:`GlobalId`)
   whose values may change as a side effect of invoking ``p`` — directly or
   through any chain of calls (Cooper–Kennedy style flow-insensitive
-  side-effect analysis, computed here by iteration to a fixpoint, which is
-  plenty at study scale).
+  side-effect analysis, computed callees-first over the call graph's
+  strongly connected components, iterating only around cycles).
 - ``REF(p)``: the formals and globals ``p`` may read, likewise transitive.
 
 Table 3 shows why this matters: without MOD information the analyzer must
@@ -108,13 +108,23 @@ def compute_modref(lowered: LoweredProgram, graph: CallGraph) -> ModRefInfo:
     for name, lowered_proc in lowered.procedures.items():
         _collect_direct(name, lowered_proc, info)
 
-    changed = True
-    while changed:
-        changed = False
-        for site_id in sorted(lowered.call_sites):
-            caller, call = lowered.call_sites[site_id]
-            if _propagate_site(lowered, caller, call, info):
-                changed = True
+    # Callees first: every callee outside a component is final before the
+    # component's own sites run, so one pass settles a non-recursive
+    # procedure and only call-graph cycles iterate.
+    for component in graph.sccs():
+        members = set(component)
+        sites = [
+            (caller, call)
+            for caller in component
+            for _, call in graph.out_edges[caller]
+        ]
+        recursive = any(call.callee in members for _, call in sites)
+        while True:
+            changed = False
+            for caller, call in sites:
+                changed |= _propagate_site(lowered, caller, call, info)
+            if not (recursive and changed):
+                break
     return info
 
 

@@ -423,7 +423,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         run_passes,
     )
     from repro.diagnostics.emit import EMITTERS
-    from repro.frontend.source import SourceSpan
+    from repro.frontend.source import LineTable, SourceSpan
 
     registry = default_registry()
     if args.list_passes:
@@ -467,7 +467,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         except FrontendError as error:
             location = error.location
             span = (
-                SourceSpan(location, location) if location is not None else None
+                SourceSpan(location.offset, location.offset, LineTable(source))
+                if location is not None
+                else None
             )
             reports.append(
                 LintReport(

@@ -160,7 +160,7 @@ def apply_clones(result: AnalysisResult, groups: list[CloneGroup]) -> str:
         for site_id in group.site_ids:
             _, call = result.lowered.site(site_id)
             span = call.callee_span
-            assert span.start.offset != span.end.offset, (
+            assert span.start_offset != span.end_offset, (
                 f"call site {site_id} has no callee span"
             )
             replacements.append((span, group.clone_name))
@@ -172,7 +172,7 @@ def apply_clones(result: AnalysisResult, groups: list[CloneGroup]) -> str:
 
     text = source
     for span, name in sorted(
-        replacements, key=lambda pair: pair[0].start.offset, reverse=True
+        replacements, key=lambda pair: pair[0].start_offset, reverse=True
     ):
         start, end = span.text_range
         text = text[:start] + name + text[end:]

@@ -182,7 +182,7 @@ def _record_procedure(
             if not isinstance(operand, SSAName):
                 continue
             span = operand.span
-            if span.start.offset == span.end.offset:
+            if span.start_offset == span.end_offset:
                 continue  # synthesized use, no source text
             value = sccp.value_of(operand)
             if not is_constant(value):
@@ -218,7 +218,7 @@ def transform_source(source: str, report: SubstitutionReport) -> str:
     """Splice the substituted constants into the program text —
     the paper's optional transformed-source output."""
     replacements = sorted(
-        report.replacements(), key=lambda pair: pair[0].start.offset, reverse=True
+        report.replacements(), key=lambda pair: pair[0].start_offset, reverse=True
     )
     text = source
     for span, value in replacements:

@@ -73,7 +73,7 @@ class Diagnostic:
 
     def sort_key(self) -> tuple:
         span = self.span
-        offset = span.start.offset if span is not None else -1
+        offset = span.start_offset if span is not None else -1
         return (
             self.path or "",
             offset,

@@ -328,7 +328,7 @@ class DeadFormalPass(LintPass):
                 if formal.name in mod or formal.name in ref:
                     continue
                 span = formal.decl_span
-                if span.start.offset == span.end.offset:
+                if span.start_offset == span.end_offset:
                     span = proc.ast.span
                 yield self.diagnostic(
                     CODE_DEAD_FORMAL,
@@ -577,7 +577,7 @@ class DeadCopyPass(LintPass):
                 if not twins:
                     continue
                 span = formal.decl_span
-                if span.start.offset == span.end.offset:
+                if span.start_offset == span.end_offset:
                     span = ctx.lowered.procedures[proc].procedure.ast.span
                 yield self.diagnostic(
                     CODE_DEAD_COPY,

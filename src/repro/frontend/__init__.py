@@ -33,9 +33,9 @@ from repro.frontend.astnodes import (
     WriteStmt,
 )
 from repro.frontend.errors import FrontendError, LexError, ParseError, SemanticError
-from repro.frontend.lexer import Lexer, tokenize
+from repro.frontend.lexer import tokenize
 from repro.frontend.parser import Parser, parse_source
-from repro.frontend.source import SourceLocation, SourceSpan
+from repro.frontend.source import LineTable, SourceLocation, SourceSpan
 from repro.frontend.symbols import (
     GlobalId,
     Procedure,
@@ -63,7 +63,7 @@ __all__ = [
     "IfStmt",
     "IntLit",
     "LexError",
-    "Lexer",
+    "LineTable",
     "LogicalLit",
     "ParseError",
     "Parser",

@@ -1,6 +1,7 @@
 """The MiniFortran lexer.
 
-Hand-written scanner producing a flat token stream. Design points:
+One compiled master regular expression scans the source into a flat
+token stream. Design points:
 
 - Free-form source; statements end at newlines, so NEWLINE is a token.
   A trailing ``&`` continues a statement onto the next line (the newline
@@ -11,15 +12,34 @@ Hand-written scanner producing a flat token stream. Design points:
   single tokens, as are the modern comparison spellings (``<=``, ``/=``).
 - A real literal requires a digit on at least one side of the dot and must
   not form a dot-operator (``1.eq.2`` lexes as INT DOT-OP INT).
+- Names and numbers are ASCII, as in FORTRAN 77. Any other character
+  outside a comment or string literal is a :class:`LexError` at its
+  line:column.
+
+Tokens hold character offsets and the source's
+:class:`~repro.frontend.source.LineTable`; line and column are computed
+only when a span or an error asks for them.
 """
 
 from __future__ import annotations
 
+import re
+
 from repro.frontend.errors import LexError
-from repro.frontend.source import SourceLocation, SourceSpan
+from repro.frontend.source import LineTable
 from repro.frontend.tokens import DOT_OPERATORS, KEYWORDS, Token, TokenKind
 
-_SINGLE_CHAR: dict[str, TokenKind] = {
+_OPERATORS: dict[str, TokenKind] = {
+    "**": TokenKind.POWER,
+    "==": TokenKind.EQ,
+    "/=": TokenKind.NE,
+    "<=": TokenKind.LE,
+    ">=": TokenKind.GE,
+    "<": TokenKind.LT,
+    ">": TokenKind.GT,
+    "=": TokenKind.ASSIGN,
+    "*": TokenKind.STAR,
+    "/": TokenKind.SLASH,
     "+": TokenKind.PLUS,
     "-": TokenKind.MINUS,
     "(": TokenKind.LPAREN,
@@ -28,234 +48,80 @@ _SINGLE_CHAR: dict[str, TokenKind] = {
     ":": TokenKind.COLON,
 }
 
+_DOT_WORDS = "|".join(op.strip(".") for op in DOT_OPERATORS)
+_EXPONENT = r"[ed][+-]?[0-9]+"
 
-class Lexer:
-    """Scans MiniFortran source text into :class:`Token` objects."""
-
-    def __init__(self, source: str):
-        self._source = source
-        self._pos = 0
-        self._line = 1
-        self._column = 1
-        self._tokens: list[Token] = []
-
-    def tokenize(self) -> list[Token]:
-        """Scan the whole input; always ends with a single EOF token."""
-        while self._pos < len(self._source):
-            self._scan_one()
-        self._ensure_trailing_newline()
-        self._emit(TokenKind.EOF, "", self._here(), 0)
-        return self._tokens
-
-    # -- scanning ---------------------------------------------------------
-
-    def _scan_one(self) -> None:
-        ch = self._peek()
-        if ch in " \t\r":
-            self._advance()
-            return
-        if ch == "!":
-            self._skip_comment()
-            return
-        if ch == "&":
-            self._consume_continuation()
-            return
-        if ch == "\n":
-            self._consume_newline()
-            return
-        if ch.isdigit():
-            self._scan_number()
-            return
-        if ch == "." and self._peek(1).isdigit():
-            self._scan_number()
-            return
-        if ch == ".":
-            self._scan_dot_operator()
-            return
-        if ch.isalpha() or ch == "_":
-            self._scan_word()
-            return
-        if ch == "'" or ch == '"':
-            self._scan_string(ch)
-            return
-        self._scan_operator()
-
-    def _skip_comment(self) -> None:
-        while self._pos < len(self._source) and self._peek() != "\n":
-            self._advance()
-
-    def _consume_continuation(self) -> None:
-        start = self._here()
-        self._advance()  # the '&'
-        while self._pos < len(self._source) and self._peek() in " \t\r":
-            self._advance()
-        if self._pos < len(self._source) and self._peek() == "!":
-            self._skip_comment()
-        if self._pos >= len(self._source) or self._peek() != "\n":
-            raise LexError("'&' must end its line", start)
-        self._advance_line()
-
-    def _consume_newline(self) -> None:
-        loc = self._here()
-        self._advance_line()
-        # Collapse runs of blank lines into one NEWLINE token.
-        if self._tokens and self._tokens[-1].kind == TokenKind.NEWLINE:
-            return
-        span = SourceSpan(loc, self._here())
-        self._tokens.append(Token(TokenKind.NEWLINE, "\n", span))
-
-    def _scan_number(self) -> None:
-        start = self._here()
-        text = []
-        is_real = False
-        while self._pos < len(self._source) and self._peek().isdigit():
-            text.append(self._advance())
-        if self._pos < len(self._source) and self._peek() == ".":
-            # '1.eq.2' must lex the '.eq.' as an operator, not '1.' as real.
-            if not self._looks_like_dot_operator():
-                is_real = True
-                text.append(self._advance())
-                while self._pos < len(self._source) and self._peek().isdigit():
-                    text.append(self._advance())
-        if self._pos < len(self._source) and self._peek() in "eEdD":
-            save = (self._pos, self._line, self._column)
-            exp = [self._advance()]
-            if self._pos < len(self._source) and self._peek() in "+-":
-                exp.append(self._advance())
-            if self._pos < len(self._source) and self._peek().isdigit():
-                is_real = True
-                while self._pos < len(self._source) and self._peek().isdigit():
-                    exp.append(self._advance())
-                text.extend(exp)
-            else:
-                self._pos, self._line, self._column = save
-        literal = "".join(text)
-        if is_real:
-            value: object = float(literal.lower().replace("d", "e"))
-            self._emit_span(TokenKind.REAL, value, start)
-        else:
-            self._emit_span(TokenKind.INT, int(literal), start)
-
-    def _looks_like_dot_operator(self) -> bool:
-        rest = self._source[self._pos : self._pos + 7].lower()
-        return any(rest.startswith(op) for op in DOT_OPERATORS)
-
-    def _scan_dot_operator(self) -> None:
-        start = self._here()
-        rest = self._source[self._pos : self._pos + 7].lower()
-        for text, kind in DOT_OPERATORS.items():
-            if rest.startswith(text):
-                for _ in text:
-                    self._advance()
-                self._emit_span(kind, text, start)
-                return
-        raise LexError(f"unrecognized dot-operator starting {rest[:4]!r}", start)
-
-    def _scan_word(self) -> None:
-        start = self._here()
-        chars = []
-        while self._pos < len(self._source) and (
-            self._peek().isalnum() or self._peek() == "_"
-        ):
-            chars.append(self._advance())
-        word = "".join(chars).lower()
-        kind = KEYWORDS.get(word, TokenKind.IDENT)
-        self._emit_span(kind, word, start)
-
-    def _scan_string(self, quote: str) -> None:
-        start = self._here()
-        self._advance()
-        chars = []
-        while self._pos < len(self._source) and self._peek() != quote:
-            if self._peek() == "\n":
-                raise LexError("unterminated string literal", start)
-            chars.append(self._advance())
-        if self._pos >= len(self._source):
-            raise LexError("unterminated string literal", start)
-        self._advance()
-        self._emit_span(TokenKind.STRING, "".join(chars), start)
-
-    def _scan_operator(self) -> None:
-        start = self._here()
-        ch = self._peek()
-        two = self._source[self._pos : self._pos + 2]
-        if two == "**":
-            self._advance()
-            self._advance()
-            self._emit_span(TokenKind.POWER, "**", start)
-        elif two == "==":
-            self._advance()
-            self._advance()
-            self._emit_span(TokenKind.EQ, "==", start)
-        elif two == "/=":
-            self._advance()
-            self._advance()
-            self._emit_span(TokenKind.NE, "/=", start)
-        elif two == "<=":
-            self._advance()
-            self._advance()
-            self._emit_span(TokenKind.LE, "<=", start)
-        elif two == ">=":
-            self._advance()
-            self._advance()
-            self._emit_span(TokenKind.GE, ">=", start)
-        elif ch == "<":
-            self._advance()
-            self._emit_span(TokenKind.LT, "<", start)
-        elif ch == ">":
-            self._advance()
-            self._emit_span(TokenKind.GT, ">", start)
-        elif ch == "=":
-            self._advance()
-            self._emit_span(TokenKind.ASSIGN, "=", start)
-        elif ch == "*":
-            self._advance()
-            self._emit_span(TokenKind.STAR, "*", start)
-        elif ch == "/":
-            self._advance()
-            self._emit_span(TokenKind.SLASH, "/", start)
-        elif ch in _SINGLE_CHAR:
-            self._advance()
-            self._emit_span(_SINGLE_CHAR[ch], ch, start)
-        else:
-            raise LexError(f"unexpected character {ch!r}", start)
-
-    # -- low-level cursor -------------------------------------------------
-
-    def _peek(self, ahead: int = 0) -> str:
-        pos = self._pos + ahead
-        if pos >= len(self._source):
-            return "\0"
-        return self._source[pos]
-
-    def _advance(self) -> str:
-        ch = self._source[self._pos]
-        self._pos += 1
-        self._column += 1
-        return ch
-
-    def _advance_line(self) -> None:
-        self._pos += 1
-        self._line += 1
-        self._column = 1
-
-    def _here(self) -> SourceLocation:
-        return SourceLocation(self._line, self._column, self._pos)
-
-    def _emit(self, kind: TokenKind, value: object, start: SourceLocation, length: int) -> None:
-        end = SourceLocation(start.line, start.column + length, start.offset + length)
-        self._tokens.append(Token(kind, value, SourceSpan(start, end)))
-
-    def _emit_span(self, kind: TokenKind, value: object, start: SourceLocation) -> None:
-        span = SourceSpan(start, self._here())
-        self._tokens.append(Token(kind, value, span))
-
-    def _ensure_trailing_newline(self) -> None:
-        if self._tokens and self._tokens[-1].kind != TokenKind.NEWLINE:
-            span = SourceSpan(self._here(), self._here())
-            self._tokens.append(Token(TokenKind.NEWLINE, "\n", span))
+# Each match is optional blanks and a comment, then one of the groups
+# below, or the end of the input. ``bad`` takes any character nothing
+# else does, so every position matches and no text is skipped silently.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:![^\n]*)?(?:"
+    r"(?P<name>[a-z_][a-z0-9_]*)"
+    rf"|(?P<real>(?:[0-9]+\.(?!(?:{_DOT_WORDS})\.)[0-9]*|\.[0-9]+)(?:{_EXPONENT})?"
+    rf"|[0-9]+{_EXPONENT})"
+    r"|(?P<int>[0-9]+)"
+    r"|(?P<op>\*\*|==|/=|<=|>=|[-+*/()<>=,:])"
+    r"|(?P<newline>\n)"
+    rf"|(?P<dot>\.(?:{_DOT_WORDS})\.)"
+    r"|(?P<string>'[^'\n]*'|\"[^\"\n]*\")"
+    r"|(?P<continuation>&[ \t\r]*(?:![^\n]*)?\n)"
+    r"|(?P<bad>.)"
+    r"|\Z)",
+    re.ASCII | re.IGNORECASE | re.DOTALL,
+)
+_GROUP = _TOKEN.groupindex
+_NAME, _REAL, _INT, _OP = _GROUP["name"], _GROUP["real"], _GROUP["int"], _GROUP["op"]
+_NEWLINE, _DOT, _STRING = _GROUP["newline"], _GROUP["dot"], _GROUP["string"]
+_CONTINUATION = _GROUP["continuation"]
 
 
 def tokenize(source: str) -> list[Token]:
-    """Convenience wrapper: lex ``source`` and return the token list."""
-    return Lexer(source).tokenize()
+    """Scan ``source``; the list always ends with a single EOF token."""
+    lines = LineTable(source)
+    tokens: list[Token] = []
+    append = tokens.append
+    IDENT, NEWLINE = TokenKind.IDENT, TokenKind.NEWLINE
+    for match in _TOKEN.finditer(source):
+        group = match.lastindex
+        if group is None:
+            break  # only blanks and a comment were left
+        start, end = match.span(group)
+        if group == _NAME:
+            word = source[start:end].lower()
+            append(Token((KEYWORDS.get(word, IDENT), word, start, end, lines)))
+        elif group == _OP:
+            text = source[start:end]
+            append(Token((_OPERATORS[text], text, start, end, lines)))
+        elif group == _NEWLINE:
+            # Collapse runs of blank lines into one NEWLINE token.
+            if not tokens or tokens[-1][0] is not NEWLINE:
+                append(Token((NEWLINE, "\n", start, end, lines)))
+        elif group == _INT:
+            append(Token((TokenKind.INT, int(source[start:end]), start, end, lines)))
+        elif group == _REAL:
+            value = float(source[start:end].lower().replace("d", "e"))
+            append(Token((TokenKind.REAL, value, start, end, lines)))
+        elif group == _DOT:
+            text = source[start:end].lower()
+            append(Token((DOT_OPERATORS[text], text, start, end, lines)))
+        elif group == _STRING:
+            append(Token((TokenKind.STRING, source[start + 1 : end - 1], start, end, lines)))
+        elif group != _CONTINUATION:
+            raise LexError(_bad_character(source, start), lines.location(start))
+    end = len(source)
+    if tokens and tokens[-1][0] is not NEWLINE:
+        append(Token((NEWLINE, "\n", end, end, lines)))
+    append(Token((TokenKind.EOF, "", end, end, lines)))
+    return tokens
+
+
+def _bad_character(source: str, offset: int) -> str:
+    """The message for a character no token can start with."""
+    ch = source[offset]
+    if ch == "&":
+        return "'&' must end its line"
+    if ch in "'\"":
+        return "unterminated string literal"
+    if ch == ".":
+        return f"unrecognized dot-operator starting {source[offset : offset + 4].lower()!r}"
+    return f"unexpected character {ch!r}"

@@ -59,7 +59,10 @@ class Parser:
     """Parses a token stream into a :class:`CompilationUnit`."""
 
     def __init__(self, tokens: list[Token], source: str = ""):
-        self._tokens = tokens
+        # Two more EOF tokens past the end let _peek(1) and _advance run
+        # without bounds checks; the grammar never advances past EOF.
+        eof = tokens[-1]
+        self._tokens = [*tokens, eof, eof]
         self._pos = 0
         self._source = source
 
@@ -555,17 +558,15 @@ class Parser:
     # -- token-stream helpers -------------------------------------------------
 
     def _peek(self, ahead: int = 0) -> Token:
-        pos = min(self._pos + ahead, len(self._tokens) - 1)
-        return self._tokens[pos]
+        return self._tokens[self._pos + ahead]
 
     def _advance(self) -> Token:
         tok = self._tokens[self._pos]
-        if tok.kind != TokenKind.EOF:
-            self._pos += 1
+        self._pos += 1
         return tok
 
     def _at(self, kind: TokenKind) -> bool:
-        return self._peek().kind == kind
+        return self._tokens[self._pos][0] is kind
 
     def _expect(self, kind: TokenKind) -> Token:
         tok = self._peek()

@@ -8,7 +8,7 @@ lexer; the original spelling survives only through source spans.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.frontend.source import SourceSpan
 
@@ -120,22 +120,29 @@ DOT_OPERATORS: dict[str, TokenKind] = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single lexeme with its source span.
+class Token(tuple):
+    """A single lexeme: the tuple ``(kind, value, start, end, lines)``.
 
     ``value`` holds the normalized payload: the lower-cased name for
     identifiers, an ``int`` for integer literals, a ``float`` for real
-    literals, and the raw text otherwise.
+    literals, and the raw text otherwise. ``start`` and ``end`` are
+    character offsets into the source and ``lines`` is its
+    :class:`~repro.frontend.source.LineTable`, so a token is one tuple
+    and its :class:`SourceSpan` is built only when asked for.
     """
 
-    kind: TokenKind
-    value: object
-    span: SourceSpan
+    __slots__ = ()
+
+    kind = property(itemgetter(0))
+    value = property(itemgetter(1))
 
     @property
     def text(self) -> str:
-        return str(self.value)
+        return str(self[1])
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self[2], self[3], self[4])
 
     def __repr__(self) -> str:
         return f"Token({self.kind.name}, {self.value!r}, {self.span})"

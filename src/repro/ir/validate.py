@@ -173,7 +173,7 @@ def _check_span(operand, source: str, block_id: int, problems: list[str]) -> Non
         if operand.symbol is None:
             return  # by-value expression: no name to cover
         span = operand.span
-        if span.start.offset == span.end.offset:
+        if span.start_offset == span.end_offset:
             return  # synthesized argument
         text = span.extract(source).lower()
         name = operand.symbol.name
@@ -191,7 +191,7 @@ def _check_span(operand, source: str, block_id: int, problems: list[str]) -> Non
     if not isinstance(operand, (VarUse, SSAName)):
         return
     span = operand.span
-    if span.start.offset == span.end.offset:
+    if span.start_offset == span.end_offset:
         return  # synthesized use
     text = span.extract(source).lower()
     if text != operand.symbol.name:

@@ -6,7 +6,7 @@ from repro.analysis.ssa import build_ssa, ensure_global_symbols
 from repro.callgraph import build_call_graph, compute_modref, make_call_effects
 from repro.frontend import parse_program
 from repro.frontend.astnodes import Type
-from repro.frontend.source import span_at
+from repro.frontend.source import SourceSpan
 from repro.frontend.symbols import Symbol, SymbolKind
 from repro.ir import lower_program
 from repro.ir.instructions import (
@@ -339,8 +339,8 @@ class TestOperandIdentity:
     SYMBOL = Symbol("n", SymbolKind.LOCAL, Type.INTEGER)
 
     def test_ssa_names_equal_across_spans(self):
-        first = SSAName(self.SYMBOL, 1, span_at(2, 3, 10, 1))
-        second = SSAName(self.SYMBOL, 1, span_at(5, 7, 42, 1))
+        first = SSAName(self.SYMBOL, 1, SourceSpan(10, 11))
+        second = SSAName(self.SYMBOL, 1, SourceSpan(42, 43))
         assert first.span != second.span
         assert first == second
         assert hash(first) == hash(second)

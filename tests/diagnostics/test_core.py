@@ -12,7 +12,7 @@ from repro.diagnostics import (
     default_registry,
     run_passes,
 )
-from repro.frontend.source import SourceLocation, SourceSpan
+from repro.frontend.source import LineTable, SourceSpan
 
 CLEAN = """
 program main
@@ -28,9 +28,12 @@ end
 """
 
 
+LINE = LineTable("program main\n")
+
+
 def span_at(offset):
-    loc = SourceLocation(line=1, column=offset + 1, offset=offset)
-    return SourceSpan(loc, loc)
+    """An empty span at ``offset`` on the first line of a real source."""
+    return SourceSpan(offset, offset, LINE)
 
 
 class TestSeverity:

@@ -10,14 +10,14 @@ from repro.diagnostics import (
     emit_sarif,
     emit_text,
 )
-from repro.frontend.source import SourceLocation, SourceSpan
+from repro.frontend.source import LineTable, SourceSpan
+
+SOURCE = "program\n  write n\nend\n"
 
 
 def sample_report():
-    span = SourceSpan(
-        SourceLocation(line=2, column=3, offset=10),
-        SourceLocation(line=2, column=8, offset=15),
-    )
+    span = SourceSpan(10, 15, LineTable(SOURCE))  # 'write', 2:3-2:8
+    assert span.extract(SOURCE) == "write"
     return LintReport(
         diagnostics=[
             Diagnostic("RL104", Severity.ERROR, "type clash",
@@ -83,7 +83,9 @@ class TestSarif:
         assert by_rule["RL121"]["level"] == "warning"
         location = by_rule["RL104"]["locations"][0]["physicalLocation"]
         assert location["artifactLocation"]["uri"] == "a.f"
-        assert location["region"]["startLine"] == 2
+        assert location["region"] == {
+            "startLine": 2, "startColumn": 3, "endLine": 2, "endColumn": 8,
+        }
 
     def test_info_maps_to_note(self):
         report = LintReport(

@@ -209,3 +209,47 @@ class TestErrors:
         with pytest.raises(LexError) as exc_info:
             tokenize("ok = 1\nbad @")
         assert exc_info.value.location.line == 2
+
+
+class TestAsciiRule:
+    """Names and numbers are ASCII, as in FORTRAN 77: any other character
+    outside a comment or string literal is a located LexError, never a
+    stray ``ValueError`` or a silently accepted token."""
+
+    @pytest.mark.parametrize(
+        "source,char,location",
+        [
+            ("x = ²", "²", "1:5"),  # a digit to str.isdigit, not to int()
+            ("x = ٣", "٣", "1:5"),  # a decimal digit int() accepts
+            ("n = 1\ncafé = 2", "é", "2:4"),  # a letter to str.isalpha
+            ("x = 1²", "²", "1:6"),
+        ],
+    )
+    def test_non_ascii_is_a_located_lex_error(self, source, char, location):
+        with pytest.raises(LexError) as exc_info:
+            tokenize(source)
+        assert str(exc_info.value) == f"{location}: unexpected character {char!r}"
+
+    def test_non_ascii_in_comments_and_strings_is_kept(self):
+        toks = tokenize("write 'café ²' ! naïve ٣\n")
+        assert [t.kind for t in toks] == [
+            TokenKind.KW_WRITE, TokenKind.STRING, TokenKind.NEWLINE, TokenKind.EOF,
+        ]
+        assert toks[1].value == "café ²"
+
+
+class TestTokenTuple:
+    def test_token_is_kind_value_offsets_and_table(self):
+        source = "a\n  bb = 1"
+        token = tokenize(source)[2]
+        kind, value, start, end, lines = token
+        assert (kind, value, start, end) == (TokenKind.IDENT, "bb", 4, 6)
+        assert token.kind is kind and token.value == value
+        assert token.text == "bb"
+        assert token.span.text_range == (4, 6)
+        assert token.span.lines is lines
+        assert str(token.span) == "2:3-2:5"
+
+    def test_one_line_table_per_call(self):
+        toks = tokenize("a = b\nc = d")
+        assert len({id(t.span.lines) for t in toks}) == 1

@@ -6,11 +6,15 @@ differential soundness audit. Failures here mean a real bug somewhere in
 the stack, which is exactly the point.
 """
 
+import string
+
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import AnalysisConfig, Analyzer, JumpFunctionKind
 from repro.core.config import TABLE2_CONFIGS, TABLE3_CONFIGS
 from repro.core.lattice import is_constant
+from repro.frontend.errors import FrontendError
 from repro.frontend.parser import parse_source
 from repro.frontend.symbols import parse_program
 from repro.frontend.unparse import unparse
@@ -167,3 +171,34 @@ def test_sccp_agrees_with_execution_outputs(source):
         for value in result.constants(proc).values():
             assert is_constant(value)
     assert check_soundness(result, trace) == []
+
+
+#: ASCII punctuation and layout, plus digits, letters, a symbol and a
+#: no-break space from outside ASCII (``²`` and ``٣`` are digits to
+#: ``str.isdigit``).
+MUTATION_CHARS = string.punctuation + " \t\r\n" + "²٣éß€\u00a0"
+
+
+@st.composite
+def mutated_programs(draw) -> str:
+    """A generated program after one random insert, delete or replace."""
+    source = draw(programs())
+    position = draw(st.integers(0, len(source) - 1))
+    edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+    char = draw(st.sampled_from(MUTATION_CHARS))
+    if edit == "insert":
+        return source[:position] + char + source[position:]
+    if edit == "delete":
+        return source[:position] + source[position + 1:]
+    return source[:position] + char + source[position + 1:]
+
+
+@given(source=mutated_programs())
+@FUZZ_SETTINGS
+def test_mutated_source_parses_or_raises_frontend_error(source):
+    """Malformed text is rejected with a FrontendError, never another
+    exception."""
+    try:
+        parse_program(source)
+    except FrontendError:
+        pass

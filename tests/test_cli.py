@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.service import AnalysisService
 
 SOURCE = """
 program main
@@ -71,6 +72,23 @@ class TestAnalyze:
         bad.write_text("program p\nn = \nend\n")
         assert main(["analyze", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_non_ascii_digit_reported_with_location(self, tmp_path, capsys):
+        """``²`` is a digit to ``str.isdigit`` but not to ``int``: analyze,
+        lint and the daemon report it at its line:column."""
+        source = "program p\n  integer x\n  x = ²\nend\n"
+        bad = tmp_path / "bad.f"
+        bad.write_text(source)
+        assert main(["analyze", str(bad)]) == 1
+        assert capsys.readouterr().err.strip() == (
+            "error[frontend]: 3:7: unexpected character '²'"
+        )
+        assert main(["lint", str(bad)]) == 1
+        assert capsys.readouterr().out.splitlines()[0] == (
+            f"{bad}:3:7: error RL000 [frontend] 3:7: unexpected character '²'"
+        )
+        response = AnalysisService().handle({"id": "a", "source": source})
+        assert response["error"] == "error[frontend]: 3:7: unexpected character '²'"
 
     def test_missing_file(self, capsys):
         assert main(["analyze", "/nonexistent.f"]) == 1

@@ -93,18 +93,21 @@ def copy_cfg(cfg: ControlFlowGraph) -> ControlFlowGraph:
     """Copy a CFG deeply enough that SSA construction, or complete
     propagation's DCE, cannot touch ``cfg``.
 
-    New objects: the graph, every block with its ``instrs`` and ``preds``
-    lists, every instruction, every list or dict an instruction holds,
-    and every call :class:`~repro.ir.instructions.Argument` (renaming
-    assigns ``arg.value`` in place). Shared with ``cfg``: everything an
-    instruction holds that is immutable — operands (``Const``, ``Temp``,
-    ``VarUse``, ``SSAName``), ``VarDef``, ``SourceSpan``, enums, tuples,
-    strings and numbers — plus the ``Symbol`` identities both forms name.
-    Sharing is safe because nothing shared is ever mutated: both change
-    only fields of their own blocks, instructions and arguments
-    (``block.instrs = ...``, ``set_dest``, ``replace_uses``). A lowered
-    CFG holds no ``Phi`` or ``CallKill`` (SSA construction adds both
-    after the copy), so no instruction refers to another.
+    New objects: the graph, every block with its ``instrs`` list, every
+    instruction, every list or dict an instruction holds, and every call
+    :class:`~repro.ir.instructions.Argument` (renaming assigns
+    ``arg.value`` in place). Shared with ``cfg``: everything a block or
+    instruction holds that is immutable — the ``preds`` tuples, the
+    ``indices`` tuples of array accesses and arguments, operands
+    (``Const``, ``Temp``, ``VarUse``, ``SSAName``), ``VarDef``,
+    ``SourceSpan``, enums, strings and numbers — plus the ``Symbol``
+    identities both forms name. Sharing is safe because nothing shared
+    is ever mutated: both change only fields of their own blocks,
+    instructions and arguments (``block.instrs = ...``,
+    ``block.preds = ...``, ``set_dest``, ``replace_uses``, which builds
+    a new tuple). A lowered CFG holds no ``Phi`` or ``CallKill`` (SSA
+    construction adds both after the copy), so no instruction refers to
+    another.
     """
     clone = ControlFlowGraph()
     clone.entry_id = cfg.entry_id
@@ -112,7 +115,7 @@ def copy_cfg(cfg: ControlFlowGraph) -> ControlFlowGraph:
     clone._next_id = cfg._next_id
     clone.blocks = {
         block_id: BasicBlock(
-            block_id, [_copy_node(instr) for instr in block.instrs], list(block.preds)
+            block_id, [_copy_node(instr) for instr in block.instrs], block.preds
         )
         for block_id, block in cfg.blocks.items()
     }
@@ -163,6 +166,10 @@ def instrument_call_kills(cfg: ControlFlowGraph, effects: CallEffects) -> None:
 class SSAProcedure:
     """A procedure in SSA form plus renaming metadata.
 
+    The dominator tree construction used is not kept: nothing reads it
+    after renaming, and it costs a dict per block for as long as a cache
+    holds the form.
+
     ``substitutions`` is the record memo of
     :func:`repro.core.substitute.compute_substitutions`: the procedure's
     read-only :class:`~repro.core.substitute.ProcedureSubstitutions` per
@@ -175,7 +182,6 @@ class SSAProcedure:
 
     lowered: LoweredProcedure
     cfg: ControlFlowGraph
-    domtree: DominatorTree
     variables: list[Symbol]
     exit_versions: dict[Symbol, int] = field(default_factory=dict)
     exit_reachable: bool = True
@@ -259,7 +265,6 @@ def build_ssa(
     return SSAProcedure(
         lowered=lowered_proc,
         cfg=cfg,
-        domtree=domtree,
         variables=variables,
         exit_versions=exit_versions,
         exit_reachable=exit_reachable,

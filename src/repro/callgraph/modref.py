@@ -20,6 +20,7 @@ SSA construction consumes (see :mod:`repro.analysis.ssa`).
 
 from __future__ import annotations
 
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 
 from repro.callgraph.graph import CallGraph
@@ -38,14 +39,23 @@ from repro.ir.instructions import (
 from repro.ir.lower import LoweredProgram
 
 
+#: the one empty summary every procedure with nothing to report shares.
+_EMPTY_SUMMARY: frozenset = frozenset()
+
+
 @dataclass
 class ModRefInfo:
-    """MOD/REF summaries for every procedure."""
+    """MOD/REF summaries for every procedure.
 
-    mod_formals: dict[str, set[str]] = field(default_factory=dict)
-    mod_globals: dict[str, set[GlobalId]] = field(default_factory=dict)
-    ref_formals: dict[str, set[str]] = field(default_factory=dict)
-    ref_globals: dict[str, set[GlobalId]] = field(default_factory=dict)
+    The summaries :func:`compute_modref` returns are read-only: each
+    empty one is a single shared empty ``frozenset``, and no caller
+    mutates the others.
+    """
+
+    mod_formals: dict[str, AbstractSet[str]] = field(default_factory=dict)
+    mod_globals: dict[str, AbstractSet[GlobalId]] = field(default_factory=dict)
+    ref_formals: dict[str, AbstractSet[str]] = field(default_factory=dict)
+    ref_globals: dict[str, AbstractSet[GlobalId]] = field(default_factory=dict)
 
     def modifies_formal(self, proc: str, formal: str) -> bool:
         return formal in self.mod_formals.get(proc, ())
@@ -125,6 +135,12 @@ def compute_modref(lowered: LoweredProgram, graph: CallGraph) -> ModRefInfo:
                 changed |= _propagate_site(lowered, caller, call, info)
             if not (recursive and changed):
                 break
+    for summaries in (
+        info.mod_formals, info.mod_globals, info.ref_formals, info.ref_globals
+    ):
+        for name, summary in summaries.items():
+            if not summary:
+                summaries[name] = _EMPTY_SUMMARY
     return info
 
 

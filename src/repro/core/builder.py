@@ -26,8 +26,8 @@ from repro.analysis.ssa import SSAProcedure, build_ssa
 from repro.analysis.valuenum import ValueNumbering, value_number
 from repro.callgraph.modref import ModRefInfo, make_call_effects
 from repro.core.config import AnalysisConfig, JumpFunctionKind
-from repro.core.exprs import ConstExpr, EntryExpr, EntryKey
-from repro.core.jump_functions import CallSiteFunctions, project
+from repro.core.exprs import ConstExpr, EntryExpr, EntryKey, ValueExpr
+from repro.core.jump_functions import CallSiteFunctions, JumpFunction, projected_expr
 from repro.core.returns import ReturnFunctionResult
 from repro.framework.client import FlowBinding, FlowEdge, FlowIndex
 from repro.framework.edges import BottomEdge, ConstantEdge, ExprEdge, IdentityEdge
@@ -76,12 +76,20 @@ def build_support_index(
     interned expression (its memo token), and support-free non-constant
     functions a :class:`~repro.framework.edges.BottomEdge`. Callee keys
     a site binds no function for are killed at seed time.
+
+    The edges share their functions: one call holds one ``ConstantEdge``
+    per constant (keyed by value class too, so ``.true.`` never becomes
+    ``1``) and one ``IdentityEdge``, with its one-key support tuple, per
+    entry key. The engine transfers both shapes without evaluating
+    them, so sharing changes no solver count.
     """
     keys_of = entry_keys(lowered)
     seeds: dict[str, list[FlowEdge]] = defaultdict(list)
     kills: dict[str, list[FlowBinding]] = defaultdict(list)
     dependents: dict[FlowBinding, list[FlowEdge]] = defaultdict(list)
     callees: dict[str, list[str]] = defaultdict(list)
+    constant_edges: dict[tuple[type, object], ConstantEdge] = {}
+    identity_edges: dict[EntryKey, tuple[IdentityEdge, tuple[EntryKey]]] = {}
 
     for site_id, site in sites.items():
         caller, callee = site.caller, site.callee
@@ -95,18 +103,26 @@ def build_support_index(
                 continue  # defensive: arrays/REALs carry no lattice value
             bound.add(key)
             expr = function.expr
-            support = function.support_order()
             const = passthrough = None
             if expr.__class__ is ConstExpr:
                 const = expr.value
-                func = ConstantEdge(const)
+                support = ()
+                typed = (const.__class__, const)
+                func = constant_edges.get(typed)
+                if func is None:
+                    func = constant_edges[typed] = ConstantEdge(const)
             elif expr.__class__ is EntryExpr:
                 passthrough = expr.key
-                func = IdentityEdge(passthrough)
-            elif support:
-                func = ExprEdge(expr, support)
+                shared = identity_edges.get(passthrough)
+                if shared is None:
+                    shared = identity_edges[passthrough] = (
+                        IdentityEdge(passthrough),
+                        (passthrough,),
+                    )
+                func, support = shared
             else:
-                func = _BOTTOM_EDGE
+                support = function.support_order()
+                func = ExprEdge(expr, support) if support else _BOTTOM_EDGE
             edge = FlowEdge(
                 site_id, caller, callee, key, func, support, const, passthrough
             )
@@ -168,10 +184,30 @@ def build_forward_jump_functions(
     ``use_return_jump_functions`` and ``compose_return_functions``: its
     numberings are projected as they are, and the procedures it lacks are
     numbered here and added to it.
+
+    A few projections recur at most call sites (⊥, one identity per
+    entry key, a handful of constants), so the sites of one call share
+    one :class:`~repro.core.jump_functions.JumpFunction` per projected
+    expression. The expressions are hash-consed, and the table keys them
+    by identity: ``ConstExpr(True) == ConstExpr(1)``, but the two are
+    different interned objects.
     """
     result = ForwardFunctions()
     active_modref = modref if config.use_mod else None
     shared = returns.numberings
+    kind = config.jump_function
+    # id(projected expression) -> its JumpFunction (which keeps the
+    # expression, and so its id, alive); ``kind`` is fixed per call.
+    functions: dict[int, JumpFunction] = {}
+
+    def jump_function(
+        expr: ValueExpr, is_literal_actual: bool = False, is_global: bool = False
+    ) -> JumpFunction:
+        projected = projected_expr(expr, kind, is_literal_actual, is_global)
+        function = functions.get(id(projected))
+        if function is None:
+            function = functions[id(projected)] = JumpFunction(projected, kind)
+        return function
 
     scalar_globals = {
         gid: gvar
@@ -217,14 +253,12 @@ def build_forward_jump_functions(
                     and isinstance(arg.value, Const)
                     and arg.value.type in (Type.INTEGER, Type.LOGICAL)
                 )
-                site.formals[formal.name] = project(
-                    expr, config.jump_function, is_literal_actual=is_literal
+                site.formals[formal.name] = jump_function(
+                    expr, is_literal_actual=is_literal
                 )
             for gid, symbol in global_symbols.items():
                 expr = numbering.global_expr_at(call, symbol)
-                site.globals[gid] = project(
-                    expr, config.jump_function, is_global=True
-                )
+                site.globals[gid] = jump_function(expr, is_global=True)
             result.sites[call.site_id] = site
     # Precompute the flow index here, in stage 2, so the sparse engine
     # only pays for propagation (and repeated solves over one

@@ -215,6 +215,12 @@ class Stage0Cache:
     def get(self, source: str | Program) -> Stage0Artifacts:
         """Fetch (or build and remember) the stage-0 bundle for
         ``source``: program text, or a parsed program."""
+        return self.lookup(source)[0]
+
+    def lookup(self, source: str | Program) -> tuple[Stage0Artifacts, bool]:
+        """:meth:`get`, plus whether this lookup was a hit. Threads share
+        the counters, so comparing ``hits`` around a lookup can count
+        another thread's hit as this one's."""
         key = source if isinstance(source, str) else source.source
         if key:
             with self._lock:
@@ -222,7 +228,7 @@ class Stage0Cache:
                 if cached is not None:
                     self.hits += 1
                     self._entries.move_to_end(key)
-                    return cached
+                    return cached, True
                 self.misses += 1
         program = parse_program(source) if isinstance(source, str) else source
         artifacts = build_stage0(program)
@@ -231,7 +237,7 @@ class Stage0Cache:
                 self._entries[key] = artifacts
                 while len(self._entries) > self.maxsize:
                     self._entries.popitem(last=False)
-        return artifacts
+        return artifacts, False
 
     def discard(self, source: str) -> None:
         """Forget the bundle for program text ``source``, if held."""
@@ -843,9 +849,7 @@ def analyze(
     stage0_cached = False
     chaos_point(Stage.LOWERING)
     if cache is not None:
-        hits_before = cache.hits
-        stage0 = cache.get(source)
-        stage0_cached = cache.hits > hits_before
+        stage0, stage0_cached = cache.lookup(source)
         # chaos corruption clobbers the live cache entry, exactly
         # like a real poisoned cache would persist across fetches
         maybe_corrupt_stage0(stage0)

@@ -84,27 +84,40 @@ def project(
     is_global: bool = False,
 ) -> JumpFunction:
     """Project a value-numbering expression onto a jump-function kind."""
+    return JumpFunction(
+        projected_expr(expr, kind, is_literal_actual, is_global), kind
+    )
+
+
+def projected_expr(
+    expr: ValueExpr,
+    kind: JumpFunctionKind,
+    is_literal_actual: bool = False,
+    is_global: bool = False,
+) -> ValueExpr:
+    """The expression :func:`project` wraps: ``expr`` itself, its
+    interned constant, or ⊥."""
     if kind is JumpFunctionKind.LITERAL:
         if is_global or not is_literal_actual or not isinstance(expr, ConstExpr):
-            return JumpFunction(BOTTOM_EXPR, kind)
-        return JumpFunction(expr, kind)
+            return BOTTOM_EXPR
+        return expr
 
     if kind is JumpFunctionKind.INTRAPROCEDURAL:
         value = constant_only_value(expr)
         if is_constant(value):
-            return JumpFunction(const_expr(value), kind)  # type: ignore[arg-type]
-        return JumpFunction(BOTTOM_EXPR, kind)
+            return const_expr(value)  # type: ignore[arg-type]
+        return BOTTOM_EXPR
 
     if kind is JumpFunctionKind.PASS_THROUGH:
         value = constant_only_value(expr)
         if is_constant(value):
-            return JumpFunction(const_expr(value), kind)  # type: ignore[arg-type]
+            return const_expr(value)  # type: ignore[arg-type]
         if isinstance(expr, EntryExpr):
-            return JumpFunction(expr, kind)
-        return JumpFunction(BOTTOM_EXPR, kind)
+            return expr
+        return BOTTOM_EXPR
 
     assert kind is JumpFunctionKind.POLYNOMIAL
-    return JumpFunction(expr, kind)
+    return expr
 
 
 @dataclass(slots=True)

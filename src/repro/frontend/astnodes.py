@@ -240,7 +240,7 @@ class Declarator:
     """One name in a type declaration, with optional constant array dims."""
 
     name: str
-    dims: list[Expr] = field(default_factory=list)
+    dims: tuple[Expr, ...] = ()
     span: SourceSpan = DUMMY_SPAN
 
     @property

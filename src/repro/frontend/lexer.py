@@ -7,7 +7,8 @@ token stream. Design points:
   A trailing ``&`` continues a statement onto the next line (the newline
   is swallowed), mirroring Fortran 90 free-form continuation.
 - ``!`` starts a comment that runs to end of line.
-- Case-insensitive: identifiers and keywords are lower-cased.
+- Case-insensitive: identifiers and keywords are lower-cased, and
+  interned, so every occurrence of a name is one string.
 - Dot-operators (``.and.``, ``.lt.``, ``.true.``, ...) are recognized as
   single tokens, as are the modern comparison spellings (``<=``, ``/=``).
 - A real literal requires a digit on at least one side of the dot and must
@@ -24,6 +25,7 @@ only when a span or an error asks for them.
 from __future__ import annotations
 
 import re
+from sys import intern
 
 from repro.frontend.errors import LexError
 from repro.frontend.source import LineTable
@@ -87,7 +89,7 @@ def tokenize(source: str) -> list[Token]:
             break  # only blanks and a comment were left
         start, end = match.span(group)
         if group == _NAME:
-            word = source[start:end].lower()
+            word = intern(source[start:end].lower())
             append(Token((KEYWORDS.get(word, IDENT), word, start, end, lines)))
         elif group == _OP:
             text = source[start:end]

@@ -218,7 +218,7 @@ class Parser:
                 self._advance()
                 dims.append(self._parse_expr())
             self._expect(TokenKind.RPAREN)
-        return ast.Declarator(name=str(tok.value), dims=dims, span=tok.span)
+        return ast.Declarator(name=str(tok.value), dims=tuple(dims), span=tok.span)
 
     def _parse_data_pair(self) -> tuple[str, ast.Expr]:
         name = self._expect_ident("data name")

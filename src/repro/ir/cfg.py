@@ -3,7 +3,8 @@
 Blocks are identified by small integers; branch instructions name their
 targets by block id, so blocks can be created before their contents are
 known (needed for forward GOTOs). Successors are derived from the block's
-terminator; predecessors are recomputed on demand via :meth:`refresh`.
+terminator; predecessors are recomputed on demand via :meth:`refresh`,
+which leaves each block's ``preds`` as a tuple.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ class BasicBlock:
 
     id: int
     instrs: list[Instr] = field(default_factory=list)
-    preds: list[int] = field(default_factory=list)
+    #: predecessor block ids, in the order :meth:`ControlFlowGraph.refresh`
+    #: found them; replaced, never mutated, so copies may share it.
+    preds: tuple[int, ...] = ()
 
     @property
     def terminator(self) -> Instr | None:
@@ -97,14 +100,15 @@ class ControlFlowGraph:
     # -- derived structure ---------------------------------------------------
 
     def refresh(self) -> None:
-        """Recompute predecessor lists from terminators."""
-        for block in self.blocks.values():
-            block.preds = []
+        """Recompute predecessor tuples from terminators."""
+        preds: dict[int, list[int]] = {block_id: [] for block_id in self.blocks}
         for block in self.blocks.values():
             for succ_id in block.successors():
-                succ = self.blocks[succ_id]
-                if block.id not in succ.preds:
-                    succ.preds.append(block.id)
+                found = preds[succ_id]
+                if block.id not in found:
+                    found.append(block.id)
+        for block_id, block in self.blocks.items():
+            block.preds = tuple(preds[block_id])
 
     def reachable_ids(self) -> set[int]:
         """Block ids reachable from entry."""

@@ -146,7 +146,7 @@ class Argument:
     kind: ArgumentKind
     value: Operand | None = None  # VALUE / VAR / ARRAY_ELEMENT value operand
     symbol: Symbol | None = None  # VAR / ARRAY_ELEMENT / ARRAY symbol
-    indices: list[Operand] = field(default_factory=list)
+    indices: tuple[Operand, ...] = ()  # ARRAY_ELEMENT subscripts
     span: SourceSpan = DUMMY_SPAN
 
     @property
@@ -286,13 +286,13 @@ class LoadArr(_HasDest):
     """``dest = array(indices)`` — value is always ⊥ to the analysis."""
 
     array: Symbol = None  # type: ignore[assignment]
-    indices: list[Operand] = field(default_factory=list)
+    indices: tuple[Operand, ...] = ()
 
     def uses(self) -> list[Operand]:
         return list(self.indices)
 
     def replace_uses(self, mapping) -> None:
-        self.indices = [mapping(i) for i in self.indices]
+        self.indices = tuple(map(mapping, self.indices))
 
 
 @dataclass(slots=True)
@@ -300,14 +300,14 @@ class StoreArr(Instr):
     """``array(indices) = src`` — contributes the array to MOD only."""
 
     array: Symbol = None  # type: ignore[assignment]
-    indices: list[Operand] = field(default_factory=list)
+    indices: tuple[Operand, ...] = ()
     src: Operand = None  # type: ignore[assignment]
 
     def uses(self) -> list[Operand]:
         return [*self.indices, self.src]
 
     def replace_uses(self, mapping) -> None:
-        self.indices = [mapping(i) for i in self.indices]
+        self.indices = tuple(map(mapping, self.indices))
         self.src = mapping(self.src)
 
 
@@ -337,7 +337,7 @@ class Call(_HasDest):
         for arg in self.args:
             if arg.value is not None:
                 arg.value = mapping(arg.value)
-            arg.indices = [mapping(i) for i in arg.indices]
+            arg.indices = tuple(map(mapping, arg.indices))
 
 
 @dataclass(slots=True)
@@ -386,13 +386,13 @@ class ReadArr(Instr):
     """``read array(indices)`` — MODs the array, value untracked."""
 
     array: Symbol = None  # type: ignore[assignment]
-    indices: list[Operand] = field(default_factory=list)
+    indices: tuple[Operand, ...] = ()
 
     def uses(self) -> list[Operand]:
         return list(self.indices)
 
     def replace_uses(self, mapping) -> None:
-        self.indices = [mapping(i) for i in self.indices]
+        self.indices = tuple(map(mapping, self.indices))
 
 
 @dataclass(slots=True)

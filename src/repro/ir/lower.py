@@ -50,8 +50,6 @@ from repro.ir.instructions import (
     VarDef,
     VarUse,
     WriteOut,
-    bool_const,
-    int_const,
 )
 
 _COMPARE_OPS = frozenset({"==", "/=", "<", "<=", ">", ">="})
@@ -114,13 +112,50 @@ def operand_type(operand: Operand) -> ast.Type:
     return operand.symbol.type  # type: ignore[union-attr]
 
 
+class _Leaves:
+    """The immutable operands of one lowering, one object per value.
+
+    Lowering emits a literal or temporary at every occurrence, but a
+    program holds few distinct ones, so one :class:`Const` per (type,
+    value class, value) and one :class:`Temp` per (index, type) serve the
+    whole program. The value class keeps ``.true.`` apart from ``1``
+    (``True == 1`` in Python), and a REAL is keyed by its ``repr`` so
+    ``-0.0`` stays apart from ``0.0``. A table lives for one lowering
+    call; nothing outlives it but the operands the CFGs hold.
+    """
+
+    __slots__ = ("_consts", "_temps")
+
+    def __init__(self) -> None:
+        self._consts: dict[tuple, Const] = {}
+        self._temps: dict[tuple[int, ast.Type], Temp] = {}
+
+    def const(self, value: int | float | bool | str, type_: ast.Type) -> Const:
+        cls = value.__class__
+        key = (type_, cls, repr(value) if cls is float else value)
+        const = self._consts.get(key)
+        if const is None:
+            const = self._consts[key] = Const(value, type_)
+        return const
+
+    def temp(self, index: int, type_: ast.Type) -> Temp:
+        key = (index, type_)
+        temp = self._temps.get(key)
+        if temp is None:
+            temp = self._temps[key] = Temp(index, type_)
+        return temp
+
+
 class _ProcedureLowerer:
     """Lowers one procedure body into a CFG."""
 
-    def __init__(self, procedure: Procedure, site_counter: _SiteCounter):
+    def __init__(
+        self, procedure: Procedure, site_counter: _SiteCounter, leaves: _Leaves
+    ):
         self._proc = procedure
         self._cfg = ControlFlowGraph()
         self._sites = site_counter
+        self._leaves = leaves
         self._temp_index = 0
         self._synth_index = 0
         self._label_blocks: dict[int, BasicBlock] = {}
@@ -153,7 +188,7 @@ class _ProcedureLowerer:
     # -- helpers -------------------------------------------------------------
 
     def _new_temp(self, type_: ast.Type) -> Temp:
-        temp = Temp(self._temp_index, type_)
+        temp = self._leaves.temp(self._temp_index, type_)
         self._temp_index += 1
         return temp
 
@@ -230,7 +265,7 @@ class _ProcedureLowerer:
         value = self._lower_expr(stmt.value)
         if isinstance(stmt.target, ast.ArrayRef):
             symbol = self._symbol(stmt.target.name)
-            indices = [self._lower_expr(i) for i in stmt.target.indices]
+            indices = tuple(map(self._lower_expr, stmt.target.indices))
             value = self._coerce(value, symbol.type)
             self._emit(
                 StoreArr(array=symbol, indices=indices, src=value, span=stmt.span)
@@ -286,10 +321,11 @@ class _ProcedureLowerer:
         first = self._coerce(self._lower_expr(stmt.first), ast.Type.INTEGER)
         last = self._coerce(self._lower_expr(stmt.last), ast.Type.INTEGER)
         if stmt.step is None:
-            step: Operand = int_const(1)
+            step: Operand = self._leaves.const(1, ast.Type.INTEGER)
         else:
             step = self._coerce(self._lower_expr(stmt.step), ast.Type.INTEGER)
 
+        zero = self._leaves.const(0, ast.Type.INTEGER)
         # FORTRAN 77 semantics: trip count fixed at loop entry.
         #   count = max((last - first + step) / step, 0)
         self._emit(Copy(src=first, result=VarDef(induction, stmt.var.span),
@@ -302,7 +338,7 @@ class _ProcedureLowerer:
         self._emit(BinOp(op="/", left=biased, right=step, result=quotient))
         clamped = self._new_temp(ast.Type.INTEGER)
         self._emit(
-            IntrinsicOp(name="max", args=[quotient, int_const(0)], result=clamped)
+            IntrinsicOp(name="max", args=[quotient, zero], result=clamped)
         )
         count_sym = self._new_synthetic("count", ast.Type.INTEGER)
         self._emit(Copy(src=clamped, result=VarDef(count_sym)))
@@ -318,7 +354,7 @@ class _ProcedureLowerer:
         after = self._cfg.new_block()
         self._start_block(header)
         more = self._new_temp(ast.Type.LOGICAL)
-        self._emit(BinOp(op=">", left=VarUse(count_sym), right=int_const(0),
+        self._emit(BinOp(op=">", left=VarUse(count_sym), right=zero,
                          result=more))
         self._emit(CJump(cond=more, if_true=body.id, if_false=after.id))
         self._current = body
@@ -337,7 +373,8 @@ class _ProcedureLowerer:
             )
             next_count = self._new_temp(ast.Type.INTEGER)
             self._current.append(
-                BinOp(op="-", left=VarUse(count_sym), right=int_const(1),
+                BinOp(op="-", left=VarUse(count_sym),
+                      right=self._leaves.const(1, ast.Type.INTEGER),
                       result=next_count)
             )
             self._current.append(Copy(src=next_count, result=VarDef(count_sym)))
@@ -370,7 +407,7 @@ class _ProcedureLowerer:
         for target in stmt.targets:
             if isinstance(target, ast.ArrayRef):
                 symbol = self._symbol(target.name)
-                indices = [self._lower_expr(i) for i in target.indices]
+                indices = tuple(map(self._lower_expr, target.indices))
                 self._emit(ReadArr(array=symbol, indices=indices, span=stmt.span))
             else:
                 symbol = self._symbol(target.name)
@@ -382,21 +419,21 @@ class _ProcedureLowerer:
 
     def _lower_expr(self, expr: ast.Expr) -> Operand:
         if isinstance(expr, ast.IntLit):
-            return int_const(expr.value)
+            return self._leaves.const(expr.value, ast.Type.INTEGER)
         if isinstance(expr, ast.RealLit):
-            return Const(expr.value, ast.Type.REAL)
+            return self._leaves.const(expr.value, ast.Type.REAL)
         if isinstance(expr, ast.LogicalLit):
-            return bool_const(expr.value)
+            return self._leaves.const(expr.value, ast.Type.LOGICAL)
         if isinstance(expr, ast.StringLit):
-            return Const(expr.value, ast.Type.CHARACTER)
+            return self._leaves.const(expr.value, ast.Type.CHARACTER)
         if isinstance(expr, ast.VarRef):
             symbol = self._symbol(expr.name)
             if symbol.kind is SymbolKind.NAMED_CONST:
-                return _const_of(symbol)
+                return self._const_of(symbol)
             return VarUse(symbol, expr.span)
         if isinstance(expr, ast.ArrayRef):
             symbol = self._symbol(expr.name)
-            indices = [self._lower_expr(i) for i in expr.indices]
+            indices = tuple(map(self._lower_expr, expr.indices))
             temp = self._new_temp(symbol.type)
             self._emit(LoadArr(array=symbol, indices=indices, result=temp,
                                span=expr.span))
@@ -446,7 +483,9 @@ class _ProcedureLowerer:
             symbol = self._symbol(expr.name)
             if symbol.kind is SymbolKind.NAMED_CONST:
                 return Argument(
-                    kind=ArgumentKind.VALUE, value=_const_of(symbol), span=expr.span
+                    kind=ArgumentKind.VALUE,
+                    value=self._const_of(symbol),
+                    span=expr.span,
                 )
             if symbol.is_array:
                 return Argument(kind=ArgumentKind.ARRAY, symbol=symbol,
@@ -459,7 +498,7 @@ class _ProcedureLowerer:
             )
         if isinstance(expr, ast.ArrayRef):
             symbol = self._symbol(expr.name)
-            indices = [self._lower_expr(i) for i in expr.indices]
+            indices = tuple(map(self._lower_expr, expr.indices))
             temp = self._new_temp(symbol.type)
             self._emit(LoadArr(array=symbol, indices=indices, result=temp,
                                span=expr.span))
@@ -472,6 +511,15 @@ class _ProcedureLowerer:
             )
         value = self._lower_expr(expr)
         return Argument(kind=ArgumentKind.VALUE, value=value, span=expr.span)
+
+    def _const_of(self, symbol: Symbol) -> Const:
+        value = symbol.const_value
+        if isinstance(value, bool):
+            return self._leaves.const(value, ast.Type.LOGICAL)
+        if isinstance(value, int):
+            return self._leaves.const(value, ast.Type.INTEGER)
+        assert isinstance(value, float)
+        return self._leaves.const(value, ast.Type.REAL)
 
 
 _KNOWN_INTRINSIC_TYPES = {
@@ -501,16 +549,6 @@ def _binop_type(op: str, left: Operand, right: Operand) -> ast.Type:
     return ast.Type.INTEGER
 
 
-def _const_of(symbol: Symbol) -> Const:
-    value = symbol.const_value
-    if isinstance(value, bool):
-        return bool_const(value)
-    if isinstance(value, int):
-        return int_const(value)
-    assert isinstance(value, float)
-    return Const(value, ast.Type.REAL)
-
-
 class _SiteCounter:
     """Allocates program-unique call-site ids; knows function return types."""
 
@@ -532,15 +570,18 @@ class _SiteCounter:
 
 def lower_procedure(procedure: Procedure, program: Program) -> LoweredProcedure:
     """Lower a single procedure (ids are only unique within this call)."""
-    return _ProcedureLowerer(procedure, _SiteCounter(program)).lower()
+    return _ProcedureLowerer(procedure, _SiteCounter(program), _Leaves()).lower()
 
 
 def lower_program(program: Program) -> LoweredProgram:
-    """Lower every procedure; assign program-unique call-site ids."""
+    """Lower every procedure; assign program-unique call-site ids. The
+    procedures share one :class:`Const` per literal value and one
+    :class:`Temp` per (index, type)."""
     counter = _SiteCounter(program)
+    leaves = _Leaves()
     procedures: dict[str, LoweredProcedure] = {}
     for name, proc in program.procedures.items():
-        procedures[name] = _ProcedureLowerer(proc, counter).lower()
+        procedures[name] = _ProcedureLowerer(proc, counter, leaves).lower()
     lowered = LoweredProgram(program=program, procedures=procedures)
     _check_argument_shapes(lowered)
     return lowered

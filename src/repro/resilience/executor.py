@@ -86,8 +86,9 @@ class SweepOutcome:
     executed_cells: int = 0
     #: task re-attempts across all programs.
     retries: int = 0
-    #: stage-0 cache hits and misses of the executed cells, each counted
-    #: in the process that ran it.
+    #: stage-0 cache hits and misses of the analyses the executed cells
+    #: ran, each counted in the process that ran it (cells of equal
+    #: configurations share one analysis, counted once).
     cache_counters: dict[str, int] = field(default_factory=dict)
     #: the config names every program was asked to run.
     expected_configs: tuple[str, ...] = ()
@@ -139,6 +140,11 @@ def _run_task(item) -> _TaskResult:
     program that only dies under ``complete`` mode still fills its other
     columns. Chaos worker-kills are *not* guarded — they must surface as
     worker loss, which is their whole point.
+
+    Equal configurations under different names (Table 3's
+    ``polynomial_with_mod`` is Table 2's ``polynomial``) are analyzed
+    once: every later name gets the first one's summary, or its own
+    failure record for the first one's exception.
     """
     name, source, config_items, attempt, spec, in_worker, store_path = item
     if spec is not None:
@@ -159,22 +165,31 @@ def _run_task(item) -> _TaskResult:
                 for config_name, _ in config_items
             )
             return _TaskResult(name, cells, failures)
+        # config -> its summary, or the exception it raised and when.
+        runs: dict[AnalysisConfig, SweepSummary | tuple[Exception, float]] = {}
         for config_name, config in config_items:
-            start = time.perf_counter()
-            try:
-                result = analyze(
-                    program, config,
-                    store=store, incremental=store is not None,
-                )
-            except Exception as exc:
+            run = runs.get(config)
+            if run is None:
+                start = time.perf_counter()
+                try:
+                    run = summarize(
+                        analyze(
+                            program, config,
+                            store=store, incremental=store is not None,
+                        )
+                    )
+                except Exception as exc:
+                    run = (exc, time.perf_counter() - start)
+                runs[config] = run
+            if isinstance(run, SweepSummary):
+                cells[config_name] = run
+            else:
+                exc, elapsed = run
                 failures.append(
                     FailureRecord.from_exception(
-                        name, config_name, exc, attempt,
-                        elapsed=time.perf_counter() - start,
+                        name, config_name, exc, attempt, elapsed=elapsed
                     )
                 )
-                continue
-            cells[config_name] = summarize(result)
         return _TaskResult(name, cells, failures)
     finally:
         if spec is not None:
@@ -342,14 +357,17 @@ def run_sweep(
             result = results.get(name, _LOST)
             failed_configs: list[str]
             if isinstance(result, _TaskResult):
+                counted: set[int] = set()
                 for config_name, cell in result.cells.items():
                     outcome.summaries[name][config_name] = cell
                     outcome.executed_cells += 1
-                    key = (
-                        "stage0_cache_hits" if cell.stage0_cached
-                        else "stage0_cache_misses"
-                    )
-                    outcome.cache_counters[key] += 1
+                    if id(cell) not in counted:
+                        counted.add(id(cell))
+                        key = (
+                            "stage0_cache_hits" if cell.stage0_cached
+                            else "stage0_cache_misses"
+                        )
+                        outcome.cache_counters[key] += 1
                     if journal is not None:
                         journal.record_cell(name, config_name, cell)
                 for record in result.failures:

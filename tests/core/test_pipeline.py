@@ -85,6 +85,18 @@ class TestStage0Cache:
         flags = [r.stage0_cached for r in results.values()]
         assert flags.count(False) == 1 and flags.count(True) == len(flags) - 1
 
+    def test_stage0_cached_reports_this_lookups_hit(self, monkeypatch):
+        cache = Stage0Cache()
+        parse = driver.parse_program
+
+        def parse_during_another_hit(text):
+            cache.hits += 1  # another thread's hit lands during this miss
+            return parse(text)
+
+        monkeypatch.setattr(driver, "parse_program", parse_during_another_hit)
+        assert analyze(PROGRAM, cache=cache).stage0_cached is False
+        assert analyze(PROGRAM, cache=cache).stage0_cached is True
+
     def test_artifacts_shared_across_configs(self):
         analyzer = Analyzer(PROGRAM, cache=Stage0Cache())
         results = analyzer.sweep(TABLE2_CONFIGS)

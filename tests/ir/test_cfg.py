@@ -86,7 +86,7 @@ class TestGraph:
     def test_predecessors(self):
         cfg, entry, left, right, join, exit_block = make_diamond()
         assert sorted(join.preds) == sorted([left.id, right.id])
-        assert exit_block.preds == [join.id]
+        assert exit_block.preds == (join.id,)
 
     def test_reachable_ids(self):
         cfg, entry, *_ = make_diamond()

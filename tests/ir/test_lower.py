@@ -200,7 +200,7 @@ class TestControlFlow:
     def test_stop_does_not_reach_exit(self):
         proc = lower_main(["stop"])
         proc.cfg.refresh()
-        assert proc.cfg.exit.preds == []
+        assert proc.cfg.exit.preds == ()
 
     def test_labelled_statement_reachable_both_ways(self):
         proc = lower_main(

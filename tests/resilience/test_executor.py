@@ -7,11 +7,17 @@ behaviours (real worker kills, wall-clock timeouts) live in
 
 import pytest
 
-from repro.core.config import AnalysisConfig, JumpFunctionKind
+from repro.core.config import (
+    TABLE2_CONFIGS,
+    TABLE3_CONFIGS,
+    AnalysisConfig,
+    JumpFunctionKind,
+)
 from repro.core.driver import GLOBAL_STAGE0_CACHE, SweepError, sweep_programs
 from repro.resilience import chaos
 from repro.resilience.chaos import ChaosSpec, Fault
 from repro.resilience.errors import FailureKind, Stage
+from repro.resilience import executor
 from repro.resilience.executor import SweepPolicy, run_sweep
 from repro.resilience.journal import SweepJournal, sweep_fingerprint
 
@@ -257,3 +263,53 @@ class TestDegradationsInSweep:
         assert any("RL51" in d for d in budgeted.degradations)
         assert outcome.summaries["good"]["healthy"].degradations == ()
         assert outcome.degradation_count() >= 1
+
+
+class TestEqualConfigurations:
+    """Table 3's ``polynomial_with_mod`` equals Table 2's ``polynomial``:
+    a sweep analyzes it once and reports it under both names."""
+
+    TABLES = {**TABLE2_CONFIGS, **TABLE3_CONFIGS}
+
+    def _count_analyses(self, monkeypatch, fail_on=None):
+        calls = []
+        analyze = executor.analyze
+
+        def counting(program, config, **kwargs):
+            calls.append(config)
+            if config == fail_on:
+                raise RuntimeError("boom")
+            return analyze(program, config, **kwargs)
+
+        monkeypatch.setattr(executor, "analyze", counting)
+        return calls
+
+    def test_equal_configurations_run_once(self, monkeypatch):
+        calls = self._count_analyses(monkeypatch)
+        outcome = run_sweep({"good": GOOD, "other": OTHER}, self.TABLES)
+        assert outcome.complete
+        assert len(self.TABLES) == 10
+        assert len(calls) == 2 * 9
+        for cells in outcome.summaries.values():
+            assert cells["polynomial_with_mod"] == cells["polynomial"]
+        assert outcome.executed_cells == 2 * 10
+        assert outcome.cache_counters == {
+            "stage0_cache_hits": 2 * 8,
+            "stage0_cache_misses": 2,
+        }
+
+    def test_failure_yields_one_record_per_name(self, monkeypatch):
+        calls = self._count_analyses(
+            monkeypatch, fail_on=TABLE2_CONFIGS["polynomial"]
+        )
+        outcome = run_sweep(
+            {"good": GOOD},
+            self.TABLES,
+            SweepPolicy(max_retries=0, backoff_base=0.0),
+        )
+        assert len(calls) == 9
+        assert sorted(f.config for f in outcome.failures if f.config) == [
+            "polynomial",
+            "polynomial_with_mod",
+        ]
+        assert outcome.quarantined == ("good",)

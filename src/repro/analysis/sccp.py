@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro import semantics
 from repro.analysis.ssa import SSAProcedure
+from repro.core.exprs import fold_constant
 from repro.core.lattice import BOTTOM, TOP, LatticeValue, is_constant, meet_all
 from repro.frontend.astnodes import Type
 from repro.frontend.symbols import Symbol
@@ -83,18 +83,7 @@ def _fold(op: str, arity: str, args: list[LatticeValue]) -> LatticeValue:
         return BOTTOM
     if any(a is TOP for a in args):
         return TOP
-    try:
-        if arity == "bin":
-            result = semantics.apply_binary(op, args[0], args[1])
-        elif arity == "un":
-            result = semantics.apply_unary(op, args[0])
-        else:
-            result = semantics.apply_intrinsic(op, args)
-    except (semantics.EvalError, OverflowError, ValueError):
-        return BOTTOM
-    if isinstance(result, (bool, int)):
-        return result
-    return BOTTOM
+    return fold_constant(op, arity, args)
 
 
 def run_sccp(

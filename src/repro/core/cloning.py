@@ -13,7 +13,9 @@ of constants their jump functions produce under the final VAL sets →
 clone the procedure's source text once per additional group (the first
 group keeps the original) → rewrite the callee names at the cloned sites
 (the IR remembers each call's name span) → re-analyze the transformed
-program.
+program. Both rewrites are :func:`~repro.frontend.source.splice` edits
+of the original text: a clone is its callee's own unit text with the
+header name, and a FUNCTION's result variable, renamed.
 
 Cloning is bounded by ``max_clones_per_procedure`` and only triggered
 when a group actually recovers at least one constant that the merged
@@ -22,14 +24,13 @@ analysis lost.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 from repro.core.config import AnalysisConfig
 from repro.core.driver import AnalysisResult, analyze
 from repro.core.lattice import is_constant
-from repro.frontend.source import SourceSpan
-from repro.frontend.unparse import unparse_procedure
+from repro.frontend import astnodes as ast
+from repro.frontend.source import SourceSpan, splice
 
 
 @dataclass
@@ -149,11 +150,37 @@ def plan_clone_groups(
     return groups
 
 
+def _own_name_spans(unit: ast.ProcedureDef) -> list[SourceSpan]:
+    """Where a unit's text names the unit itself: the header, and in a
+    FUNCTION every name the resolver binds to the result variable (type
+    and DIMENSION declarators and scalar references). ``f(...)`` inside
+    ``f`` is a self-recursive call and ``/f/`` a COMMON block; neither
+    is the result, so both keep their text."""
+    spans = [unit.name_span]
+    if not unit.is_function:
+        return spans
+    spans.extend(
+        declarator.span
+        for decl in unit.decls
+        if isinstance(decl, (ast.TypeDecl, ast.DimensionDecl))
+        for declarator in decl.declarators
+        if declarator.name == unit.name
+    )
+    for stmt in ast.walk_stmts(unit.body):
+        for expr in ast.stmt_exprs(stmt):
+            spans.extend(
+                node.span
+                for node in ast.walk_expr(expr)
+                if isinstance(node, ast.VarRef) and node.name == unit.name
+            )
+    return spans
+
+
 def apply_clones(result: AnalysisResult, groups: list[CloneGroup]) -> str:
     """Rewrite the source: rename call sites and append clone bodies."""
     source = result.program.source
-    replacements: list[tuple[SourceSpan, str]] = []
-    cloned_procs: list[str] = []
+    renames: list[tuple[SourceSpan, str]] = []
+    clones: list[str] = []
     for group in groups:
         if group.clone_name is None:
             continue
@@ -163,21 +190,18 @@ def apply_clones(result: AnalysisResult, groups: list[CloneGroup]) -> str:
             assert span.start_offset != span.end_offset, (
                 f"call site {site_id} has no callee span"
             )
-            replacements.append((span, group.clone_name))
-        proc_ast = copy.deepcopy(
-            result.lowered.procedures[group.callee].procedure.ast
+            renames.append((span, group.clone_name))
+        unit = result.program.procedure(group.callee).ast
+        clones.append(
+            splice(
+                source,
+                ((span, group.clone_name) for span in _own_name_spans(unit)),
+                unit.span,
+            )
         )
-        proc_ast.name = group.clone_name
-        cloned_procs.append(unparse_procedure(proc_ast))
-
-    text = source
-    for span, name in sorted(
-        replacements, key=lambda pair: pair[0].start_offset, reverse=True
-    ):
-        start, end = span.text_range
-        text = text[:start] + name + text[end:]
-    if cloned_procs:
-        text = text.rstrip("\n") + "\n\n" + "\n\n".join(cloned_procs) + "\n"
+    text = splice(source, renames)
+    if clones:
+        text = text.rstrip("\n") + "\n\n" + "\n\n".join(clones) + "\n"
     return text
 
 

@@ -248,7 +248,7 @@ class OpExpr(ValueExpr):
                 return BOTTOM
             if left is TOP or right is TOP:
                 return TOP
-            return _fold("*", "bin", [left, right])
+            return fold_constant("*", "bin", [left, right])
         values = []
         saw_top = False
         for arg in self.args:
@@ -260,7 +260,7 @@ class OpExpr(ValueExpr):
             values.append(value)
         if saw_top:
             return TOP
-        return _fold(self.op, self.arity, values)
+        return fold_constant(self.op, self.arity, values)
 
     @property
     def size(self) -> int:
@@ -304,7 +304,10 @@ class _BottomExpr(ValueExpr):
 BOTTOM_EXPR = _BottomExpr()
 
 
-def _fold(op: str, arity: str, values: list) -> LatticeValue:
+def fold_constant(op: str, arity: str, values: list) -> LatticeValue:
+    """Apply ``op`` to constant operands with the FORTRAN semantics of
+    :mod:`repro.semantics`. A fold that raises, and any result that is
+    not INTEGER or LOGICAL, is ⊥. Callers handle ⊤/⊥ operands first."""
     try:
         if arity == "bin":
             result = semantics.apply_binary(op, values[0], values[1])
@@ -314,9 +317,7 @@ def _fold(op: str, arity: str, values: list) -> LatticeValue:
             result = semantics.apply_intrinsic(op, values)
     except (semantics.EvalError, OverflowError, ValueError):
         return BOTTOM
-    if isinstance(result, bool):
-        return result
-    if isinstance(result, int):
+    if isinstance(result, int):  # LOGICAL too: bool is an int
         return result
     return BOTTOM  # REAL results are never constants (paper §4)
 
@@ -374,7 +375,7 @@ def make_binary(op: str, left: ValueExpr, right: ValueExpr) -> ValueExpr:
     if left.is_bottom or right.is_bottom:
         return BOTTOM_EXPR
     if isinstance(left, ConstExpr) and isinstance(right, ConstExpr):
-        folded = _fold(op, "bin", [left.value, right.value])
+        folded = fold_constant(op, "bin", [left.value, right.value])
         if folded is BOTTOM:
             return BOTTOM_EXPR
         return const_expr(folded)  # type: ignore[arg-type]
@@ -415,7 +416,7 @@ def make_unary(op: str, operand: ValueExpr) -> ValueExpr:
     if operand.is_bottom:
         return BOTTOM_EXPR
     if isinstance(operand, ConstExpr):
-        folded = _fold(op, "un", [operand.value])
+        folded = fold_constant(op, "un", [operand.value])
         if folded is BOTTOM:
             return BOTTOM_EXPR
         return const_expr(folded)  # type: ignore[arg-type]
@@ -436,7 +437,7 @@ def make_intrinsic(name: str, args: list[ValueExpr]) -> ValueExpr:
     if any(arg.is_bottom for arg in args):
         return BOTTOM_EXPR
     if all(isinstance(arg, ConstExpr) for arg in args):
-        folded = _fold(name, "intrinsic", [a.value for a in args])  # type: ignore[union-attr]
+        folded = fold_constant(name, "intrinsic", [a.value for a in args])  # type: ignore[union-attr]
         if folded is BOTTOM:
             return BOTTOM_EXPR
         return const_expr(folded)  # type: ignore[arg-type]
@@ -474,7 +475,7 @@ def constant_only_value(expr: ValueExpr) -> LatticeValue:
 # functions through closures instead of the ``evaluate`` tree walk: leaves
 # become slot-reading lambdas and operator nodes become closures over their
 # operand kernels with the lattice short-circuits inlined. Kernels fold
-# through ``_fold``, so compiled and tree-walk evaluation are
+# through ``fold_constant``, so compiled and tree-walk evaluation are
 # value-identical by construction (including the multiplicative
 # absorption rule above).
 
@@ -507,7 +508,7 @@ def _compile_op(expr: OpExpr, kernels):
             return mul_kernel
         if op == "+":
             # On lattice constants (int/bool only) ``+`` and ``-`` cannot
-            # raise and always produce int, so the ``_fold`` dispatch
+            # raise and always produce int, so the ``fold_constant`` dispatch
             # inlines away — most of the kernel speedup comes from here.
 
             def add_kernel(env):
@@ -546,7 +547,7 @@ def _compile_op(expr: OpExpr, kernels):
                 return BOTTOM
             if a is TOP or b is TOP:
                 return TOP
-            return _fold(op, "bin", [a, b])
+            return fold_constant(op, "bin", [a, b])
 
         return bin_kernel
     if arity == "un":
@@ -558,7 +559,7 @@ def _compile_op(expr: OpExpr, kernels):
                 return BOTTOM
             if a is TOP:
                 return TOP
-            return _fold(op, "un", [a])
+            return fold_constant(op, "un", [a])
 
         return un_kernel
 
@@ -574,7 +575,7 @@ def _compile_op(expr: OpExpr, kernels):
             values.append(value)
         if saw_top:
             return TOP
-        return _fold(op, arity, values)
+        return fold_constant(op, arity, values)
 
     return intrinsic_kernel
 

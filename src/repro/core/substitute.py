@@ -28,7 +28,7 @@ from repro.analysis.ssa import SSAProcedure
 from repro.analysis.valuenum import entry_key_of
 from repro.core.lattice import BOTTOM, LatticeValue, is_constant
 from repro.core.solver import SolveResult
-from repro.frontend.source import SourceSpan
+from repro.frontend.source import SourceSpan, splice
 from repro.frontend.symbols import Symbol
 from repro.ir.instructions import Phi, SSAName
 
@@ -217,11 +217,7 @@ def format_constant(value: LatticeValue) -> str:
 def transform_source(source: str, report: SubstitutionReport) -> str:
     """Splice the substituted constants into the program text —
     the paper's optional transformed-source output."""
-    replacements = sorted(
-        report.replacements(), key=lambda pair: pair[0].start_offset, reverse=True
+    return splice(
+        source,
+        ((span, format_constant(value)) for span, value in report.replacements()),
     )
-    text = source
-    for span, value in replacements:
-        start, end = span.text_range
-        text = text[:start] + format_constant(value) + text[end:]
-    return text

@@ -169,7 +169,7 @@ def _has_call(body) -> bool:
     for stmt in ast.walk_stmts(body):
         if isinstance(stmt, ast.CallStmt):
             return True
-        for expr in _stmt_exprs(stmt):
+        for expr in ast.stmt_exprs(stmt):
             for node in ast.walk_expr(expr):
                 if isinstance(node, ast.FunctionCall):
                     from repro.frontend.symbols import INTRINSICS
@@ -177,23 +177,6 @@ def _has_call(body) -> bool:
                     if node.name not in INTRINSICS:
                         return True
     return False
-
-
-def _stmt_exprs(stmt):
-    if isinstance(stmt, ast.Assign):
-        return [stmt.value]
-    if isinstance(stmt, ast.IfStmt):
-        return [stmt.cond]
-    if isinstance(stmt, ast.DoLoop):
-        exprs = [stmt.first, stmt.last]
-        if stmt.step is not None:
-            exprs.append(stmt.step)
-        return exprs
-    if isinstance(stmt, ast.DoWhile):
-        return [stmt.cond]
-    if isinstance(stmt, ast.WriteStmt):
-        return list(stmt.values)
-    return []
 
 
 def _reduction_targets(body) -> set[str]:

@@ -294,7 +294,12 @@ class ParameterDecl(Decl):
 
 @dataclass
 class ProcedureDef:
-    """One program unit: PROGRAM, SUBROUTINE, or FUNCTION."""
+    """One program unit: PROGRAM, SUBROUTINE, or FUNCTION.
+
+    ``span`` covers the unit's text from its header to its ``end``;
+    ``name_span`` covers exactly the name in the header (procedure
+    cloning copies the one and renames the other).
+    """
 
     kind: ProcedureKind
     name: str
@@ -303,6 +308,7 @@ class ProcedureDef:
     decls: list[Decl] = field(default_factory=list)
     body: list[Stmt] = field(default_factory=list)
     span: SourceSpan = DUMMY_SPAN
+    name_span: SourceSpan = DUMMY_SPAN
 
     @property
     def is_function(self) -> bool:
@@ -340,6 +346,28 @@ def walk_expr(expr: Expr):
         children = expr.args if isinstance(expr, FunctionCall) else expr.indices
         for child in children:
             yield from walk_expr(child)
+
+
+def stmt_exprs(stmt: Stmt) -> list[Expr]:
+    """The expressions ``stmt`` holds itself — targets and the DO variable
+    included, nested statements' expressions not. Read-only: the list may
+    be the statement's own."""
+    if isinstance(stmt, Assign):
+        return [stmt.target, stmt.value]
+    if isinstance(stmt, (IfStmt, DoWhile)):
+        return [stmt.cond]
+    if isinstance(stmt, DoLoop):
+        exprs = [stmt.var, stmt.first, stmt.last]
+        if stmt.step is not None:
+            exprs.append(stmt.step)
+        return exprs
+    if isinstance(stmt, CallStmt):
+        return stmt.args
+    if isinstance(stmt, ReadStmt):
+        return stmt.targets  # type: ignore[return-value]
+    if isinstance(stmt, WriteStmt):
+        return stmt.values
+    return []
 
 
 def walk_stmts(stmts: list[Stmt]):

@@ -80,54 +80,39 @@ class Parser:
 
     def _parse_procedure(self) -> ast.ProcedureDef:
         start = self._peek().span
+        return_type = None
         if self._at(TokenKind.KW_PROGRAM):
-            self._advance()
-            name = self._expect_ident("program name")
-            self._expect_newline()
-            decls, body = self._parse_body()
-            end_span = self._expect(TokenKind.KW_END).span
-            return ast.ProcedureDef(
-                kind=ast.ProcedureKind.PROGRAM,
-                name=name,
-                decls=decls,
-                body=body,
-                span=start.merge(end_span),
-            )
-        if self._at(TokenKind.KW_SUBROUTINE):
-            self._advance()
-            name = self._expect_ident("subroutine name")
-            params = self._parse_param_list(optional=True)
-            self._expect_newline()
-            decls, body = self._parse_body()
-            end_span = self._expect(TokenKind.KW_END).span
-            return ast.ProcedureDef(
-                kind=ast.ProcedureKind.SUBROUTINE,
-                name=name,
-                params=params,
-                decls=decls,
-                body=body,
-                span=start.merge(end_span),
-            )
-        if self._peek().kind in _TYPE_KEYWORDS and self._peek(1).kind == TokenKind.KW_FUNCTION:
+            kind = ast.ProcedureKind.PROGRAM
+        elif self._at(TokenKind.KW_SUBROUTINE):
+            kind = ast.ProcedureKind.SUBROUTINE
+        elif self._peek().kind in _TYPE_KEYWORDS and self._peek(1).kind == TokenKind.KW_FUNCTION:
+            kind = ast.ProcedureKind.FUNCTION
             return_type = _TYPE_KEYWORDS[self._advance().kind]
-            self._expect(TokenKind.KW_FUNCTION)
-            name = self._expect_ident("function name")
-            params = self._parse_param_list(optional=False)
-            self._expect_newline()
-            decls, body = self._parse_body()
-            end_span = self._expect(TokenKind.KW_END).span
-            return ast.ProcedureDef(
-                kind=ast.ProcedureKind.FUNCTION,
-                name=name,
-                params=params,
-                return_type=return_type,
-                decls=decls,
-                body=body,
-                span=start.merge(end_span),
+        else:
+            raise ParseError(
+                f"expected a program unit, found {self._peek().text!r}",
+                self._peek().span.start,
             )
-        raise ParseError(
-            f"expected a program unit, found {self._peek().text!r}",
-            self._peek().span.start,
+        self._advance()
+        name_span = self._peek().span
+        name = self._expect_ident(f"{kind.value} name")
+        params = (
+            []
+            if kind is ast.ProcedureKind.PROGRAM
+            else self._parse_param_list(optional=kind is ast.ProcedureKind.SUBROUTINE)
+        )
+        self._expect_newline()
+        decls, body = self._parse_body()
+        end_span = self._expect(TokenKind.KW_END).span
+        return ast.ProcedureDef(
+            kind=kind,
+            name=name,
+            params=params,
+            return_type=return_type,
+            decls=decls,
+            body=body,
+            span=start.merge(end_span),
+            name_span=name_span,
         )
 
     def _parse_param_list(self, optional: bool) -> list[str]:

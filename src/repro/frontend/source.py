@@ -1,9 +1,12 @@
 """Source locations and spans.
 
 Every token and every AST node that names a variable carries a span back
-into the original text. The substitution stage (``repro.core.substitute``)
-relies on these spans to splice constant literals into the program source,
-reproducing the paper's "transformed version of the original source".
+into the original text. :func:`splice` is the one way the program writes
+source: the substitution stage (``repro.core.substitute``) splices
+constant literals into the program text, reproducing the paper's
+"transformed version of the original source", and procedure cloning
+(``repro.core.cloning``) splices clone names into call sites and into
+copies of the cloned units' own text.
 
 A span is two character offsets plus the :class:`LineTable` of its
 source. Splicing needs only the offsets; line and column are computed
@@ -15,6 +18,8 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import Iterable
 
 
 @dataclass(frozen=True, order=True)
@@ -94,12 +99,35 @@ class SourceSpan:
             self.lines or other.lines,
         )
 
-    def __deepcopy__(self, memo) -> "SourceSpan":
-        return self  # immutable; a copied AST keeps its source's table
-
     def __str__(self) -> str:
         return f"{self.start}-{self.end}"
 
 
 DUMMY_SPAN = SourceSpan(0, 0)
 """Span used for synthesized nodes that have no source counterpart."""
+
+
+def splice(
+    source: str,
+    edits: Iterable[tuple[SourceSpan, str]],
+    region: SourceSpan | None = None,
+) -> str:
+    """``source``, or the part of it ``region`` covers, with the text of
+    every edit's span replaced by the edit's string.
+
+    One left-to-right pass over the edits in span order copies each
+    character of the text once. Every span must lie inside ``region``,
+    and no two spans may overlap: no order of applying overlapping edits
+    is right, so they raise :class:`ValueError`.
+    """
+    start, end = (0, len(source)) if region is None else region.text_range
+    pieces = []
+    cursor = start
+    for span, text in sorted(edits, key=itemgetter(0)):
+        if span.start_offset < cursor or span.end_offset > end:
+            raise ValueError(f"edit at {span} overlaps another or leaves the region")
+        pieces.append(source[cursor : span.start_offset])
+        pieces.append(text)
+        cursor = span.end_offset
+    pieces.append(source[cursor:end])
+    return "".join(pieces)

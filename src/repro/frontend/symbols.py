@@ -784,39 +784,10 @@ def _calls_in_stmt(stmt: ast.Stmt, procedures: dict[str, Procedure]):
     """Yield (callee, args, span) for every call appearing in ``stmt``."""
     if isinstance(stmt, ast.CallStmt):
         yield (stmt.name, stmt.args, stmt.span)
-        exprs = list(stmt.args)
-    else:
-        exprs = _exprs_of_stmt(stmt)
-    for expr in exprs:
+    for expr in ast.stmt_exprs(stmt):
         for node in ast.walk_expr(expr):
             if isinstance(node, ast.FunctionCall) and node.name in procedures:
                 yield (node.name, node.args, node.span)
-
-
-def _exprs_of_stmt(stmt: ast.Stmt) -> list[ast.Expr]:
-    if isinstance(stmt, ast.Assign):
-        exprs: list[ast.Expr] = [stmt.value]
-        if isinstance(stmt.target, ast.ArrayRef):
-            exprs.extend(stmt.target.indices)
-        return exprs
-    if isinstance(stmt, ast.IfStmt):
-        return [stmt.cond]
-    if isinstance(stmt, ast.DoLoop):
-        exprs = [stmt.first, stmt.last]
-        if stmt.step is not None:
-            exprs.append(stmt.step)
-        return exprs
-    if isinstance(stmt, ast.DoWhile):
-        return [stmt.cond]
-    if isinstance(stmt, ast.WriteStmt):
-        return list(stmt.values)
-    if isinstance(stmt, ast.ReadStmt):
-        exprs = []
-        for target in stmt.targets:
-            if isinstance(target, ast.ArrayRef):
-                exprs.extend(target.indices)
-        return exprs
-    return []
 
 
 def parse_program(source: str) -> Program:

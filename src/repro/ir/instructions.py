@@ -54,10 +54,6 @@ def int_const(value: int) -> Const:
     return Const(value, Type.INTEGER)
 
 
-def real_const(value: float) -> Const:
-    return Const(value, Type.REAL)
-
-
 def bool_const(value: bool) -> Const:
     return Const(value, Type.LOGICAL)
 
@@ -148,10 +144,6 @@ class Argument:
     symbol: Symbol | None = None  # VAR / ARRAY_ELEMENT / ARRAY symbol
     indices: tuple[Operand, ...] = ()  # ARRAY_ELEMENT subscripts
     span: SourceSpan = DUMMY_SPAN
-
-    @property
-    def is_writable_var(self) -> bool:
-        return self.kind is ArgumentKind.VAR
 
     def __str__(self) -> str:
         if self.kind is ArgumentKind.ARRAY:

@@ -132,10 +132,6 @@ def uninstall_token() -> None:
     _LOCAL.token = None
 
 
-def active_token() -> CancelToken | None:
-    return getattr(_LOCAL, "token", None)
-
-
 def cancel_point() -> None:
     """The driver's stage-boundary hook. Free when no token is armed."""
     token = getattr(_LOCAL, "token", None)

@@ -8,6 +8,11 @@ in HTTP mode)::
      "config": {"jump_function": "polynomial", "max_evaluations": 50000},
      "incremental": true, "timeout": 5.0, "stats": false}
 
+The flags (``incremental``, ``stats`` and the boolean config axes) are
+JSON booleans, the budgets non-negative integers or null, and ``timeout``
+a finite positive number of seconds or null; a value of any other JSON
+type is RL555, and so is a timeout longer than a lock can wait.
+
 ``analysis`` selects the result: the paper's constant propagation
 (default), the copy-propagation framework client (``copyprop``), or the
 MOD/REF summaries the analysis computed (``modref``). ``config`` admits the
@@ -31,6 +36,8 @@ The ``error`` field always carries the same single-line rendering
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass, field
 
 from repro.core.config import AnalysisConfig, JumpFunctionKind
@@ -44,19 +51,19 @@ from repro.resilience.errors import (
 ANALYSES = ("constprop", "copyprop", "modref")
 
 #: request config keys -> AnalysisConfig field (identity names, listed
-#: explicitly so an unknown or unserved axis is a typed rejection).
-CONFIG_KEYS = (
-    "jump_function",
+#: explicitly so an unknown or unserved axis is a typed rejection). Flags
+#: take JSON booleans; budgets take non-negative integers, or null for
+#: no budget.
+FLAG_KEYS = (
     "use_return_jump_functions",
     "use_mod",
     "intraprocedural_only",
     "compose_return_functions",
-    "max_solver_passes",
-    "max_evaluations",
-    "max_meets",
     "degrade_on_budget",
     "flat_engine",
 )
+BUDGET_KEYS = ("max_solver_passes", "max_evaluations", "max_meets")
+CONFIG_KEYS = ("jump_function", *FLAG_KEYS, *BUDGET_KEYS)
 
 
 class ProtocolError(ServiceError):
@@ -97,6 +104,37 @@ class ServiceRequest:
         }
 
 
+def _is_count(value) -> bool:
+    """A JSON integer >= 0. ``true`` is not one, though Python's bool is
+    an int."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _parse_timeout(value) -> float | None:
+    """Seconds as a positive float no larger than the longest wait a
+    lock accepts (``threading.TIMEOUT_MAX``, about 292 years); null means
+    the daemon's default."""
+    if value is None:
+        return None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            seconds = float(value)
+        except OverflowError:  # an integer past the float range
+            seconds = math.inf
+        if 0 < seconds <= threading.TIMEOUT_MAX:  # NaN fails both
+            return seconds
+    raise ProtocolError(
+        f"timeout must be a positive number of seconds, at most "
+        f"{threading.TIMEOUT_MAX:.0f}"
+    )
+
+
+def _check_flag(key: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ProtocolError(f"{key} must be true or false")
+    return value
+
+
 def _parse_config(payload) -> tuple[AnalysisConfig, dict]:
     if payload is None:
         return AnalysisConfig(), {}
@@ -116,9 +154,10 @@ def _parse_config(payload) -> tuple[AnalysisConfig, dict]:
             raise ProtocolError(
                 f"jump_function must be one of: {choices}"
             ) from None
-    for key in ("max_solver_passes", "max_evaluations", "max_meets"):
-        value = kwargs.get(key)
-        if value is not None and (not isinstance(value, int) or value < 0):
+    for key, value in kwargs.items():
+        if key in FLAG_KEYS:
+            _check_flag(key, value)
+        elif key in BUDGET_KEYS and not (value is None or _is_count(value)):
             raise ProtocolError(f"{key} must be a non-negative integer")
     try:
         return AnalysisConfig(**kwargs), dict(payload)
@@ -139,11 +178,7 @@ def parse_request(payload, default_id: str) -> ServiceRequest:
         raise ProtocolError(
             f"analysis must be one of: {', '.join(ANALYSES)}"
         )
-    timeout = payload.get("timeout")
-    if timeout is not None:
-        if not isinstance(timeout, (int, float)) or timeout <= 0:
-            raise ProtocolError("timeout must be a positive number")
-        timeout = float(timeout)
+    timeout = _parse_timeout(payload.get("timeout"))
     request_id = payload.get("id", default_id)
     if not isinstance(request_id, str) or not request_id:
         raise ProtocolError("id must be a non-empty string")
@@ -158,9 +193,9 @@ def parse_request(payload, default_id: str) -> ServiceRequest:
         source=source,
         config=config,
         config_payload=config_payload,
-        incremental=bool(payload.get("incremental", True)),
+        incremental=_check_flag("incremental", payload.get("incremental", True)),
         timeout=timeout,
-        want_stats=bool(payload.get("stats", False)),
+        want_stats=_check_flag("stats", payload.get("stats", False)),
     )
 
 

@@ -570,6 +570,9 @@ def make_http_server(service: AnalysisService, host: str, port: int):
             self.end_headers()
             self.wfile.write(data)
 
+        def _bad_request(self, message: str) -> None:
+            self._reply(400, error_response(None, ProtocolError(message)))
+
         def do_GET(self):
             if self.path == "/healthz":
                 self._reply(200, {"status": "ok"})
@@ -590,16 +593,19 @@ def make_http_server(service: AnalysisService, host: str, port: int):
             if self.path != "/analyze":
                 self._reply(404, {"status": "not-found"})
                 return
-            length = int(self.headers.get("Content-Length", 0))
+            try:
+                length = int(self.headers.get("Content-Length", 0))
+            except ValueError:
+                length = -1
+            if length < 0:
+                # the body's extent is unknown: answer, then hang up
+                self.close_connection = True
+                self._bad_request("Content-Length must be a non-negative integer")
+                return
             try:
                 payload = json.loads(self.rfile.read(length) or b"")
             except ValueError:
-                self._reply(
-                    400,
-                    error_response(
-                        None, ProtocolError("request body is not valid JSON")
-                    ),
-                )
+                self._bad_request("request body is not valid JSON")
                 return
             response = service.handle(payload)
             if response.get("status") == "ok":

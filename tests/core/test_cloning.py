@@ -1,5 +1,7 @@
 """Tests for goal-directed procedure cloning (§5 extension)."""
 
+import re
+
 import pytest
 
 from repro import AnalysisConfig, JumpFunctionKind
@@ -101,6 +103,102 @@ class TestTransformation:
 
         result = analyze(CONFLICT)
         assert apply_clones(result, []) == CONFLICT
+
+
+def clone_text(report, clone_name: str) -> str:
+    """The appended clone unit named ``clone_name``, header to ``end``."""
+    unit = rf"^[^\n]*(?:subroutine|function) {clone_name}\(.*?\nend"
+    return re.search(unit, report.transformed_source, re.M | re.S).group()
+
+
+#: f's result variable is declared, read by READ, used in an expression,
+#: passed as an actual and assigned; f(1) and f(2) conflict on n.
+FUNCTION_CONFLICT = """
+program main
+  integer a, b
+  a = f(1)
+  b = f(2)
+  write a, b
+end
+integer function f(n)
+  integer n
+  integer f
+  read f
+  f = f + n * 10
+  call bump(f)
+  f = f + 1
+end
+subroutine bump(k)
+  integer k
+  k = k + 100
+end
+"""
+
+#: inside f, /f/ names a COMMON block and f(n - 2) a recursive call.
+RECURSIVE_FUNCTION = """
+program main
+  integer a, b
+  common /f/ calls
+  integer calls
+  calls = 0
+  a = f(1)
+  b = f(3)
+  write a, b, calls
+end
+integer function f(n)
+  integer n
+  common /f/ g
+  integer g
+  g = g + 1
+  f = n * 2
+  if (n > 2) then
+    f = f + f(n - 2)
+  endif
+end
+"""
+
+
+class TestCloneText:
+    """A clone is its callee's own text with the unit's name respelled."""
+
+    def test_function_clone_renames_its_result_variable(self):
+        report = clone_and_reanalyze(FUNCTION_CONFLICT)
+        assert report.clones_created == 1
+        assert clone_text(report, "f_c1") == (
+            "integer function f_c1(n)\n"
+            "  integer n\n"
+            "  integer f_c1\n"
+            "  read f_c1\n"
+            "  f_c1 = f_c1 + n * 10\n"
+            "  call bump(f_c1)\n"
+            "  f_c1 = f_c1 + 1\n"
+            "end"
+        )
+        assert report.cloned.constants("f_c1")["n"] == 2
+        inputs = [5, 6]
+        assert (
+            run_program(report.transformed_source, inputs=inputs).outputs
+            == run_program(FUNCTION_CONFLICT, inputs=inputs).outputs
+        )
+
+    def test_common_block_and_recursive_call_keep_their_text(self):
+        report = clone_and_reanalyze(RECURSIVE_FUNCTION)
+        assert report.clones_created == 1
+        clone = clone_text(report, "f_c1")
+        assert "  common /f/ g\n" in clone
+        assert "  f_c1 = f_c1 + f(n - 2)\n" in clone
+        assert (
+            run_program(report.transformed_source).outputs
+            == run_program(RECURSIVE_FUNCTION).outputs
+        )
+
+    def test_comment_in_cloned_unit_survives(self):
+        source = CONFLICT.replace(
+            "  acc = 0\n", "  ! running sum of 1..n\n  acc = 0\n"
+        )
+        report = clone_and_reanalyze(source)
+        assert "  ! running sum of 1..n\n" in clone_text(report, "kernel_c1")
+        assert report.transformed_source.count("! running sum") == 2
 
 
 class TestOnWorkloads:

@@ -351,3 +351,16 @@ class TestSpans:
         unit = parse_source(source)
         stmt = unit.procedures[0].body[0]
         assert stmt.target.indices[0].span.extract(source) == "idx"
+
+    def test_unit_name_span_is_exact(self):
+        source = (
+            "program main\nend\n"
+            "subroutine s\nend\n"
+            "logical function flag(x)\nflag = .true.\nend\n"
+        )
+        unit = parse_source(source)
+        assert [p.name_span.extract(source) for p in unit.procedures] == [
+            "main", "s", "flag",
+        ]
+        function = unit.procedures[2]
+        assert function.span.extract(source).startswith("logical function")

@@ -35,6 +35,7 @@ STREAM_DIGESTS = {
     "large_chain": "91a9420947be253120667dd99029cab3161a389462a498ff5d98fd3106affca7",
     "large_fanout": "302b83e99105981ec5b7cbaa17d9eeebd7580aeaae39c4f4031910882741691d",
     "large_scc": "cafba2e72dc241a92c7aae7dd249b75628a8c6efec4d763a5e89821c2d35ac98",
+    "clones.f": "2c912318402b82ccd437b0f5dcc673abcc30d3e7d60554272c547b4c75b37ddb",
     "lint_findings.f": "e12aedeb9c6dc26960f6dc77cc63b8accacb5c7968c76d958a432eaeac771137",
     "pipeline.f": "a5520312c6c58c357567fbc2dd0aa8a3f0b49862b1ab7da3696a694a81a2a90a",
 }

@@ -15,9 +15,7 @@ from repro import AnalysisConfig, Analyzer, JumpFunctionKind
 from repro.core.config import TABLE2_CONFIGS, TABLE3_CONFIGS
 from repro.core.lattice import is_constant
 from repro.frontend.errors import FrontendError
-from repro.frontend.parser import parse_source
 from repro.frontend.symbols import parse_program
-from repro.frontend.unparse import unparse
 from repro.interp import InterpError, check_soundness, run_program
 
 from .strategies import programs
@@ -143,15 +141,6 @@ def test_transformations_preserve_outputs_on_random_programs(source):
         assert transformed.outputs == expected, name
     dce = run_program(results["complete"].lowered, max_steps=300_000)
     assert dce.outputs == expected
-
-
-@given(source=programs())
-@FUZZ_SETTINGS
-def test_unparse_roundtrip_on_random_programs(source):
-    once = unparse(parse_source(source))
-    twice = unparse(parse_source(once))
-    assert once == twice
-    parse_program(once)
 
 
 @given(source=programs())

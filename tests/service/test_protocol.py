@@ -100,6 +100,71 @@ class TestParseRequest:
         assert rebuilt == original
 
 
+FLAG_KEYS = (
+    "use_return_jump_functions",
+    "use_mod",
+    "intraprocedural_only",
+    "compose_return_functions",
+    "degrade_on_budget",
+    "flat_engine",
+)
+BUDGET_KEYS = ("max_solver_passes", "max_evaluations", "max_meets")
+
+
+class TestValueTypes:
+    """Each field takes one JSON type; a value of any other is RL555,
+    never coerced (``bool("no")`` is true) or passed through."""
+
+    NOT_BOOLEANS = ["no", "false", 0, 1, None, [], {}]
+
+    @pytest.mark.parametrize("key", FLAG_KEYS)
+    def test_config_flag_needs_a_boolean(self, key):
+        for value in self.NOT_BOOLEANS:
+            with pytest.raises(ProtocolError, match=key):
+                parse_request(
+                    {"source": SOURCE, "config": {key: value}}, default_id="x"
+                )
+        for value in (True, False):
+            request = parse_request(
+                {"source": SOURCE, "config": {key: value}}, default_id="x"
+            )
+            assert getattr(request.config, key) is value
+
+    @pytest.mark.parametrize("key", BUDGET_KEYS)
+    def test_budget_needs_a_non_negative_integer(self, key):
+        for value in (True, False, -1, 2.0, "3", [], {}):
+            with pytest.raises(ProtocolError, match=key):
+                parse_request(
+                    {"source": SOURCE, "config": {key: value}}, default_id="x"
+                )
+        for value in (0, 7, None):
+            request = parse_request(
+                {"source": SOURCE, "config": {key: value}}, default_id="x"
+            )
+            assert getattr(request.config, key) == value
+
+    @pytest.mark.parametrize("key", ["incremental", "stats"])
+    def test_request_flag_needs_a_boolean(self, key):
+        for value in self.NOT_BOOLEANS:
+            with pytest.raises(ProtocolError, match=key):
+                parse_request({"source": SOURCE, key: value}, default_id="x")
+
+    def test_timeout_needs_a_finite_positive_number(self):
+        for value in (
+            float("nan"), float("inf"), -float("inf"), 10**400, 1e300,
+            True, -1, 0, "5", [],
+        ):
+            with pytest.raises(ProtocolError, match="timeout"):
+                parse_request(
+                    {"source": SOURCE, "timeout": value}, default_id="x"
+                )
+        for value, seconds in ((0.5, 0.5), (3, 3.0), (None, None)):
+            request = parse_request(
+                {"source": SOURCE, "timeout": value}, default_id="x"
+            )
+            assert request.timeout == seconds
+
+
 class TestErrorResponse:
     def test_service_error_carries_code_and_kind(self):
         body = error_response("r1", ProtocolError("nope"))

@@ -554,13 +554,13 @@ class TestHttpTransport:
             except urllib.error.HTTPError as error:
                 return error.code, json.loads(error.read())
 
-        yield service, call
+        yield service, call, port
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
 
     def test_analyze_health_ready_stats(self, http):
-        service, call = http
+        service, call, _ = http
         status, body = call("GET", "/healthz")
         assert (status, body["status"]) == (200, "ok")
         status, body = call("GET", "/readyz")
@@ -575,8 +575,26 @@ class TestHttpTransport:
         assert status == 200
         assert body["served"]["cache"] == 1
 
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_gets_400(self, http, length):
+        import json
+        import socket
+
+        _, _, port = http
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+            conn.sendall(
+                b"POST /analyze HTTP/1.1\r\nHost: localhost\r\n"
+                + f"Content-Length: {length}\r\n\r\n".encode()
+            )
+            reply = b""
+            while chunk := conn.recv(4096):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        assert json.loads(body)["code"] == "RL555"
+
     def test_typed_rejections_map_to_http_statuses(self, http):
-        service, call = http
+        service, call, _ = http
         status, body = call("POST", "/analyze", {"source": ""})
         assert (status, body["code"]) == (400, "RL555")
         status, body = call("GET", "/nope")

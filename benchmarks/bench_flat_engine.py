@@ -130,7 +130,7 @@ def run_comparison():
         # environment dicts it populates (the flat engine's codes array
         # plays the val role until the final decode)
         index = forward.support_index(lowered)
-        partition = forward._region_partition[2]
+        partition = forward.partition
         object_bytes = _deep_bytes(index, partition, obj.val)
         rows.append(
             {

@@ -12,8 +12,9 @@ from repro.callgraph import build_call_graph, compute_modref
 from repro.core.builder import build_forward_jump_functions
 from repro.core.config import AnalysisConfig
 from repro.core.returns import build_return_jump_functions
-from repro.framework import solve_client
-from repro.framework.clients import ConstPropClient, CopyPropClient
+from repro.core.solver import initial_val
+from repro.framework import ConstantLattice, solve_client
+from repro.framework.clients import solve_copyprop
 from repro.frontend.symbols import parse_program
 from repro.ir import lower_program
 from repro.workloads import load, suite_names
@@ -44,8 +45,12 @@ def _sum_counters(results) -> dict[str, int]:
 
 
 def _solve_framework(prepared):
-    return [solve_client(lowered, graph, ConstPropClient(forward))
-            for lowered, graph, forward in prepared]
+    return [
+        solve_client(
+            lowered, graph, forward, ConstantLattice(), initial_val(lowered)
+        )
+        for lowered, graph, forward in prepared
+    ]
 
 
 def test_framework_constprop(benchmark, prepared, bench_counters):
@@ -59,7 +64,7 @@ def test_copyprop_client(benchmark, prepared, reporter, bench_counters):
     """The copy lattice over the same flow edges."""
     results = benchmark(
         lambda: [
-            solve_client(lowered, graph, CopyPropClient(forward))
+            solve_copyprop(lowered, graph, forward)
             for lowered, graph, forward in prepared
         ]
     )

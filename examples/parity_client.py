@@ -1,12 +1,13 @@
-"""A complete framework client in ~40 lines: interprocedural parity.
+"""A complete framework client in ~30 lines: interprocedural parity.
 
-The walkthrough for `repro.framework`: pick a lattice, translate the
-stage-2 jump functions into edge functions, seed the roots — the shared
-engine (worklist, region scheduling, memoization, counters) does the
-rest. Parity tracks whether each procedure's entry values are provably
-even or odd: coarser than constant propagation on constants, but it
-survives *some* arithmetic constprop gives up on is irrelevant here —
-the point is the recipe, kept deliberately small.
+The walkthrough for `repro.framework`. A client is three things: a
+lattice, its seed VAL, and a lift that maps each stage-2 jump function
+(a `FlowEdge`) to the client's transfer for the same binding. The shared
+engine (stage 2's flow index and kills, worklist, region scheduling,
+memoization, counters) does the rest. Parity tracks whether each
+procedure's entry values are provably even or odd: coarser than constant
+propagation on constants, and it gives up on arithmetic. The point is
+the recipe, kept deliberately small.
 
 Run:  python examples/parity_client.py
 """
@@ -14,14 +15,13 @@ Run:  python examples/parity_client.py
 from repro import AnalysisConfig
 from repro.analysis.ssa import ensure_global_symbols
 from repro.callgraph import build_call_graph, compute_modref
-from repro.core.builder import build_forward_jump_functions, entry_keys
+from repro.core.builder import build_forward_jump_functions
 from repro.core.lattice import BOTTOM, TOP, is_constant
 from repro.core.returns import build_return_jump_functions
+from repro.core.solver import initial_val
 from repro.framework import (
-    AnalysisClient,
     BottomEdge,
     ConstantEdge,
-    FlowIndex,
     IdentityEdge,
     Lattice,
     flow_edge,
@@ -31,7 +31,7 @@ from repro.frontend import parse_program
 from repro.frontend.symbols import GlobalId
 from repro.ir import lower_program
 
-# ── the client: everything a new analysis needs to define ──────────────
+# ── the client: a lattice, a seed and a lift ───────────────────────────
 
 
 def parity(value):
@@ -41,8 +41,7 @@ def parity(value):
 class ParityLattice(Lattice):
     """⊤ > {even, odd} > ⊥ — Figure 1's shape with two constants."""
 
-    top = TOP
-    bottom = BOTTOM
+    top, bottom = TOP, BOTTOM
 
     def meet(self, a, b):
         if a is TOP:
@@ -51,47 +50,31 @@ class ParityLattice(Lattice):
             return a
         return BOTTOM
 
-    def is_bottom(self, value):
-        return value is BOTTOM
+
+def parity_seed(lowered):
+    """Constprop's seed (main's DATA constants, else ⊥), as parities."""
+    val = initial_val(lowered)
+    main_env = val[lowered.program.main]
+    for key, value in main_env.items():
+        if is_constant(value):
+            main_env[key] = parity(value)
+    return val
 
 
-class ParityClient(AnalysisClient):
-    """Parity of every procedure's entry values, from the same stage-2
-    jump functions constant propagation solves over."""
+def lift_parity(edge):
+    """One stage-2 jump function as a parity transfer, same binding."""
+    if edge.const is not None:
+        func = ConstantEdge(parity(edge.const))  # fold the literal
+    elif edge.passthrough is not None:
+        func = IdentityEdge(edge.passthrough)  # parity rides through
+    else:
+        func = BottomEdge()  # arithmetic: give up (soundly)
+    return flow_edge(edge.site_id, edge.caller, edge.callee, edge.key, func)
 
-    name = "parity"
-    lattice = ParityLattice()
 
-    def __init__(self, forward):
-        self.forward = forward
-
-    def entry_keys(self, lowered, graph):
-        return entry_keys(lowered)
-
-    def initial_env(self, lowered, graph):
-        val = super().initial_env(lowered, graph)  # ⊤ everywhere
-        main_env = val[lowered.program.main]
-        for gid in main_env:  # boundary facts: the main program's globals
-            data = lowered.program.globals[gid].data_value
-            main_env[gid] = parity(data) if isinstance(data, int) else BOTTOM
-        return val
-
-    def roots(self, lowered, graph):
-        return (lowered.program.main,)
-
-    def flow_edges(self, lowered, graph):
-        index = self.forward.support_index(lowered)  # stage-2 flow edges
-        edges = []
-        for binding_edges in index.seeds.values():
-            for e in binding_edges:
-                if e.const is not None and is_constant(e.const):
-                    func = ConstantEdge(parity(e.const))  # fold the literal
-                elif e.passthrough is not None:
-                    func = IdentityEdge(e.passthrough)  # parity rides through
-                else:
-                    func = BottomEdge()  # arithmetic: give up (soundly)
-                edges.append(flow_edge(e.site_id, e.caller, e.callee, e.key, func))
-        return FlowIndex.build(edges, kill_sources=dict(index.kills))
+def solve_parity(lowered, graph, forward):
+    lattice, seed = ParityLattice(), parity_seed(lowered)
+    return solve_client(lowered, graph, forward, lattice, seed, lift_parity)
 
 
 # ── drive it over a program ────────────────────────────────────────────
@@ -126,7 +109,7 @@ def main():
     returns = build_return_jump_functions(lowered, graph, modref, config)
     forward = build_forward_jump_functions(lowered, modref, returns, config)
 
-    result = solve_client(lowered, graph, ParityClient(forward))
+    result = solve_parity(lowered, graph, forward)
     for proc in sorted(result.val):
         facts = {
             str(key): value

@@ -337,20 +337,15 @@ def _analyze_copyprop(result, args: argparse.Namespace) -> int:
     from repro.core.lattice import is_constant
     from repro.framework.clients.copyprop import (
         CopyOf,
-        CopyPropClient,
         copy_facts,
+        solve_copyprop,
     )
-    from repro.framework.engine import solve_client
 
     def pretty(key) -> str:
         return key if isinstance(key, str) else result.program.global_display(key)
 
     print("analysis: copyprop")
-    solved = solve_client(
-        result.lowered,
-        result.call_graph,
-        CopyPropClient(result.forward),
-    )
+    solved = solve_copyprop(result.lowered, result.call_graph, result.forward)
     constants = 0
     for proc in sorted(solved.val):
         env = solved.val[proc]

@@ -29,7 +29,12 @@ from repro.core.config import AnalysisConfig, JumpFunctionKind
 from repro.core.exprs import ConstExpr, EntryExpr, EntryKey, ValueExpr
 from repro.core.jump_functions import CallSiteFunctions, JumpFunction, projected_expr
 from repro.core.returns import ReturnFunctionResult
-from repro.framework.client import FlowBinding, FlowEdge, FlowIndex
+from repro.framework.client import (
+    FlowBinding,
+    FlowEdge,
+    FlowIndex,
+    RegionPartition,
+)
 from repro.framework.edges import BottomEdge, ConstantEdge, ExprEdge, IdentityEdge
 from repro.frontend.astnodes import Type
 from repro.frontend.symbols import SymbolKind
@@ -145,7 +150,7 @@ def build_support_index(
 class ForwardFunctions:
     """Stage-2 output: jump functions per site, plus the analysis
     artifacts later stages reuse (SSA form, value numbering, and the
-    flow index the sparse engine runs on)."""
+    flow index the sparse engine runs on, with its region split)."""
 
     sites: dict[int, CallSiteFunctions] = field(default_factory=dict)
     ssas: dict[str, SSAProcedure] = field(default_factory=dict)
@@ -153,6 +158,9 @@ class ForwardFunctions:
     #: precomputed by :func:`build_forward_jump_functions`; built lazily
     #: for hand-assembled site tables (tests).
     index: FlowIndex | None = None
+    #: :attr:`index` split along the call graph's regions, built by the
+    #: first solve and shared by every later one (and every client).
+    partition: RegionPartition | None = None
 
     def site(self, site_id: int) -> CallSiteFunctions:
         return self.sites[site_id]
@@ -162,6 +170,22 @@ class ForwardFunctions:
         if self.index is None:
             self.index = build_support_index(lowered, self.sites)
         return self.index
+
+    def region_partition(
+        self, lowered: LoweredProgram, region_of: Mapping[str, int]
+    ) -> RegionPartition:
+        """:meth:`support_index` split along ``region_of``, rebuilt only
+        when either changed (tests rebuild the index after tampering
+        with the site table)."""
+        index = self.support_index(lowered)
+        partition = self.partition
+        if (
+            partition is None
+            or partition.index is not index
+            or partition.region_of is not region_of
+        ):
+            partition = self.partition = RegionPartition(index, region_of)
+        return partition
 
     def total_cost(self) -> int:
         return sum(site.total_cost() for site in self.sites.values())

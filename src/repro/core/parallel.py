@@ -83,8 +83,8 @@ from repro.core.slab import (
 )
 from repro.core.solver import SolveResult, initial_val
 from repro.framework.client import FlowIndex, RegionPartition
-from repro.framework.clients.constprop import ConstPropClient
 from repro.framework.engine import ENGINE_COUNTERS, ClientEngine
+from repro.framework.lattice import ConstantLattice
 from repro.framework.worklist import PriorityWorklist
 from repro.ir.lower import LoweredProgram
 from repro.resilience import chaos
@@ -176,9 +176,7 @@ def _make_state(
         forward=forward,
         index=forward.support_index(lowered),
         schedule=schedule,
-        partition=ConstPropClient(forward).partition(
-            lowered, graph, schedule.region_of
-        ),
+        partition=forward.region_partition(lowered, schedule.region_of),
         keys_of=entry_keys(lowered),
         rpo=graph.rpo_index(),
         slab=slab,
@@ -539,12 +537,7 @@ def _solve_region_task(
 
     stats = SolveResult(val=scratch)
     engine = ClientEngine(
-        state.index,
-        ConstPropClient.lattice,
-        scratch,
-        stats,
-        budget=budget,
-        partition=state.partition,
+        state.partition, ConstantLattice(), scratch, stats, budget=budget
     )
 
     processed: dict[str, None] = {}

@@ -20,8 +20,9 @@ before A's. Components unreachable from the main program sort after the
 reachable ones (rpo appends them in name order); their relative order is
 name-based, not topological — harmless, because the solvers never seed
 an unreached procedure, so no value ever crosses between them. The
-solver loop still tolerates a flush into an earlier region defensively
-(it re-queues the region) rather than relying on this argument.
+solver loop relies on this order: a region's flush only ever reaches
+later regions, so each region is converged once
+(``tests/properties/test_region_law.py``).
 """
 
 from __future__ import annotations

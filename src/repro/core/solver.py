@@ -16,8 +16,8 @@ statistics distinguish ``pops`` (worklist extractions) from ``passes``
 analysis multiplies against per-pass jump-function evaluation cost.
 
 :func:`solve` is the framework's
-:func:`~repro.framework.engine.solve_client` with the
-constant-propagation client: **sparse and region-scheduled**. It
+:func:`~repro.framework.engine.solve_client` with the constant lattice
+and :func:`initial_val` as the seed: **sparse and region-scheduled**. It
 condenses the call graph into SCC regions (:mod:`repro.core.regions`)
 and converges each region to its local fixed point exactly once,
 callers-first, before any cross-region call site is evaluated — so every
@@ -58,6 +58,7 @@ from repro.core.builder import ForwardFunctions, entry_keys
 from repro.core.exprs import EntryKey
 from repro.core.lattice import BOTTOM, TOP, LatticeValue, meet
 from repro.framework.engine import SolveResult, solve_client
+from repro.framework.lattice import ConstantLattice
 from repro.framework.worklist import PriorityWorklist
 from repro.frontend.symbols import GlobalId
 from repro.ir.lower import LoweredProgram
@@ -160,14 +161,12 @@ def solve(
         from repro.core.slab import solve_flat
 
         return solve_flat(lowered, graph, forward, budget=budget)
-    # repro.framework.clients imports the diagnostics passes, which
-    # import this module
-    from repro.framework.clients.constprop import ConstPropClient
-
     return solve_client(
         lowered,
         graph,
-        ConstPropClient(forward),
+        forward,
+        ConstantLattice(),
+        initial_val(lowered),
         budget=budget,
         warm=warm,
     )

@@ -33,6 +33,7 @@ from repro.frontend.source import SourceSpan
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.core.config import AnalysisConfig
     from repro.core.driver import AnalysisResult
+    from repro.framework.engine import SolveResult
 
 
 class Severity(enum.Enum):
@@ -139,6 +140,8 @@ class LintContext:
 
     result: "AnalysisResult"
     path: str | None = None
+    #: the copy-propagation fixpoint RL130/RL131 share, solved on first use
+    copyprop: "SolveResult | None" = None
 
     @property
     def program(self):

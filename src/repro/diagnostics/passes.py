@@ -466,23 +466,13 @@ class JumpFunctionPass(LintPass):
 
 def _copyprop_solution(ctx: LintContext):
     """The interprocedural copy-propagation fixpoint for the linted
-    program, solved through the generic framework engine once per
-    stage-2 output and shared by every copy-backed pass (cached on the
-    forward functions, the object whose identity tracks the stage-2
-    artifacts)."""
-    from repro.framework.clients.copyprop import CopyPropClient
-    from repro.framework.engine import solve_client
+    program, solved once per context and shared by every copy-backed
+    pass."""
+    if ctx.copyprop is None:
+        from repro.framework.clients.copyprop import solve_copyprop
 
-    forward = ctx.forward
-    cached = getattr(forward, "_lint_copyprop_solution", None)
-    if cached is not None:
-        return cached
-    solution = solve_client(ctx.lowered, ctx.graph, CopyPropClient(forward))
-    try:
-        forward._lint_copyprop_solution = solution
-    except AttributeError:
-        pass
-    return solution
+        ctx.copyprop = solve_copyprop(ctx.lowered, ctx.graph, ctx.forward)
+    return ctx.copyprop
 
 
 def _display_key(ctx: LintContext, key) -> str:

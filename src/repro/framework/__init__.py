@@ -2,13 +2,15 @@
 
 The paper's stage 3 (§4.1) is one worklist over jump functions. This
 package is that worklist, factored in the IFDS/IDE tradition (and the
-value-contexts formulation of Padhye & Khedker): a client supplies a
-:class:`~repro.framework.lattice.Lattice`,
-:class:`~repro.framework.edges.EdgeFunction` transfers attached to
-:class:`~repro.framework.client.FlowEdge` call-graph edges, seed
-environments, and roots; :func:`~repro.framework.engine.solve_client`
-runs the seed/delta/flush fixed-point discipline over them. Constant
-propagation is one of its two clients.
+value-contexts formulation of Padhye & Khedker). Every client runs over
+stage 2's jump functions, from the main program, and supplies three
+things: a :class:`~repro.framework.lattice.Lattice`, its seed VAL, and
+optionally a *lift* mapping each stage-2
+:class:`~repro.framework.client.FlowEdge` to the client's
+:class:`~repro.framework.edges.EdgeFunction` transfer for the same
+binding. :func:`~repro.framework.engine.solve_client` runs the
+seed/delta/flush fixed-point discipline over them. Constant propagation
+(:func:`repro.core.solver.solve`) is the constant lattice with no lift.
 
 Layering (no cycles):
 
@@ -16,18 +18,18 @@ Layering (no cycles):
   hold the scheduling core: the reverse-postorder priority worklist and
   the region schedule loop.
 - :mod:`repro.framework.lattice`, :mod:`repro.framework.edges`, and
-  :mod:`repro.framework.client` define the client contracts and the
-  indexed edge structure (:class:`~repro.framework.client.FlowIndex`,
+  :mod:`repro.framework.client` define the lattice and edge contracts
+  and the indexed edge structure
+  (:class:`~repro.framework.client.FlowIndex`,
   :class:`~repro.framework.client.RegionPartition`).
-- :mod:`repro.framework.engine` is the sparse engine and the
-  :class:`~repro.framework.engine.SolveResult` every solve returns.
-- :mod:`repro.framework.clients` hosts the shipped analyses:
-  constant propagation (what :func:`repro.core.solver.solve` runs) and
-  interprocedural copy propagation (subsumes constprop).
+- :mod:`repro.framework.engine` is the sparse engine, the
+  :class:`~repro.framework.engine.SolveResult` every solve returns, and
+  :func:`~repro.framework.engine.solve_client`.
+- :mod:`repro.framework.clients` hosts interprocedural copy
+  propagation (subsumes constprop).
 """
 
 from repro.framework.client import (
-    AnalysisClient,
     FlowEdge,
     FlowIndex,
     RegionPartition,
@@ -44,7 +46,6 @@ from repro.framework.engine import SolveResult, solve_client
 from repro.framework.lattice import ConstantLattice, Lattice
 
 __all__ = [
-    "AnalysisClient",
     "BottomEdge",
     "ConstantEdge",
     "ConstantLattice",

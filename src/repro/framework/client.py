@@ -1,13 +1,12 @@
-"""The client contract: what an analysis supplies to the framework.
+"""The edge shape every client solves over.
 
-An :class:`AnalysisClient` packages one interprocedural dataflow
-problem: the lattice, the entry keys per flow node, the seed
-environment and roots, and a :class:`FlowIndex` of
-:class:`FlowEdge` transfers. :func:`repro.framework.engine.solve_client`
-runs the shared seed/delta/flush fixed-point discipline over that
-package — constant propagation included: stage 2
-(:func:`repro.core.builder.build_support_index`) emits its jump
-functions directly as flow edges.
+Stage 2 (:func:`repro.core.builder.build_support_index`) emits each
+jump function as one :class:`FlowEdge` and indexes them in a
+:class:`FlowIndex`; :class:`RegionPartition` splits that index along
+the call graph's SCC regions. A client does not build an index of its
+own: :func:`repro.framework.engine.solve_client` runs it over stage
+2's, with each edge optionally mapped through the client's *lift*
+(:meth:`RegionPartition.lifted`).
 
 A :class:`FlowEdge` is one (site, target key) transfer whose function
 reads the ``source`` node's environment. The structural fast-path
@@ -21,12 +20,11 @@ graph.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 from repro.framework.edges import EdgeFunction
-from repro.framework.lattice import Lattice, Value
+from repro.framework.lattice import Value
 
 #: (flow node, entry key) — one node of the binding multi-graph.
 FlowBinding = tuple[str, object]
@@ -34,7 +32,7 @@ FlowBinding = tuple[str, object]
 
 @dataclass(frozen=True, slots=True)
 class FlowEdge:
-    """One (site, target entry key) transfer in a client's flow index."""
+    """One (site, target entry key) transfer in the flow index."""
 
     site_id: int
     #: flow source: the node whose environment ``func`` reads.
@@ -69,15 +67,16 @@ def flow_edge(
 
 
 class FlowIndex:
-    """A client's transfer edges in the engine's index shape.
+    """Stage 2's transfer edges in the engine's index shape, built by
+    :func:`repro.core.builder.build_support_index`.
 
     ``seeds[p]``
         every edge whose source is ``p`` (transferred once when ``p`` is
         first reached).
     ``kills[p]``
-        ``(target, key)`` pairs floored once when ``p`` is first reached
-        — for constant propagation, callee entry keys some site in ``p``
-        binds *no* jump function for.
+        ``(target, key)`` pairs floored once when ``p`` is first reached:
+        callee entry keys some site in ``p`` binds *no* jump function
+        for.
     ``dependents[(p, k)]``
         the edges whose support reads ``p``'s key ``k`` — the fan-out of
         one delta.
@@ -99,38 +98,6 @@ class FlowIndex:
         self.dependents = dependents
         self.callees = callees
 
-    @staticmethod
-    def build(
-        edges: list[FlowEdge],
-        kill_sources: dict[str, list[FlowBinding]] | None = None,
-    ) -> "FlowIndex":
-        """Index ``edges`` by source (seeds), by read key (dependents),
-        and by flow successor (callees). ``kill_sources`` maps a source
-        node to the (target, key) bindings flooring when that source is
-        first visited."""
-        seeds: dict[str, list[FlowEdge]] = defaultdict(list)
-        dependents: dict[FlowBinding, list[FlowEdge]] = defaultdict(list)
-        callees: dict[str, list[str]] = defaultdict(list)
-        for edge in edges:
-            seeds[edge.caller].append(edge)
-            if edge.callee not in callees[edge.caller]:
-                callees[edge.caller].append(edge.callee)
-            for support_key in edge.support:
-                dependents[(edge.caller, support_key)].append(edge)
-        kill_map: dict[str, list[FlowBinding]] = defaultdict(list)
-        if kill_sources:
-            for source, bindings in kill_sources.items():
-                kill_map[source].extend(bindings)
-                for target, _ in bindings:
-                    if target not in callees[source]:
-                        callees[source].append(target)
-        return FlowIndex(
-            {proc: tuple(items) for proc, items in seeds.items()},
-            {proc: tuple(pairs) for proc, pairs in kill_map.items()},
-            {binding: tuple(items) for binding, items in dependents.items()},
-            {proc: tuple(names) for proc, names in callees.items()},
-        )
-
 
 class RegionPartition:
     """A :class:`FlowIndex` split along region boundaries.
@@ -147,18 +114,23 @@ class RegionPartition:
     defers every cross-region edge and kill to one
     :meth:`~repro.framework.engine.ClientEngine.flush_region` call at
     region end.
+
+    ``index`` and ``region_of`` are the objects the split was computed
+    from, so a holder can tell whether it is still current.
     """
 
     __slots__ = (
+        "index",
+        "region_of",
         "internal_seeds",
         "external_seeds",
         "internal_kills",
         "external_kills",
         "internal_dependents",
-        "region_of",
     )
 
     def __init__(self, index: FlowIndex, region_of: Mapping[str, int]):
+        self.index = index
         self.region_of = region_of
         self.internal_seeds: dict[str, tuple[FlowEdge, ...]] = {}
         self.external_seeds: dict[str, tuple[FlowEdge, ...]] = {}
@@ -197,39 +169,36 @@ class RegionPartition:
             if internal:
                 self.internal_dependents[binding] = internal
 
+    def lifted(self, lift: Callable[[FlowEdge], FlowEdge]) -> "RegionPartition":
+        """This split with every edge mapped through ``lift``.
 
-class AnalysisClient:
-    """One interprocedural dataflow problem, packaged for the generic
-    driver. Subclasses define the four hooks; everything else — the
-    worklist, region scheduling, memoization, budgets, counters — is
-    shared framework machinery.
-    """
+        Each stage-2 edge is lifted once, so an edge listed under several
+        support keys stays one object (the engine dedups a delta batch by
+        edge identity). ``lift`` must keep the edge's site, caller,
+        callee and key, which fix its place in the split, and may narrow
+        its support but never widen it: the dependents are the stage-2
+        edge's. Kills carry no edge function and are shared.
+        """
+        lifted_edges: dict[int, FlowEdge] = {}
 
-    #: analysis name (CLI surface, stats reports).
-    name: str = "client"
-    lattice: Lattice
+        def remap(table: dict) -> dict:
+            mapped = {}
+            for name, edges in table.items():
+                row = []
+                for edge in edges:
+                    client_edge = lifted_edges.get(id(edge))
+                    if client_edge is None:
+                        client_edge = lifted_edges[id(edge)] = lift(edge)
+                    row.append(client_edge)
+                mapped[name] = tuple(row)
+            return mapped
 
-    def entry_keys(self, lowered, graph) -> dict[str, list]:
-        """Each flow node's propagated keys (the VAL row shape)."""
-        raise NotImplementedError
-
-    def initial_env(self, lowered, graph) -> dict[str, dict]:
-        """The seed VAL mapping: usually ⊤ everywhere except the roots'
-        boundary facts."""
-        keys = self.entry_keys(lowered, graph)
-        top = self.lattice.top
-        return {node: {key: top for key in node_keys} for node, node_keys in keys.items()}
-
-    def roots(self, lowered, graph) -> tuple[str, ...]:
-        """The flow nodes activated first (both shipped clients: the
-        main program)."""
-        raise NotImplementedError
-
-    def flow_edges(self, lowered, graph) -> FlowIndex:
-        """The client's transfer edges, indexed."""
-        raise NotImplementedError
-
-    def partition(self, lowered, graph, region_of) -> RegionPartition:
-        """The flow index split along region boundaries (cached by
-        concrete clients when their index is cached)."""
-        return RegionPartition(self.flow_edges(lowered, graph), region_of)
+        partition = object.__new__(RegionPartition)
+        partition.index = self.index
+        partition.region_of = self.region_of
+        partition.internal_seeds = remap(self.internal_seeds)
+        partition.external_seeds = remap(self.external_seeds)
+        partition.internal_kills = self.internal_kills
+        partition.external_kills = self.external_kills
+        partition.internal_dependents = remap(self.internal_dependents)
+        return partition

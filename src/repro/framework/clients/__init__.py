@@ -1,21 +1,27 @@
-"""The shipped framework analyses.
+"""The shipped framework analysis beyond the paper's own.
 
-- :mod:`repro.framework.clients.constprop` — the paper's jump-function
-  constant propagation; :func:`repro.core.solver.solve` runs it.
 - :mod:`repro.framework.clients.copyprop` — interprocedural copy
   propagation over a lattice that refines the constant lattice with
   copy-of facts; provably subsumes constprop (projecting copies to ⊥
-  recovers the constprop fixpoint exactly).
+  recovers the constprop fixpoint exactly). Constant propagation itself
+  is :func:`repro.core.solver.solve`.
 
 Imported lazily (not by ``repro.framework``) so the contract layer
-stays import-light; CLI and tests import the concrete client they need.
+stays import-light; CLI and tests import the client they need.
 """
 
-from repro.framework.clients.constprop import ConstPropClient
-from repro.framework.clients.copyprop import CopyOf, CopyPropClient
+from repro.framework.clients.copyprop import (
+    CopyLattice,
+    CopyOf,
+    copy_facts,
+    copy_seed,
+    solve_copyprop,
+)
 
 __all__ = [
-    "ConstPropClient",
+    "CopyLattice",
     "CopyOf",
-    "CopyPropClient",
+    "copy_facts",
+    "copy_seed",
+    "solve_copyprop",
 ]

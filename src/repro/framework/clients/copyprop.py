@@ -30,6 +30,12 @@ constprop finds appears here identically, and every ⊥ is either ⊥ or
 refined into a copy fact. ``tests/framework/test_copyprop_client.py``
 asserts both directions, and that the refinement is strict on programs
 that pass unknown entry values down call chains.
+
+As a framework client it is three things — :class:`CopyLattice`,
+:func:`copy_seed` and the edge lift :func:`_lift_edge` — and
+:func:`solve_copyprop` solves them. ``repro analyze --analysis
+copyprop``, the daemon's ``"analysis": "copyprop"`` and the RL130/RL131
+lint passes all call it.
 """
 
 from __future__ import annotations
@@ -37,11 +43,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Mapping
 
-from repro.core.builder import ForwardFunctions, entry_keys
+from repro.core.builder import ForwardFunctions
 from repro.core.lattice import BOTTOM, TOP, meet as constant_meet
-from repro.frontend.symbols import GlobalId
-from repro.framework.client import AnalysisClient, FlowEdge, FlowIndex
+from repro.core.solver import initial_val
+from repro.framework.client import FlowEdge
 from repro.framework.edges import EdgeFunction, ExprEdge
+from repro.framework.engine import solve_client
 from repro.framework.lattice import Lattice, Value
 
 
@@ -125,74 +132,27 @@ def _lift_edge(edge: FlowEdge) -> FlowEdge:
     return replace(edge, func=ProjectedExprEdge(func.expr, edge.support))
 
 
-class CopyPropClient(AnalysisClient):
-    """Copy propagation across call bindings, over the stage-2 jump
-    functions. Same flow graph, roots, and kill structure as constprop;
-    only the lattice, the seeds, and the polynomial transfers differ."""
+def copy_seed(lowered) -> dict[str, dict]:
+    """Constprop's seed (:func:`repro.core.solver.initial_val`) with
+    each *uninitialized* main-program global seeded as its own
+    ``CopyOf`` root instead of ⊥ — the single place this analysis
+    strictly refines constprop's seeds."""
+    val = initial_val(lowered)
+    main = lowered.program.main
+    main_env = val[main]
+    for key, value in main_env.items():
+        if value is BOTTOM:
+            main_env[key] = CopyOf(main, key)  # unknown but fixed
+    return val
 
-    name = "copyprop"
-    lattice = CopyLattice()
 
-    def __init__(self, forward: ForwardFunctions):
-        self.forward = forward
-
-    def entry_keys(self, lowered, graph) -> dict[str, list]:
-        return entry_keys(lowered)
-
-    def initial_env(self, lowered, graph) -> dict[str, dict]:
-        """⊤ everywhere; the main program's globals seed at their DATA
-        constants, and *uninitialized* globals seed as ``CopyOf`` roots
-        — the single place this analysis strictly refines constprop's
-        seeds (which floor them to ⊥)."""
-        val: dict[str, dict] = {
-            name: {key: TOP for key in keys}
-            for name, keys in entry_keys(lowered).items()
-        }
-        main = lowered.program.main
-        main_env = val[main]
-        for gid in list(main_env):
-            if not isinstance(gid, GlobalId):
-                continue
-            data = lowered.program.globals[gid].data_value
-            if isinstance(data, bool) or isinstance(data, int):
-                main_env[gid] = data
-            else:
-                main_env[gid] = CopyOf(main, gid)  # unknown but fixed
-        return val
-
-    def roots(self, lowered, graph) -> tuple[str, ...]:
-        return (lowered.program.main,)
-
-    def flow_edges(self, lowered, graph) -> FlowIndex:
-        index = self.forward.support_index(lowered)
-        cached = getattr(self.forward, "_copyprop_flow_index", None)
-        if cached is not None and cached[0] is index:
-            return cached[1]
-        mapping: dict[int, FlowEdge] = {}
-
-        def translated(edge: FlowEdge) -> FlowEdge:
-            flow = mapping.get(id(edge))
-            if flow is None:
-                flow = mapping[id(edge)] = _lift_edge(edge)
-            return flow
-
-        flow_index = FlowIndex(
-            {
-                proc: tuple(translated(edge) for edge in edges)
-                for proc, edges in index.seeds.items()
-            },
-            dict(index.kills),
-            {
-                binding: tuple(translated(edge) for edge in edges)
-                for binding, edges in index.dependents.items()
-            },
-            dict(index.callees),
-        )
-        try:
-            self.forward._copyprop_flow_index = (index, flow_index)
-        except AttributeError:
-            pass
-        return flow_index
+def solve_copyprop(lowered, graph, forward: ForwardFunctions):
+    """Copy propagation across call bindings: the copy lattice and seed
+    over the stage-2 jump functions, polynomials lifted by
+    :func:`_lift_edge`. Same flow graph, root and kills as constprop."""
+    return solve_client(
+        lowered, graph, forward, CopyLattice(), copy_seed(lowered), _lift_edge
+    )
 
 
 def copy_facts(result) -> dict[str, dict]:

@@ -12,7 +12,7 @@ surface :class:`repro.framework.engine.ClientEngine` exposes —
     re-evaluate only the edges whose support read a lowered key;
 ``callees(proc) -> tuple[str, ...]``
     flow successors, for reachability;
-``flush_region(proc, only=None) -> dict[callee, dict[key, None]]``
+``flush_region(proc, only=None)``
     evaluate the cross-region edges exactly once.
 
 ``result`` is likewise duck-typed: the driver reads/writes ``reached``,
@@ -20,19 +20,19 @@ surface :class:`repro.framework.engine.ClientEngine` exposes —
 ``regions_warm``/``val`` — the attribute surface of
 :class:`repro.framework.engine.SolveResult`.
 
-Both shipped clients flow along call edges, so the callers-first
-condensation order is topological for them and every region converges
-once. The driver does not rely on that: a delta delivered to an
-already-converged region re-queues it (the ``inbox``/``activate``
-machinery below), so a late delivery costs region passes, never
-soundness.
+Values flow along call edges and the region order is callers-first
+(:mod:`repro.core.regions`), so every cross-region edge points from the
+region being converged to a later one. A flush therefore only ever
+lowers keys of procedures no region pass has visited yet: their seed
+reads the flushed values, and each region is converged exactly once.
+``tests/properties/test_region_law.py`` holds the driver to that on
+generated programs, recursion included, cold and warm.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from typing import Iterable
 
 
 def drive_region_schedule(
@@ -41,43 +41,34 @@ def drive_region_schedule(
     worklist,
     result,
     *,
-    roots: Iterable[str],
+    root: str,
     budget=None,
     warm=None,
 ) -> None:
-    """Converge each SCC region to its local fixed point exactly once,
-    callers-first; evaluate every cross-region edge exactly once with
-    its caller's final environment. Mutates ``result`` in place (VAL
-    through the engine, counters directly)."""
+    """Converge each SCC region reached from ``root`` to its local fixed
+    point exactly once, callers-first; evaluate every cross-region edge
+    exactly once with its caller's final environment. Mutates ``result``
+    in place (VAL through the engine, counters directly)."""
     region_of = schedule.region_of
     #: procedure -> entry keys that lowered since its last visit
     #: (insertion-ordered so counter totals are run-to-run deterministic).
     pending: dict[str, dict] = defaultdict(dict)
+    #: members of recursive regions seeded so far (a singleton region
+    #: is seeded once, on its one visit)
     seeded: set[str] = set()
-    #: region index -> members reached but not yet processed there.
+    #: region index -> members reached but not yet processed there; a
+    #: region is queued in ``dirty`` from its first activation until it
+    #: is popped.
     active: dict[int, set[str]] = {}
-    #: region index -> deltas delivered after the region converged
-    #: (defensive: cannot happen on a topologically ordered schedule).
-    inbox: dict[int, dict[str, dict]] = {}
     dirty: list[int] = []
-    queued: set[int] = set()
 
     def activate(proc: str) -> None:
         index = region_of[proc]
-        active.setdefault(index, set()).add(proc)
-        if index not in queued:
-            queued.add(index)
+        members = active.get(index)
+        if members is None:
+            members = active[index] = set()
             heapq.heappush(dirty, index)
-
-    def deliver(proc: str, keys: dict) -> None:
-        # A cross-region flush lowered `proc`'s entry keys. If proc has
-        # not been seeded yet its future seed reads the updated — final —
-        # environment, so no delta bookkeeping is needed; if it has (a
-        # re-queued earlier region), the keys must re-propagate there.
-        if proc in seeded:
-            slot = inbox.setdefault(region_of[proc], {}).setdefault(proc, {})
-            slot.update(keys)
-        activate(proc)
+        members.add(proc)
 
     if warm is not None:
         clean_regions = {region_of[proc] for proc in warm.clean}
@@ -86,7 +77,6 @@ def drive_region_schedule(
             env = warm.envs.get(proc)
             if env:
                 result.val[proc].update(env)
-            seeded.add(proc)  # adopted: never seed a clean procedure
         result.reached.update(warm.reached)
         # The warm frontier: each reached clean caller evaluates its
         # edges into invalidated regions exactly once, from its adopted
@@ -102,54 +92,37 @@ def drive_region_schedule(
                 continue
             for callee in sorted(invalid):
                 activate(callee)
-            for callee, keys in engine.flush_region(proc, only=invalid).items():
-                deliver(callee, keys)
-    for root in roots:
-        if warm is None or root not in warm.clean:
-            activate(root)
+            engine.flush_region(proc, only=invalid)
+    if warm is None or root not in warm.clean:
+        activate(root)
 
     max_local = 0
     while dirty:
         index = heapq.heappop(dirty)
-        queued.discard(index)
-        members = active.pop(index, set())
-        box = inbox.pop(index, {})
-        if not members and not box:
-            continue
+        members = active.pop(index)
         result.regions += 1
         # Fast path: a non-recursive singleton region (every region of a
-        # DAG-shaped call graph) converges in exactly one visit — seed or
-        # apply deltas, reach callees, flush. Bypassing the worklist
-        # machinery here is what keeps region scheduling from costing
-        # wall-clock on programs with no recursion at all.
+        # DAG-shaped call graph) converges in exactly one visit — seed,
+        # reach callees, flush. Bypassing the worklist machinery here is
+        # what keeps region scheduling from costing wall-clock on
+        # programs with no recursion at all.
         region = schedule.regions[index]
-        if not box and not region.recursive and len(members) == 1:
+        if not region.recursive and len(members) == 1:
             (proc,) = members
             if budget is not None:
                 budget.check_passes(1)
             worklist.pops += 1
             result.reached.add(proc)
-            if proc not in seeded:
-                seeded.add(proc)
-                pending.pop(proc, None)  # the seed evaluates everything
-                engine.seed(proc)  # a singleton has no internal edges
-            else:
-                deltas = pending.pop(proc, None)
-                if deltas:
-                    engine.apply_deltas(proc, deltas)
+            engine.seed(proc)  # a singleton has no internal edges
             for callee in engine.callees(proc):
                 activate(callee)
             result.region_passes += 1
             if max_local < 1:
                 max_local = 1
-            for callee, keys in engine.flush_region(proc).items():
-                deliver(callee, keys)
+            engine.flush_region(proc)
             continue
         mark = worklist.begin_segment()
         for proc in sorted(members):
-            worklist.push(proc, proc)
-        for proc, keys in box.items():
-            pending[proc].update(keys)
             worklist.push(proc, proc)
         processed: dict[str, None] = {}
         while worklist:
@@ -182,8 +155,6 @@ def drive_region_schedule(
         # The region is at its local fixed point: evaluate every
         # cross-region edge of its reached members exactly once.
         for caller in processed:
-            for callee, keys in engine.flush_region(caller).items():
-                deliver(callee, keys)
+            engine.flush_region(caller)
     result.passes = max_local
     result.pops = worklist.pops
-

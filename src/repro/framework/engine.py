@@ -5,11 +5,10 @@ discipline over any :class:`~repro.framework.lattice.Lattice` and any
 :class:`~repro.framework.edges.EdgeFunction`, with the lattice's
 ``top``/``is_bottom``/``meet`` bound once per solve.
 
-- A :class:`~repro.framework.client.FlowIndex` — for constant
-  propagation, precomputed by the stage-2 builder — maps each source
-  key to the edges whose ``support()`` reads it: the reverse of the
-  paper's §2 support sets, in the spirit of Wegman–Zadeck
-  SSA-edge-driven SCCP.
+- Stage 2's :class:`~repro.framework.client.FlowIndex`, precomputed by
+  the builder, maps each source key to the edges whose ``support()``
+  reads it: the reverse of the paper's §2 support sets, in the spirit
+  of Wegman–Zadeck SSA-edge-driven SCCP.
 - The engine seeds each node's edges exactly once when the node is
   first reached, then re-transfers an edge only when one of its support
   keys actually *lowered* (a "delta"), memoizing evaluations by the edge
@@ -25,21 +24,24 @@ without ever being evaluated, and an edge into a key already at the
 floor is never transferred again (both counted under ``bottom_skips``);
 kills are applied once at seed time (counted under ``skipped``).
 
-:func:`solve_client` runs a client to its greatest fixpoint on the
-shared :mod:`~repro.framework.driver` region schedule and returns a
+:func:`solve_client` runs a client — a lattice, a seed VAL and an
+optional edge lift — to its greatest fixpoint on the shared
+:mod:`~repro.framework.driver` region schedule and returns a
 :class:`SolveResult`; :func:`repro.core.solver.solve` is exactly
-``solve_client`` with the constant-propagation client (plus the flat
-slab dispatch).
+``solve_client`` with the constant lattice and
+:func:`~repro.core.solver.initial_val` (plus the flat slab dispatch).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from typing import Callable
 
 from repro.core.lattice import is_constant
 from repro.core.regions import region_schedule
-from repro.framework.client import AnalysisClient, RegionPartition
+from repro.framework.client import FlowEdge, RegionPartition
 from repro.framework.driver import drive_region_schedule
+from repro.framework.lattice import Lattice
 from repro.framework.worklist import PriorityWorklist
 
 __all__ = ["ClientEngine", "ENGINE_COUNTERS", "SolveResult", "solve_client"]
@@ -82,12 +84,10 @@ class SolveResult:
     ``bottom_skips`` (⊥ jump functions contributing their one ⊥ without
     evaluation, plus bindings already at ⊥ left untouched). The dense
     reference solver leaves the engine-only counters at zero.
-    ``analysis`` names the client that produced the result.
     """
 
     val: dict[str, dict] = field(default_factory=dict)
     reached: set[str] = field(default_factory=set)
-    analysis: str = ""
     passes: int = 0
     pops: int = 0
     evaluations: int = 0
@@ -139,17 +139,17 @@ class SolveResult:
         return {proc: self.constants(proc) for proc in self.val}
 
     def counters(self) -> dict[str, int | float]:
-        """The solver statistics — every field after ``analysis``, in
+        """The solver statistics — every field after ``reached``, in
         declaration order — as a flat mapping (for reports/benchmarks)."""
         names = [f.name for f in fields(self)]
         return {
             name: getattr(self, name)
-            for name in names[names.index("analysis") + 1:]
+            for name in names[names.index("reached") + 1:]
         }
 
 
 class ClientEngine:
-    """Evaluate-and-meet over a :class:`~repro.framework.client.FlowIndex`.
+    """Evaluate-and-meet over a :class:`~repro.framework.client.RegionPartition`.
 
     One engine serves one solve: it owns the evaluation memo and mutates
     ``val`` in place, reporting through the stats object's
@@ -169,7 +169,7 @@ class ClientEngine:
     """
 
     __slots__ = (
-        "_index",
+        "_callees",
         "_val",
         "_stats",
         "_memo",
@@ -187,14 +187,13 @@ class ClientEngine:
 
     def __init__(
         self,
-        index,
+        partition: RegionPartition,
         lattice,
         val: dict[str, dict],
         stats,
-        partition: RegionPartition,
         budget=None,
     ):
-        self._index = index
+        self._callees = partition.index.callees
         self._val = val
         self._stats = stats
         self._memo: dict[tuple, object] = {}
@@ -212,7 +211,7 @@ class ClientEngine:
         self._dependents = partition.internal_dependents
 
     def callees(self, caller: str) -> tuple[str, ...]:
-        return self._index.callees.get(caller, ())
+        return self._callees.get(caller, ())
 
     def _transfer_edges(self, caller: str, edges, changed: dict) -> None:
         """The inlined edge transfer shared by seed / delta / flush.
@@ -377,12 +376,23 @@ class ClientEngine:
 def solve_client(
     lowered,
     graph,
-    client: AnalysisClient,
+    forward,
+    lattice: Lattice,
+    seed: dict[str, dict],
+    lift: Callable[[FlowEdge], FlowEdge] | None = None,
     *,
     budget=None,
     warm=None,
 ) -> SolveResult:
-    """Solve ``client``'s dataflow problem to its greatest fixpoint.
+    """Solve one client over stage 2's jump functions to its greatest
+    fixpoint, from the main program.
+
+    A client is three things: its ``lattice``, its ``seed`` VAL (taken
+    over and mutated into the result), and an optional ``lift`` mapping
+    each stage-2 :class:`~repro.framework.client.FlowEdge` of
+    ``forward`` to the client's edge for the same binding (see
+    :meth:`~repro.framework.client.RegionPartition.lifted`). Stage 2's
+    kills and callees are every client's.
 
     Region-scheduled over the call graph (SCC condensation,
     callers-first, cross-region edges deferred to one final-environment
@@ -391,22 +401,19 @@ def solve_client(
     region) and engine fuel through the
     :class:`~repro.resilience.budgets.SolveBudget` hooks.
     """
-    index = client.flow_edges(lowered, graph)
-    result = SolveResult(
-        val=client.initial_env(lowered, graph), analysis=client.name
-    )
-    roots = client.roots(lowered, graph)
-    worklist = PriorityWorklist(graph.rpo_index())
     schedule = region_schedule(graph)
-    engine = ClientEngine(
-        index,
-        client.lattice,
-        result.val,
-        result,
-        budget=budget,
-        partition=client.partition(lowered, graph, schedule.region_of),
-    )
+    partition = forward.region_partition(lowered, schedule.region_of)
+    if lift is not None:
+        partition = partition.lifted(lift)
+    result = SolveResult(val=seed)
+    engine = ClientEngine(partition, lattice, result.val, result, budget)
     drive_region_schedule(
-        engine, schedule, worklist, result, roots=roots, budget=budget, warm=warm
+        engine,
+        schedule,
+        PriorityWorklist(graph.rpo_index()),
+        result,
+        root=lowered.program.main,
+        budget=budget,
+        warm=warm,
     )
     return result

@@ -394,19 +394,17 @@ class AnalysisService:
 
         from repro.framework.clients.copyprop import (
             CopyOf,
-            CopyPropClient,
             copy_facts,
+            solve_copyprop,
         )
-        from repro.framework.engine import solve_client
 
         def pretty(key) -> str:
             if isinstance(key, str):
                 return key
             return result.program.global_display(key)
 
-        solved = solve_client(
-            result.lowered, result.call_graph,
-            CopyPropClient(result.forward),
+        solved = solve_copyprop(
+            result.lowered, result.call_graph, result.forward
         )
         facts = copy_facts(solved)
         return {
@@ -534,6 +532,12 @@ def serve_stdio(service: AnalysisService, stdin=None, stdout=None) -> int:
 
 # -- the HTTP transport --------------------------------------------------------
 
+#: The longest request body ``POST /analyze`` reads: 16 MiB, 8x the
+#: largest request the shipped corpora make (``huge_fanout`` is
+#: 1,995,184 bytes of JSON). A longer declared body gets HTTP 413 before
+#: a byte of it is read.
+MAX_REQUEST_BYTES = 16 * 1024 * 1024
+
 #: RL55x -> HTTP status for the POST /analyze response envelope.
 _HTTP_STATUS = {
     "RL550": 429,
@@ -570,8 +574,8 @@ def make_http_server(service: AnalysisService, host: str, port: int):
             self.end_headers()
             self.wfile.write(data)
 
-        def _bad_request(self, message: str) -> None:
-            self._reply(400, error_response(None, ProtocolError(message)))
+        def _bad_request(self, message: str, status: int = 400) -> None:
+            self._reply(status, error_response(None, ProtocolError(message)))
 
         def do_GET(self):
             if self.path == "/healthz":
@@ -601,6 +605,14 @@ def make_http_server(service: AnalysisService, host: str, port: int):
                 # the body's extent is unknown: answer, then hang up
                 self.close_connection = True
                 self._bad_request("Content-Length must be a non-negative integer")
+                return
+            if length > MAX_REQUEST_BYTES:
+                # refuse unread: reading would allocate the declared size
+                # up front, or wait for bytes a lying client never sends
+                self.close_connection = True
+                self._bad_request(
+                    f"request body exceeds {MAX_REQUEST_BYTES} bytes", 413
+                )
                 return
             try:
                 payload = json.loads(self.rfile.read(length) or b"")

@@ -42,9 +42,7 @@ def pipeline(source, config=None):
 def engine_for(index, result):
     # one region holding every procedure: every edge is intra-region
     one_region = RegionPartition(index, dict.fromkeys(result.val, 0))
-    return ClientEngine(
-        index, ConstantLattice(), result.val, result, partition=one_region
-    )
+    return ClientEngine(one_region, ConstantLattice(), result.val, result)
 
 
 class TestHashConsing:

@@ -16,8 +16,7 @@ from hypothesis import given, settings
 
 from repro.core.lattice import BOTTOM, TOP
 from repro.core.solver import solve
-from repro.framework import solve_client
-from repro.framework.clients import ConstPropClient, CopyOf, CopyPropClient
+from repro.framework.clients import CopyOf, solve_copyprop
 from repro.framework.clients.copyprop import CopyLattice, copy_facts, project
 from repro.workloads import load_suite
 from repro.workloads.generator import generate
@@ -60,8 +59,8 @@ def projected(val):
 
 def solve_copy_and_const(source):
     lowered, graph, _, forward = prepare(source)
-    const = solve_client(lowered, graph, ConstPropClient(forward))
-    copy = solve_client(lowered, graph, CopyPropClient(forward))
+    const = solve(lowered, graph, forward)
+    copy = solve_copyprop(lowered, graph, forward)
     return const, copy
 
 
@@ -83,7 +82,7 @@ def test_projection_equals_constprop_on_generated(profile):
 def test_strict_refinement_on_chain_program():
     lowered, graph, _, forward = prepare(CHAIN_SRC)
     const = solve(lowered, graph, forward)
-    copy = solve_client(lowered, graph, CopyPropClient(forward))
+    copy = solve_copyprop(lowered, graph, forward)
 
     # subsumption: projecting recovers constprop exactly
     assert tagged(projected(copy.val)) == tagged(const.val)

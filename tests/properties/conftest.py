@@ -1,11 +1,12 @@
 """Hypothesis profiles for the property tests.
 
 ``soak`` raises the example budget of the fuzz tests in
-``test_fuzz_pipeline.py`` and ``test_request_fuzz.py`` from tier-1's 40
-to 1,500. The CI soak job runs the soundness, output-law,
-MOD/return-jump-function law, frontend mutation and request mutation
-tests with ``--hypothesis-profile soak --hypothesis-seed 12345``, so a
-failure there reproduces exactly.
+``test_fuzz_pipeline.py`` and ``test_request_fuzz.py`` from tier-1's 40,
+and of the region law in ``test_region_law.py`` from 25, to 1,500. The
+CI soak job runs the soundness, output-law, MOD/return-jump-function
+law, frontend mutation, request mutation and region-law tests with
+``--hypothesis-profile soak --hypothesis-seed 12345``, so a failure
+there reproduces exactly.
 """
 
 from hypothesis import settings

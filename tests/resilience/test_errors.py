@@ -43,22 +43,23 @@ class TestClassifyException:
     def test_framework_engine_crash_is_solve_stage(self, analysis, monkeypatch):
         # every analysis solves on the framework's ClientEngine; a crash
         # raised inside it must classify as SOLVE, not as unknown
-        from repro.framework.clients import ConstPropClient, CopyPropClient
-        from repro.framework.engine import solve_client
+        from repro.core.solver import solve
+        from repro.framework import ConstantLattice
+        from repro.framework.clients import CopyLattice, solve_copyprop
         from repro.workloads import load
 
         result = analyze(load("trfd").source)
-        client = {
-            "constprop": lambda: ConstPropClient(result.forward),
-            "copyprop": lambda: CopyPropClient(result.forward),
-        }[analysis]()
+        lattice, solver = {
+            "constprop": (ConstantLattice, solve),
+            "copyprop": (CopyLattice, solve_copyprop),
+        }[analysis]
 
         def broken_meet(self, a, b):
             raise RuntimeError("meet exploded")
 
-        monkeypatch.setattr(type(client.lattice), "meet", broken_meet)
+        monkeypatch.setattr(lattice, "meet", broken_meet)
         with pytest.raises(RuntimeError, match="meet exploded") as exc_info:
-            solve_client(result.lowered, result.call_graph, client)
+            solver(result.lowered, result.call_graph, result.forward)
         assert classify_exception(exc_info.value) is Stage.SOLVE
 
     def test_unclassifiable_returns_none(self):

@@ -575,8 +575,16 @@ class TestHttpTransport:
         assert status == 200
         assert body["served"]["cache"] == 1
 
-    @pytest.mark.parametrize("length", ["abc", "-5"])
-    def test_malformed_content_length_gets_400(self, http, length):
+    @pytest.mark.parametrize(
+        "length, status",
+        [
+            pytest.param("abc", 400, id="abc"),
+            pytest.param("-5", 400, id="-5"),
+            # over the body cap: refused unread, never allocated
+            pytest.param("99999999999999", 413, id="99999999999999"),
+        ],
+    )
+    def test_malformed_content_length_gets_400(self, http, length, status):
         import json
         import socket
 
@@ -590,7 +598,7 @@ class TestHttpTransport:
             while chunk := conn.recv(4096):
                 reply += chunk
         head, _, body = reply.partition(b"\r\n\r\n")
-        assert head.startswith(b"HTTP/1.1 400")
+        assert head.startswith(f"HTTP/1.1 {status}".encode())
         assert json.loads(body)["code"] == "RL555"
 
     def test_typed_rejections_map_to_http_statuses(self, http):

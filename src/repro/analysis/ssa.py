@@ -162,22 +162,28 @@ def instrument_call_kills(cfg: ControlFlowGraph, effects: CallEffects) -> None:
         block.instrs = new_instrs
 
 
-@dataclass
+@dataclass(eq=False)
 class SSAProcedure:
     """A procedure in SSA form plus renaming metadata.
 
-    The dominator tree construction used is not kept: nothing reads it
-    after renaming, and it costs a dict per block for as long as a cache
-    holds the form.
+    Compared and hashed by identity: cache keys hold SSA forms (see
+    :class:`~repro.core.driver.SSACache`). The dominator tree
+    construction used is not kept: nothing reads it after renaming, and
+    it costs a dict per block for as long as a cache holds the form.
+
+    ``entry_reads`` lists, in first-read order, the formals and globals
+    whose entry (version-0) value some operand reads, phi operands
+    included. SCCP cannot see any other entry value, so the references a
+    CONSTANTS(p) substitutes depend only on the constants of these.
 
     ``substitutions`` is the record memo of
-    :func:`repro.core.substitute.compute_substitutions`: the procedure's
-    read-only :class:`~repro.core.substitute.ProcedureSubstitutions` per
-    distinct set of constant entry values. It lives and dies with this
-    SSA form, so whatever shares the form (the stage-0
-    :class:`~repro.core.driver.SSACache`, across configurations and
-    daemon requests) shares its records, and code that is rebuilt
-    (complete propagation's DCE rounds) starts with an empty memo.
+    :func:`repro.core.substitute.compute_substitutions`, keyed by the
+    constants of ``entry_reads``. It lives and dies with this SSA form,
+    so whatever shares the form (configurations and daemon requests
+    through the stage-0 :class:`~repro.core.driver.SSACache`, and
+    complete propagation's later rounds for a procedure DCE left alone)
+    shares its records, and a rewritten procedure starts with an empty
+    memo.
     """
 
     lowered: LoweredProcedure
@@ -187,10 +193,10 @@ class SSAProcedure:
     exit_reachable: bool = True
     #: site_id -> {global symbol -> version current just before the call}.
     call_versions: dict[int, dict[Symbol, int]] = field(default_factory=dict)
-    #: frozenset of constant (entry key, class, value) -> the record.
-    substitutions: dict[frozenset, object] = field(
-        default_factory=dict, compare=False, repr=False
-    )
+    entry_reads: tuple[Symbol, ...] = ()
+    #: the constants of ``entry_reads`` (class, value; ``None`` twice for
+    #: a non-constant) -> the record.
+    substitutions: dict[tuple, object] = field(default_factory=dict, repr=False)
 
     @property
     def name(self) -> str:
@@ -261,7 +267,9 @@ def build_ssa(
     domtree = compute_dominators(cfg)
     reachable = set(domtree.idom)
     _place_phis(cfg, domtree, variables, reachable)
-    exit_versions, exit_reachable, call_versions = _rename(cfg, domtree, variables)
+    exit_versions, exit_reachable, call_versions, entry_reads = _rename(
+        cfg, domtree, variables
+    )
     return SSAProcedure(
         lowered=lowered_proc,
         cfg=cfg,
@@ -269,6 +277,7 @@ def build_ssa(
         exit_versions=exit_versions,
         exit_reachable=exit_reachable,
         call_versions=call_versions,
+        entry_reads=entry_reads,
     )
 
 
@@ -298,17 +307,30 @@ def _rename(
     cfg: ControlFlowGraph,
     domtree: DominatorTree,
     variables: list[Symbol],
-) -> tuple[dict[Symbol, int], bool, dict[int, dict[Symbol, int]]]:
+) -> tuple[
+    dict[Symbol, int], bool, dict[int, dict[Symbol, int]], tuple[Symbol, ...]
+]:
     stacks: dict[Symbol, list[int]] = {s: [0] for s in variables}
     counters: dict[Symbol, int] = {s: 0 for s in variables}
     tracked = set(variables)
     global_symbols = [s for s in variables if s.kind is SymbolKind.GLOBAL]
     exit_versions: dict[Symbol, int] = {}
     call_versions: dict[int, dict[Symbol, int]] = {}
+    # formals and globals (the symbols with an entry key) read at version 0
+    entry_reads: dict[Symbol, None] = {}
     exit_seen = False
 
     def current(symbol: Symbol) -> int:
         return stacks[symbol][-1]
+
+    def read(symbol: Symbol) -> int:
+        """:func:`current`, for an operand: notes an entry value read."""
+        version = stacks[symbol][-1]
+        if version == 0 and (
+            symbol.kind is SymbolKind.FORMAL or symbol.kind is SymbolKind.GLOBAL
+        ):
+            entry_reads[symbol] = None
+        return version
 
     def fresh(symbol: Symbol) -> int:
         counters[symbol] += 1
@@ -317,7 +339,7 @@ def _rename(
 
     def rewrite_use(operand: Operand) -> Operand:
         if isinstance(operand, VarUse) and operand.symbol in tracked:
-            return SSAName(operand.symbol, current(operand.symbol), operand.span)
+            return SSAName(operand.symbol, read(operand.symbol), operand.span)
         return operand
 
     # Iterative dominator-tree walk with explicit enter/leave events.
@@ -355,12 +377,13 @@ def _rename(
             for phi in succ.phis():
                 dest = phi.dest
                 assert isinstance(dest, VarDef)
-                phi.incoming[block_id] = SSAName(dest.symbol, current(dest.symbol))
+                phi.incoming[block_id] = SSAName(dest.symbol, read(dest.symbol))
         pushed_per_block[block_id] = pushed
         work.append(("leave", block_id))
         for child in sorted(domtree.children.get(block_id, ()), reverse=True):
             work.append(("enter", child))
 
+    reads = tuple(entry_reads)
     if not exit_seen:
-        return {}, False, call_versions
-    return exit_versions, True, call_versions
+        return {}, False, call_versions, reads
+    return exit_versions, True, call_versions, reads

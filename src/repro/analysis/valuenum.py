@@ -89,14 +89,23 @@ class ValueNumbering:
     ``exprs`` maps SSA names and temps to their expressions and omits ⊥:
     a missing key reads as ⊥ everywhere (:meth:`expr_of`,
     :meth:`exit_expr`, :meth:`global_expr_at`, phi operands). Numberings
-    live as long as their stage-0 bundle (one per procedure and MOD,
-    returns and compose setting; see :class:`~repro.core.driver.SSACache`),
-    so leaving ⊥ out keeps what a sweep retains small.
+    live as long as their stage-0 bundle (one per SSA form and the
+    return functions of its callees; see
+    :class:`~repro.core.driver.SSACache`), so leaving ⊥ out keeps what a
+    sweep retains small.
+
+    ``return_functions`` is the procedure's return jump functions read
+    off this numbering, filled in by the first stage 1 that needs them
+    (:mod:`repro.core.returns`), so every table built from one numbering
+    holds one entry object.
     """
 
     ssa: SSAProcedure
     program: "LoweredProgram"
     exprs: dict[object, ValueExpr] = field(default_factory=dict)
+    return_functions: Mapping[object, ValueExpr] | None = field(
+        default=None, repr=False
+    )
 
     def expr_of(self, operand: Operand) -> ValueExpr:
         """The symbolic value of an operand."""

@@ -47,9 +47,9 @@ _EMPTY_SUMMARY: frozenset = frozenset()
 class ModRefInfo:
     """MOD/REF summaries for every procedure.
 
-    The summaries :func:`compute_modref` returns are read-only: each
-    empty one is a single shared empty ``frozenset``, and no caller
-    mutates the others.
+    The summaries :func:`compute_modref` returns are frozensets, so SSA
+    cache keys can hold them (:class:`~repro.core.driver.SSACache`), and
+    each empty one is a single shared empty ``frozenset``.
     """
 
     mod_formals: dict[str, AbstractSet[str]] = field(default_factory=dict)
@@ -139,8 +139,7 @@ def compute_modref(lowered: LoweredProgram, graph: CallGraph) -> ModRefInfo:
         info.mod_formals, info.mod_globals, info.ref_formals, info.ref_globals
     ):
         for name, summary in summaries.items():
-            if not summary:
-                summaries[name] = _EMPTY_SUMMARY
+            summaries[name] = frozenset(summary) if summary else _EMPTY_SUMMARY
     return info
 
 

@@ -200,9 +200,9 @@ def build_forward_jump_functions(
 ) -> ForwardFunctions:
     """Stage 2: construct every call site's forward jump functions.
 
-    ``ssa_cache`` (a :class:`repro.core.driver.SSACache`, or anything with
-    its ``get(name, use_mod)`` shape) reuses the SSA forms stage 1 built —
-    SSA depends only on MOD information, not on the jump-function kind.
+    ``ssa_cache`` (a :class:`repro.core.driver.SSACache`) reuses the SSA
+    forms and numberings stage 1 built: neither depends on the
+    jump-function kind.
 
     ``returns`` must be stage 1's result for the same ``use_mod``,
     ``use_return_jump_functions`` and ``compose_return_functions``: its
@@ -218,6 +218,7 @@ def build_forward_jump_functions(
     """
     result = ForwardFunctions()
     active_modref = modref if config.use_mod else None
+    compose = config.compose_return_functions
     shared = returns.numberings
     kind = config.jump_function
     # id(projected expression) -> its JumpFunction (which keeps the
@@ -244,12 +245,13 @@ def build_forward_jump_functions(
         if numbering is None:
             if ssa_cache is not None:
                 ssa = ssa_cache.get(name, config.use_mod)
+                numbering = ssa_cache.numbering(
+                    ssa, returns.table, compose, value_number
+                )
             else:
                 effects = make_call_effects(lowered, name, active_modref)
                 ssa = build_ssa(lowered_proc, effects)
-            numbering = value_number(
-                ssa, lowered, returns.table, config.compose_return_functions
-            )
+                numbering = value_number(ssa, lowered, returns.table, compose)
             shared[name] = numbering
         ssa = numbering.ssa
         result.ssas[name] = ssa

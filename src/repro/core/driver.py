@@ -28,7 +28,9 @@ pipeline makes that explicit:
 Complete propagation (``config.complete``) iterates analysis with
 dead-code elimination. Its first round is the shared pipeline above, and
 its DCE rewrites copies, so no configuration mutates a cached stage-0
-artifact. Per-stage wall-clock timings and the cache counters are
+artifact. Its later rounds look up the bundle's SSA forms and
+numberings first (see :class:`SSACache`), so a procedure DCE left alone
+is not rebuilt. Per-stage wall-clock timings and the cache counters are
 surfaced through :attr:`AnalysisResult.timings` for the §3.1.5 cost
 benchmarks and the ``repro analyze --stats`` flag.
 """
@@ -39,8 +41,10 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from repro.analysis.ssa import SSAProcedure, build_ssa, ensure_global_symbols
+from repro.analysis.valuenum import ValueNumbering
 from repro.callgraph.graph import CallGraph, build_call_graph
 from repro.callgraph.modref import ModRefInfo, compute_modref, make_call_effects
 from repro.core.builder import ForwardFunctions, build_forward_jump_functions
@@ -49,7 +53,11 @@ from repro.core.config import AnalysisConfig, JumpFunctionKind
 from repro.core.exprs import intern_counters
 from repro.core.lattice import LatticeValue
 from repro.core.parallel import ParallelSolveError, solve_parallel
-from repro.core.returns import ReturnFunctionResult, build_return_jump_functions
+from repro.core.returns import (
+    ReturnFunctionResult,
+    ReturnTable,
+    build_return_jump_functions,
+)
 from repro.core.solver import SolveResult, WarmStart, bottom_val, solve, solve_dense
 from repro.core.substitute import (
     SubstitutionReport,
@@ -57,7 +65,7 @@ from repro.core.substitute import (
     transform_source,
 )
 from repro.frontend.symbols import Program, parse_program
-from repro.ir.lower import LoweredProgram, lower_program
+from repro.ir.lower import LoweredProcedure, LoweredProgram, lower_program
 from repro.resilience.budgets import SolveBudget
 from repro.resilience.cancel import (
     CancelledError,
@@ -91,45 +99,98 @@ from repro.store.slabs import plan_slab, publish_slab
 
 
 class SSACache:
-    """Memoized SSA construction and value numbering for one program.
+    """SSA forms and value numberings for one program, each keyed by
+    exactly what it is computed from.
 
-    SSA form depends on the lowered CFG and on which scalars each call
-    kills — i.e. on MOD information, but on nothing else in the
-    configuration — so :meth:`get` keys it by (procedure, use_mod): at
-    most two SSA forms per procedure ever exist. Value numbering reads
-    the SSA form, the return jump table and ``compose_return_functions``,
-    and the table depends only on ``use_mod``,
-    ``use_return_jump_functions`` and ``compose_return_functions``.
-    :meth:`returns` therefore keeps one stage-1 result per setting of
-    those three; its ``numberings`` (completed by stage 2) are what every
-    jump-function kind, and every rung of the degradation ladder,
-    projects. A procedure is numbered at most once per setting.
+    - An SSA form reads the lowered procedure and, through the kills its
+      calls insert, MOD information: nothing more for a procedure with no
+      call site, a no-MOD marker with MOD off, and the MOD summaries of
+      its distinct callees, compared by value, with MOD on. A call-free
+      procedure has one form whatever the MOD setting.
+    - A numbering reads the SSA form and the return-table entries of its
+      distinct callees, plus the compose flag when one of them has an
+      entry. Entries compare by identity
+      (:class:`~repro.core.returns.ReturnFunctions`); stage 1 reads each
+      numbering's entry off it once, so settings that share a callee's
+      numbering share its entry, and with it the caller's key.
+    - :meth:`returns` keeps one stage-1 result per (MOD, returns,
+      compose) setting. Its ``numberings``, completed by stage 2, are
+      what every jump-function kind, and every rung of the degradation
+      ladder, projects.
+
+    Keys are tuples of the objects they name (the lowered CFG, MOD
+    summaries, the SSA form, entries), so none of them can be freed and
+    its identity reused while the entry lives.
 
     Consumers (value numbering, SCCP, the dependence clients) never
-    mutate the SSA CFG. A complete-propagation round after the first
-    analyzes a rewritten program, so it gets a cache of its own.
+    mutate the SSA CFG. A later round of complete propagation analyzes a
+    rewritten program through a cache of its own whose ``base`` is the
+    stage-0 bundle's: lookups try the base first, so a procedure that
+    DCE left alone, with callees whose MOD summaries and return
+    functions did not change, keeps its round-1 SSA form, numbering and
+    records. The round's own entries never enter the base.
 
     Entries are published by one dict store each, so a present entry is
     final; two threads racing on a miss may both build it.
     """
 
-    def __init__(self, lowered: LoweredProgram, modref: ModRefInfo):
+    def __init__(
+        self,
+        lowered: LoweredProgram,
+        modref: ModRefInfo,
+        base: SSACache | None = None,
+    ):
         self._lowered = lowered
         self._modref = modref
-        self._entries: dict[tuple[str, bool], SSAProcedure] = {}
+        self._ssas: dict[tuple, SSAProcedure] = {}
+        self._numberings: dict[tuple, ValueNumbering] = {}
         self._returns: dict[tuple[bool, bool, bool], ReturnFunctionResult] = {}
+        # looked up first, never written
+        self._base_ssas = base._ssas if base is not None else {}
+        self._base_numberings = base._numberings if base is not None else {}
 
     def get(self, name: str, use_mod: bool) -> SSAProcedure:
-        key = (name, use_mod)
-        cached = self._entries.get(key)
-        if cached is not None:
-            return cached
-        effects = make_call_effects(
-            self._lowered, name, self._modref if use_mod else None
-        )
-        ssa = build_ssa(self._lowered.procedures[name], effects)
-        self._entries[key] = ssa
+        lowered_proc = self._lowered.procedures[name]
+        if not lowered_proc.call_instrs:
+            key: tuple = (lowered_proc.cfg,)
+        elif not use_mod:
+            key = (lowered_proc.cfg, None)
+        else:
+            mod_globals = self._modref.mod_globals
+            mod_formals = self._modref.mod_formals
+            parts = [lowered_proc.cfg]
+            for callee in _callees(lowered_proc):
+                parts.append(mod_globals.get(callee))
+                parts.append(mod_formals.get(callee))
+            key = tuple(parts)
+        ssa = self._base_ssas.get(key) or self._ssas.get(key)
+        if ssa is None:
+            effects = make_call_effects(
+                self._lowered, name, self._modref if use_mod else None
+            )
+            ssa = build_ssa(lowered_proc, effects)
+            self._ssas[key] = ssa
         return ssa
+
+    def numbering(
+        self,
+        ssa: SSAProcedure,
+        table: ReturnTable,
+        compose: bool,
+        number: Callable[..., ValueNumbering],
+    ) -> ValueNumbering:
+        """The numbering of ``ssa`` against return table ``table``; on a
+        miss, ``number`` (the calling stage's ``value_number``) makes it."""
+        # value_number reads an empty entry as no entry
+        entries = tuple(
+            table.get(callee) or None for callee in _callees(ssa.lowered)
+        )
+        key = (ssa, compose, *entries) if any(entries) else (ssa,)
+        numbering = self._base_numberings.get(key) or self._numberings.get(key)
+        if numbering is None:
+            numbering = number(ssa, self._lowered, table, compose)
+            self._numberings[key] = numbering
+        return numbering
 
     def returns(
         self, graph: CallGraph, config: AnalysisConfig
@@ -150,6 +211,11 @@ class SSACache:
             )
             self._returns[key] = cached
         return cached
+
+
+def _callees(lowered_proc: LoweredProcedure) -> dict[str, None]:
+    """The distinct callees of a procedure's calls, in call order."""
+    return dict.fromkeys(call.callee for call in lowered_proc.call_instrs)
 
 
 @dataclass
@@ -872,7 +938,7 @@ def analyze(
             config,
             lambda lowered, graph, modref: _config_stages(
                 lowered, graph, modref, config, timings,
-                ssa_cache=SSACache(lowered, modref),
+                ssa_cache=SSACache(lowered, modref, base=stage0.ssa_cache),
                 degradations=degradations,
             ),
             timings=timings,

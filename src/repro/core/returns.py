@@ -16,7 +16,9 @@ implementation's behaviour for not-yet-analyzed routines.
 Each table entry is written once, so a procedure whose callees all had
 entries when it was numbered was numbered against the final table: stage
 2 (:mod:`repro.core.builder`) projects that numbering as it is instead of
-redoing it.
+redoing it. An entry is read off its numbering once
+(:attr:`~repro.analysis.valuenum.ValueNumbering.return_functions`), so
+every table built from a shared numbering holds the same entry object.
 """
 
 from __future__ import annotations
@@ -33,8 +35,24 @@ from repro.frontend.astnodes import Type
 from repro.frontend.symbols import SymbolKind
 from repro.ir.lower import LoweredProgram
 
-#: proc name -> (formal name | GlobalId | RESULT_KEY) -> ValueExpr.
-ReturnTable = dict[str, dict[object, ValueExpr]]
+class ReturnFunctions(dict):
+    """One procedure's return jump functions: (formal name | GlobalId |
+    RESULT_KEY) -> ValueExpr.
+
+    Compared and hashed by identity, so a numbering's cache key can hold
+    the entries it read (:class:`~repro.core.driver.SSACache`): equal
+    contents are not equal inputs, because ``ConstExpr(True) ==
+    ConstExpr(1)``.
+    """
+
+    __slots__ = ()
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+
+
+#: proc name -> that procedure's return jump functions.
+ReturnTable = dict[str, ReturnFunctions]
 
 
 @dataclass
@@ -46,7 +64,10 @@ class ReturnFunctionResult:
     its calls already had an entry, and stage 2 adds the rest (recursive
     SCC members, and every procedure when return jump functions are off)
     the first time it needs them. Each entry is published by one dict
-    store, so a present entry is final.
+    store, so a present entry is final. With an
+    :class:`~repro.core.driver.SSACache`, the numberings themselves are
+    the cache's, so results of different settings share every numbering
+    whose inputs agree.
     """
 
     table: ReturnTable = field(default_factory=dict)
@@ -83,10 +104,10 @@ def build_return_jump_functions(
     table (Table 2's "No Return Jump Functions" columns) — calls then
     simply kill whatever MOD says they may modify.
 
-    ``ssa_cache`` (a :class:`repro.core.driver.SSACache`, or anything with
-    its ``get(name, use_mod)`` shape) shares SSA forms with stage 2 and
-    with other configurations; without one each procedure is converted
-    here from scratch.
+    ``ssa_cache`` (a :class:`repro.core.driver.SSACache`) shares SSA
+    forms and numberings with stage 2 and with other configurations;
+    without one each procedure is converted and numbered here from
+    scratch.
 
     The result depends on ``config`` only through ``use_mod``,
     ``use_return_jump_functions`` and ``compose_return_functions``, and
@@ -97,33 +118,37 @@ def build_return_jump_functions(
         return result
 
     active_modref = modref if config.use_mod else None
+    compose = config.compose_return_functions
     table = result.table
     for scc in graph.bottom_up_sccs():
         for name in scc:
             lowered_proc = lowered.procedures[name]
             if ssa_cache is not None:
                 ssa = ssa_cache.get(name, config.use_mod)
+                numbering = ssa_cache.numbering(
+                    ssa, table, compose, value_number
+                )
             else:
                 effects = make_call_effects(lowered, name, active_modref)
                 ssa = build_ssa(lowered_proc, effects)
-            final = all(call.callee in table for call in ssa.calls())
-            numbering = value_number(
-                ssa,
-                lowered,
-                table,
-                config.compose_return_functions,
-            )
+                numbering = value_number(ssa, lowered, table, compose)
             result.ssas[name] = ssa
-            if final:
+            if all(call.callee in table for call in lowered_proc.call_instrs):
                 result.numberings[name] = numbering
-            table[name] = _extract_functions(lowered_proc, numbering)
+            functions = numbering.return_functions
+            if functions is None:
+                # one attribute store: a racing thread may extract a twin,
+                # which only makes the numberings keyed on it miss
+                functions = numbering.return_functions = _extract_functions(
+                    numbering
+                )
+            table[name] = functions
     return result
 
 
-def _extract_functions(lowered_proc, numbering: ValueNumbering) -> dict[object, ValueExpr]:
+def _extract_functions(numbering: ValueNumbering) -> ReturnFunctions:
     """Exit-value expressions for everything a caller could observe."""
-    functions: dict[object, ValueExpr] = {}
-    procedure = lowered_proc.procedure
+    functions = ReturnFunctions()
     for symbol in numbering.ssa.variables:
         if symbol.type not in (Type.INTEGER, Type.LOGICAL):
             continue

@@ -21,7 +21,7 @@ transformed-source output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.analysis.sccp import run_sccp
 from repro.analysis.ssa import SSAProcedure
@@ -39,7 +39,9 @@ class ProcedureSubstitutions:
 
     Read-only once built: :func:`compute_substitutions` memoizes each
     record on the SSA form it came from, so results of different
-    configurations (and different daemon requests) share it.
+    configurations (and different daemon requests) share it, or share
+    its reference lists when their CONSTANTS(p) differ only in entries
+    the procedure never reads.
     """
 
     proc: str
@@ -132,15 +134,21 @@ def compute_substitutions(
     main program (never-called procedures contribute nothing, matching the
     paper's ⊤ convention).
 
-    A procedure's record is a pure function of its SSA form and the
-    constant entries of VAL(p): SCCP seeds ⊤ and ⊥ entries alike with ⊥,
-    and only constants are counted. So each record is memoized on the SSA
-    form (:attr:`~repro.analysis.ssa.SSAProcedure.substitutions`), keyed
-    by the frozenset of constant ``(entry key, class, value)`` triples;
-    the class keeps ``True`` apart from ``1``, as
-    :func:`~repro.core.lattice.meet` does. Records are shared, hence
-    read-only. Each is published with one dict store: two threads may
-    both build one, but neither sees half of one.
+    A procedure's substituted references are a pure function of its SSA
+    form and the constants of CONSTANTS(p) whose entry value the form
+    reads (:attr:`~repro.analysis.ssa.SSAProcedure.entry_reads`): SCCP
+    seeds ⊤ and ⊥ entries alike with ⊥, sees no entry value that no
+    operand reads, and only constants are counted. So each record is
+    memoized on the SSA form
+    (:attr:`~repro.analysis.ssa.SSAProcedure.substitutions`), keyed by
+    the class and value of each read entry's constant; the class keeps
+    ``True`` apart from ``1``, as :func:`~repro.core.lattice.meet` does.
+    ``known_constants`` and ``irrelevant_keys`` read all of CONSTANTS(p),
+    so they are worked out on every call; where they differ from the
+    memoized record's, the result is a copy sharing its reference
+    lists. Records are shared, hence read-only. Each is published with
+    one dict store: two threads may both build one, but neither sees
+    half of one.
     """
     report = SubstitutionReport()
     procs = include_procs if include_procs is not None else solved.reached
@@ -149,15 +157,41 @@ def compute_substitutions(
         if ssa is None:
             continue
         constants = solved.constants(name)
-        key = frozenset(
-            (entry, value.__class__, value) for entry, value in constants.items()
-        )
+        key = _read_constants(ssa, constants)
         proc_subs = ssa.substitutions.get(key)
         if proc_subs is None:
             proc_subs = _record_procedure(name, ssa, constants)
             ssa.substitutions[key] = proc_subs
+        else:
+            irrelevant = _irrelevant_keys(proc_subs, constants)
+            if (
+                proc_subs.known_constants != len(constants)
+                or proc_subs.irrelevant_keys != irrelevant
+            ):
+                proc_subs = replace(
+                    proc_subs,
+                    known_constants=len(constants),
+                    irrelevant_keys=irrelevant,
+                )
         report.per_procedure[name] = proc_subs
     return report
+
+
+def _read_constants(ssa: SSAProcedure, constants: dict) -> tuple:
+    """The record memo key: for each entry value ``ssa`` reads, the class
+    and value of its constant, or ``None`` twice."""
+    key: list = []
+    for symbol in ssa.entry_reads:
+        value = constants.get(entry_key_of(symbol))
+        key += (None, None) if value is None else (value.__class__, value)
+    return tuple(key)
+
+
+def _irrelevant_keys(record: ProcedureSubstitutions, constants: dict) -> list:
+    """The keys of ``constants`` that no entry reference of ``record``
+    substitutes."""
+    referenced_keys = {entry_key_of(symbol) for symbol in record.entry_symbols}
+    return [key for key in constants if key not in referenced_keys]
 
 
 def _record_procedure(
@@ -166,10 +200,8 @@ def _record_procedure(
     """One procedure's substitution sites under CONSTANTS(p) =
     ``constants``."""
     entry_env: dict[Symbol, LatticeValue] = {}
-    for symbol in ssa.variables:
-        key = entry_key_of(symbol)
-        if key is not None:
-            entry_env[symbol] = constants.get(key, BOTTOM)
+    for symbol in ssa.entry_reads:
+        entry_env[symbol] = constants.get(entry_key_of(symbol), BOTTOM)
     sccp = run_sccp(ssa, entry_env)
     proc_subs = ProcedureSubstitutions(proc=name)
     seen_spans: set[tuple[int, int]] = set()
@@ -198,12 +230,7 @@ def _record_procedure(
                 if key is not None and key in constants:
                     proc_subs.entry_references.append(record)
     proc_subs.known_constants = len(constants)
-    referenced_keys = {
-        entry_key_of(symbol) for symbol in proc_subs.entry_symbols
-    }
-    proc_subs.irrelevant_keys = [
-        key for key in constants if key not in referenced_keys
-    ]
+    proc_subs.irrelevant_keys = _irrelevant_keys(proc_subs, constants)
     return proc_subs
 
 

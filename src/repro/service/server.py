@@ -538,6 +538,12 @@ def serve_stdio(service: AnalysisService, stdin=None, stdout=None) -> int:
 #: a byte of it is read.
 MAX_REQUEST_BYTES = 16 * 1024 * 1024
 
+#: Seconds a connection may leave the server waiting for its next bytes.
+#: A request body that stalls this long gets HTTP 408 and the connection
+#: closes, so a client that declares more bytes than it sends cannot pin
+#: a handler thread.
+REQUEST_READ_TIMEOUT = 10.0
+
 #: RL55x -> HTTP status for the POST /analyze response envelope.
 _HTTP_STATUS = {
     "RL550": 429,
@@ -562,6 +568,11 @@ def make_http_server(service: AnalysisService, host: str, port: int):
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+
+        def setup(self):
+            # the module constant, read per connection
+            self.timeout = REQUEST_READ_TIMEOUT
+            super().setup()
 
         def log_message(self, *args):  # quiet: the journal is the record
             pass
@@ -615,7 +626,24 @@ def make_http_server(service: AnalysisService, host: str, port: int):
                 )
                 return
             try:
-                payload = json.loads(self.rfile.read(length) or b"")
+                body = self.rfile.read(length)
+            except TimeoutError:
+                self.close_connection = True
+                self._bad_request(
+                    f"request body not received within "
+                    f"{REQUEST_READ_TIMEOUT:g}s",
+                    408,
+                )
+                return
+            if len(body) < length:
+                # the client hung up mid-body: never parse a fragment
+                self.close_connection = True
+                self._bad_request(
+                    f"request body ended after {len(body)} of {length} bytes"
+                )
+                return
+            try:
+                payload = json.loads(body or b"")
             except ValueError:
                 self._bad_request("request body is not valid JSON")
                 return

@@ -6,6 +6,7 @@ import sys
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 
@@ -154,6 +155,36 @@ class TestStage0Cache:
         assert cache.hits == cache.misses == 0
         assert len(cache) == 0
 
+    def test_complete_rounds_reuse_untouched_procedures(self):
+        cache = Stage0Cache()
+        bundle = cache.get(PROGRAM)
+        config = AnalysisConfig(complete=True)
+        result = analyze(PROGRAM, config, cache=cache)
+        stats = result.complete_stats
+        assert stats.rounds == 2
+        rewritten = {
+            name for name, proc in stats.per_round[0].items() if proc.any_change
+        }
+        assert rewritten == {"chain"}
+        round_one = analyze(PROGRAM, replace(config, complete=False), cache=cache)
+        for name, ssa in result.forward.ssas.items():
+            kept = ssa is round_one.forward.ssas[name]
+            assert kept == (name not in rewritten), name
+        # the second round's own entries stay out of the bundle
+        forms = bundle.ssa_cache._ssas.values()
+        numberings = bundle.ssa_cache._numberings.values()
+        assert all(
+            ssa.lowered is bundle.lowered.procedures[ssa.name] for ssa in forms
+        )
+        assert {id(n.ssa) for n in numberings} <= {id(ssa) for ssa in forms}
+        for name in ("relay", "leaf"):
+            numbering = result.forward.numberings[name]
+            assert numbering is round_one.forward.numberings[name], name
+        for name in ("chain", "main"):
+            numbering = result.forward.numberings[name]
+            assert numbering is not round_one.forward.numberings[name], name
+            assert all(numbering is not shared for shared in numberings), name
+
     def test_ssa_shared_between_stage1_and_stage2(self):
         result = analyze(PROGRAM, cache=Stage0Cache())
         for name, ssa in result.forward.ssas.items():
@@ -289,6 +320,45 @@ class TestRecordMemo:
         distinct = {(id(ssa), constants) for ssa, constants in inputs}
         assert inputs and len(inputs) == len(distinct)
 
+    # `p` never reads `b`: literal jump functions bind it ⊥, polynomial
+    # ones bind it 3, and `a` is 1 under both.
+    UNREAD = """
+program main
+  integer n
+  n = 2
+  call p(1, n + 1)
+end
+
+subroutine p(a, b)
+  integer a, b
+  write a
+end
+"""
+
+    def test_unread_entry_shares_one_sccp_run(self, monkeypatch):
+        inputs = record_sccp_inputs(monkeypatch)
+        analyzer = Analyzer(self.UNREAD, cache=Stage0Cache())
+        literal = analyzer.run(
+            AnalysisConfig(jump_function=JumpFunctionKind.LITERAL)
+        )
+        polynomial = analyzer.run(
+            AnalysisConfig(jump_function=JumpFunctionKind.POLYNOMIAL)
+        )
+        assert literal.constants("p") == {"a": 1}
+        assert polynomial.constants("p") == {"a": 1, "b": 3}
+        assert [ssa.name for ssa, _ in inputs].count("p") == 1
+        lit = literal.substitutions.per_procedure["p"]
+        poly = polynomial.substitutions.per_procedure["p"]
+        assert (lit.known_constants, lit.irrelevant_keys) == (1, [])
+        assert (poly.known_constants, poly.irrelevant_keys) == (2, ["b"])
+        assert lit.references is poly.references and len(lit.references) == 1
+        fresh = analyze(
+            self.UNREAD,
+            AnalysisConfig(jump_function=JumpFunctionKind.POLYNOMIAL),
+            cache=None,
+        ).substitutions.per_procedure["p"]
+        assert (fresh.known_constants, fresh.irrelevant_keys) == (2, ["b"])
+
 
 def count_numberings(monkeypatch) -> Counter:
     """Count ``value_number`` calls per procedure at both call sites."""
@@ -305,20 +375,58 @@ def count_numberings(monkeypatch) -> Counter:
 
 
 class TestNumberingSharing:
-    """Value numbering reads the SSA form, the return table and the
-    compose switch; the jump function only picks a projection of it."""
+    """Value numbering reads the SSA form, its callees' return functions
+    and the compose switch; the jump function only picks a projection of
+    it."""
 
-    def test_each_procedure_numbered_once_per_setting(self, monkeypatch):
+    def test_each_procedure_numbered_once_per_distinct_input(
+        self, monkeypatch
+    ):
         numbered = count_numberings(monkeypatch)
         results = Analyzer(PROGRAM, cache=Stage0Cache()).sweep(
             {**TABLE2_CONFIGS, **TABLE3_CONFIGS}
         )
         # The ten configurations span three (MOD, returns) settings:
-        # on/on, on/off and off/on. Complete propagation's first round
-        # shares on/on; it numbers afresh in every later DCE round.
-        rounds = results["complete"].complete_stats.rounds
-        procedures = results["polynomial"].lowered.procedures
-        assert numbered == {name: 3 + rounds - 1 for name in procedures}
+        # on/on, on/off and off/on. A call-free procedure reads neither,
+        # so it is numbered once. A caller is numbered once per setting.
+        # Complete propagation's first round shares on/on; its DCE
+        # rewrites `chain`, so the second round numbers `chain` afresh,
+        # and `main`, whose key holds chain's new return functions.
+        stats = results["complete"].complete_stats
+        assert stats.rounds == 2
+        assert {
+            name for name, proc in stats.per_round[0].items() if proc.any_change
+        } == {"chain"}
+        assert numbered == {
+            "main": 4,
+            "chain": 4,
+            "relay": 3,
+            "init": 1,
+            "work": 1,
+            "leaf": 1,
+            "twice": 1,
+            "sink": 1,
+        }
+
+    def test_call_free_procedure_has_one_form_and_one_numbering(self):
+        analyzer = Analyzer(PROGRAM, cache=Stage0Cache())
+        results = [
+            analyzer.run(
+                AnalysisConfig(use_mod=use_mod, use_return_jump_functions=rjf)
+            )
+            for use_mod in (True, False)
+            for rjf in (True, False)
+        ]
+        for name in ("init", "work", "leaf", "twice", "sink"):
+            assert not results[0].lowered.procedures[name].call_instrs
+            assert len({id(r.forward.ssas[name]) for r in results}) == 1, name
+            assert (
+                len({id(r.forward.numberings[name]) for r in results}) == 1
+            ), name
+        # a caller's kills read MOD: one form with it, another without
+        relay = [r.forward.ssas["relay"] for r in results]
+        assert relay[0] is relay[1] and relay[2] is relay[3]
+        assert relay[0] is not relay[2]
 
     def test_ladder_rungs_share_one_numbering(self, monkeypatch):
         numbered = count_numberings(monkeypatch)

@@ -601,6 +601,54 @@ class TestHttpTransport:
         assert head.startswith(f"HTTP/1.1 {status}".encode())
         assert json.loads(body)["code"] == "RL555"
 
+    @staticmethod
+    def post_truncated(port, hang_up: bool) -> tuple[bytes, float]:
+        """POST a complete JSON request under a ``Content-Length`` 100
+        bytes longer; with ``hang_up``, close the sending side after it.
+        Returns the raw reply and the seconds it took."""
+        import json
+        import socket
+        import time
+
+        body = json.dumps({"id": "t", "source": SOURCE}).encode()
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as conn:
+            start = time.monotonic()
+            conn.sendall(
+                b"POST /analyze HTTP/1.1\r\nHost: localhost\r\n"
+                + f"Content-Length: {len(body) + 100}\r\n\r\n".encode()
+                + body
+            )
+            if hang_up:
+                conn.shutdown(socket.SHUT_WR)
+            reply = b""
+            while chunk := conn.recv(4096):
+                reply += chunk
+            return reply, time.monotonic() - start
+
+    def test_short_body_gets_400_unparsed(self, http):
+        import json
+
+        service, _, port = http
+        reply, _ = self.post_truncated(port, hang_up=True)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        assert json.loads(body)["code"] == "RL555"
+        # never parsed, so never served
+        assert not any(service.stats()["served"].values())
+
+    def test_stalled_body_gets_408(self, http, monkeypatch):
+        import json
+
+        from repro.service import server
+
+        monkeypatch.setattr(server, "REQUEST_READ_TIMEOUT", 0.3, raising=False)
+        _, _, port = http
+        reply, seconds = self.post_truncated(port, hang_up=False)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 408")
+        assert json.loads(body)["code"] == "RL555"
+        assert seconds < 2
+
     def test_typed_rejections_map_to_http_statuses(self, http):
         service, call, _ = http
         status, body = call("POST", "/analyze", {"source": ""})

@@ -21,15 +21,13 @@ import gc
 import sys
 import time
 
-from repro.analysis.ssa import ensure_global_symbols
-from repro.callgraph import build_call_graph, compute_modref
 from repro.core.builder import build_forward_jump_functions
 from repro.core.config import AnalysisConfig, JumpFunctionKind
+from repro.core.driver import build_stage0
 from repro.core.exprs import ValueExpr
 from repro.core.returns import build_return_jump_functions
 from repro.core.solver import solve
 from repro.frontend import parse_program
-from repro.ir import lower_program
 from repro.workloads.suite import large_names, load
 
 SPEEDUP_FLOOR = 3.0
@@ -38,13 +36,10 @@ ROUNDS = 5
 
 
 def _pipeline(source, config):
-    program = parse_program(source)
-    lowered = lower_program(program)
-    ensure_global_symbols(lowered)
-    graph = build_call_graph(lowered)
-    modref = compute_modref(lowered, graph)
-    returns = build_return_jump_functions(lowered, graph, modref, config)
-    forward = build_forward_jump_functions(lowered, modref, returns, config)
+    stage0 = build_stage0(parse_program(source))
+    lowered, graph, cache = stage0.lowered, stage0.graph, stage0.ssa_cache
+    returns = build_return_jump_functions(lowered, graph, config, cache)
+    forward = build_forward_jump_functions(lowered, returns, config, cache)
     return lowered, graph, forward
 
 
@@ -129,7 +124,7 @@ def run_comparison():
         # support index, the cached region partition, and the boxed
         # environment dicts it populates (the flat engine's codes array
         # plays the val role until the final decode)
-        index = forward.support_index(lowered)
+        index = forward.index
         partition = forward.partition
         object_bytes = _deep_bytes(index, partition, obj.val)
         rows.append(

@@ -7,16 +7,14 @@ plus the richer lattice."""
 
 import pytest
 
-from repro.analysis.ssa import ensure_global_symbols
-from repro.callgraph import build_call_graph, compute_modref
 from repro.core.builder import build_forward_jump_functions
 from repro.core.config import AnalysisConfig
+from repro.core.driver import build_stage0
 from repro.core.returns import build_return_jump_functions
 from repro.core.solver import initial_val
 from repro.framework import ConstantLattice, solve_client
 from repro.framework.clients import solve_copyprop
 from repro.frontend.symbols import parse_program
-from repro.ir import lower_program
 from repro.workloads import load, suite_names
 
 
@@ -26,12 +24,10 @@ def prepared():
     config = AnalysisConfig()
     bundle = []
     for name in suite_names():
-        lowered = lower_program(parse_program(load(name).source))
-        ensure_global_symbols(lowered)
-        graph = build_call_graph(lowered)
-        modref = compute_modref(lowered, graph)
-        returns = build_return_jump_functions(lowered, graph, modref, config)
-        forward = build_forward_jump_functions(lowered, modref, returns, config)
+        stage0 = build_stage0(parse_program(load(name).source))
+        lowered, graph, cache = stage0.lowered, stage0.graph, stage0.ssa_cache
+        returns = build_return_jump_functions(lowered, graph, config, cache)
+        forward = build_forward_jump_functions(lowered, returns, config, cache)
         bundle.append((lowered, graph, forward))
     return bundle
 

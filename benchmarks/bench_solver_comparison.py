@@ -6,22 +6,25 @@ per-procedure worklist re-evaluates whole call sites, the sparse engine
 evaluates only jump functions whose support lowered (with build-time
 constant hoisting and an identity-keyed memo)."""
 
+import statistics
 import time
 
 import pytest
 
-from repro.analysis.ssa import ensure_global_symbols
-from repro.callgraph import build_call_graph, compute_modref
 from repro.core.builder import build_forward_jump_functions
 from repro.core.config import AnalysisConfig
+from repro.core.driver import build_stage0
 from repro.core.returns import build_return_jump_functions
 from repro.core.solver import solve, solve_dense
 from repro.frontend.symbols import parse_program
-from repro.ir import lower_program
 from repro.workloads import load, suite_names
 
 #: sparse must cut solve-time jump-function evaluations at least this much.
 MIN_EVALUATION_REDUCTION = 0.30
+
+#: timed rounds behind the wall-clock ratio; odd, so the median is one
+#: round's own ratio.
+RATIO_ROUNDS = 31
 
 
 @pytest.fixture(scope="module")
@@ -30,12 +33,10 @@ def prepared():
     config = AnalysisConfig()
     bundle = []
     for name in suite_names():
-        lowered = lower_program(parse_program(load(name).source))
-        ensure_global_symbols(lowered)
-        graph = build_call_graph(lowered)
-        modref = compute_modref(lowered, graph)
-        returns = build_return_jump_functions(lowered, graph, modref, config)
-        forward = build_forward_jump_functions(lowered, modref, returns, config)
+        stage0 = build_stage0(parse_program(load(name).source))
+        lowered, graph, cache = stage0.lowered, stage0.graph, stage0.ssa_cache
+        returns = build_return_jump_functions(lowered, graph, config, cache)
+        forward = build_forward_jump_functions(lowered, returns, config, cache)
         bundle.append((lowered, graph, forward))
     return bundle
 
@@ -53,16 +54,24 @@ def _solve_all(solver, prepared):
             for lowered, graph, forward in prepared]
 
 
-def _interleaved_best(solvers, prepared, repeats=7) -> list[float]:
-    """Best-of-N wall-clock per solver, rounds interleaved so ambient
-    machine noise hits every solver alike."""
-    best = [float("inf")] * len(solvers)
-    for _ in range(repeats):
-        for index, solver in enumerate(solvers):
+def _paired_ratio(prepared, rounds=RATIO_ROUNDS) -> float:
+    """Median over ``rounds`` of one round's sparse/dense wall-clock
+    ratio. Each round times both solvers back to back, alternating which
+    runs first, so drift slower than a round cancels inside its ratio
+    and neither solver always inherits the other's warm caches; the
+    median then ignores the rounds a noise burst landed in."""
+    ratios = []
+    for round_index in range(rounds):
+        order = (solve, solve_dense)
+        if round_index % 2:
+            order = order[::-1]
+        seconds = {}
+        for solver in order:
             start = time.perf_counter()
             _solve_all(solver, prepared)
-            best[index] = min(best[index], time.perf_counter() - start)
-    return best
+            seconds[solver] = time.perf_counter() - start
+        ratios.append(seconds[solve] / seconds[solve_dense])
+    return statistics.median(ratios)
 
 
 def test_worklist_solver(benchmark, prepared, bench_counters):
@@ -104,14 +113,14 @@ def test_sparse_vs_dense_cost(prepared, reporter, bench_counters):
     dense_evals = sum(r.evaluations for r in dense_results)
     sparse_evals = sum(r.evaluations for r in sparse_results)
     reduction = 1 - sparse_evals / dense_evals
-    dense_secs, sparse_secs = _interleaved_best((solve_dense, solve), prepared)
+    ratio = _paired_ratio(prepared)
     lines.append("-" * 48)
     lines.append(
         f"{'total':<12} {dense_evals:>12} {sparse_evals:>13} {reduction:>6.0%}"
     )
     lines.append(
-        f"wall-clock (best of 7): dense {dense_secs * 1000:.2f} ms, "
-        f"sparse {sparse_secs * 1000:.2f} ms"
+        f"wall-clock sparse/dense (median of {RATIO_ROUNDS} paired rounds): "
+        f"{ratio:.3f}"
     )
     reporter("Sparse vs dense solver cost", "\n".join(lines))
     bench_counters.update(
@@ -124,4 +133,4 @@ def test_sparse_vs_dense_cost(prepared, reporter, bench_counters):
 
     assert reduction >= MIN_EVALUATION_REDUCTION
     # allow a whisker of timer noise over "no worse than dense"
-    assert sparse_secs <= dense_secs * 1.05
+    assert ratio <= 1.05

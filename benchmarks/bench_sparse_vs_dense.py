@@ -9,14 +9,12 @@ whether its bookkeeping ever costs more wall-clock than it saves."""
 
 import time
 
-from repro.analysis.ssa import ensure_global_symbols
-from repro.callgraph import build_call_graph, compute_modref
 from repro.core.builder import build_forward_jump_functions
 from repro.core.config import AnalysisConfig
+from repro.core.driver import build_stage0
 from repro.core.returns import build_return_jump_functions
 from repro.core.solver import solve, solve_dense
 from repro.frontend.symbols import parse_program
-from repro.ir import lower_program
 from repro.workloads import load
 
 from benchmarks.bench_scaling import SCALES
@@ -30,12 +28,10 @@ SOLVERS = (
 def _prepare(scale):
     config = AnalysisConfig()
     workload = load("spec77", scale=scale)
-    lowered = lower_program(parse_program(workload.source))
-    ensure_global_symbols(lowered)
-    graph = build_call_graph(lowered)
-    modref = compute_modref(lowered, graph)
-    returns = build_return_jump_functions(lowered, graph, modref, config)
-    forward = build_forward_jump_functions(lowered, modref, returns, config)
+    stage0 = build_stage0(parse_program(workload.source))
+    lowered, graph, cache = stage0.lowered, stage0.graph, stage0.ssa_cache
+    returns = build_return_jump_functions(lowered, graph, config, cache)
+    forward = build_forward_jump_functions(lowered, returns, config, cache)
     return workload, lowered, graph, forward
 
 

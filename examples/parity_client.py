@@ -13,9 +13,8 @@ Run:  python examples/parity_client.py
 """
 
 from repro import AnalysisConfig
-from repro.analysis.ssa import ensure_global_symbols
-from repro.callgraph import build_call_graph, compute_modref
 from repro.core.builder import build_forward_jump_functions
+from repro.core.driver import build_stage0
 from repro.core.lattice import BOTTOM, TOP, is_constant
 from repro.core.returns import build_return_jump_functions
 from repro.core.solver import initial_val
@@ -29,7 +28,6 @@ from repro.framework import (
 )
 from repro.frontend import parse_program
 from repro.frontend.symbols import GlobalId
-from repro.ir import lower_program
 
 # ── the client: a lattice, a seed and a lift ───────────────────────────
 
@@ -101,13 +99,11 @@ def main():
     program = parse_program(SOURCE)
     for gid, value in DATA.items():
         program.globals[gid].data_value = value
-    lowered = lower_program(program)
-    ensure_global_symbols(lowered)
-    graph = build_call_graph(lowered)
+    stage0 = build_stage0(program)
+    lowered, graph, cache = stage0.lowered, stage0.graph, stage0.ssa_cache
     config = AnalysisConfig()
-    modref = compute_modref(lowered, graph)
-    returns = build_return_jump_functions(lowered, graph, modref, config)
-    forward = build_forward_jump_functions(lowered, modref, returns, config)
+    returns = build_return_jump_functions(lowered, graph, config, cache)
+    forward = build_forward_jump_functions(lowered, returns, config, cache)
 
     result = solve_parity(lowered, graph, forward)
     for proc in sorted(result.val):

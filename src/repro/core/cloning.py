@@ -89,15 +89,15 @@ def _site_vector(result: AnalysisResult, site_id: int, callee: str) -> tuple:
     Only keys the *merged* analysis failed to prove constant participate —
     those are the ones cloning can recover."""
     site = result.forward.sites.get(site_id)
-    if site is None:
+    if not site:
         return ()
-    caller_env = result.solved.val.get(site.caller, {})
-    merged = result.solved.val.get(callee, {})
+    val = result.solved.val
+    merged = val.get(callee, {})
     vector = []
-    for key, function in site.all_functions():
+    for key, edge in site.items():
         if is_constant(merged.get(key)):
             continue  # already constant everywhere; nothing to recover
-        value = function.evaluate(caller_env)
+        value = edge.func.evaluate(val.get(edge.caller, {}))
         if is_constant(value):
             vector.append((str(key), value))
     return tuple(sorted(vector))

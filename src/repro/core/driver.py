@@ -207,7 +207,7 @@ class SSACache:
         cached = self._returns.get(key)
         if cached is None:
             cached = build_return_jump_functions(
-                self._lowered, graph, self._modref, config, ssa_cache=self
+                self._lowered, graph, config, self
             )
             self._returns[key] = cached
         return cached
@@ -730,7 +730,7 @@ def _config_stages(
         chaos_point(Stage.JUMP_FUNCTIONS)
         start = time.perf_counter()
         forward = build_forward_jump_functions(
-            lowered, modref, returns, current, ssa_cache=ssa_cache
+            lowered, returns, current, ssa_cache
         )
         timings["forward"] = (
             timings.get("forward", 0.0) + time.perf_counter() - start

@@ -158,6 +158,12 @@ class ValueExpr:
     def is_constant(self) -> bool:
         return False
 
+    def memo_token(self) -> "ValueExpr":
+        """The sparse engine's memo token for a flow edge whose function
+        is this expression: the interned node itself, so every edge that
+        passes one expression shares its memo entries."""
+        return self
+
 
 @dataclass(frozen=True, slots=True)
 class ConstExpr(ValueExpr):
@@ -178,15 +184,21 @@ class ConstExpr(ValueExpr):
 
 @dataclass(frozen=True, slots=True)
 class EntryExpr(ValueExpr):
-    """The entry value of a formal parameter or global."""
+    """The entry value of a formal parameter or global. Its one-key
+    support tuple is built once, so every flow edge that passes the
+    interned node shares it."""
 
     key: EntryKey
+    _order: tuple = field(default=(), init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_order", (self.key,))
 
     def support(self) -> frozenset[EntryKey]:
-        return frozenset({self.key})
+        return frozenset(self._order)
 
     def support_order(self) -> tuple[EntryKey, ...]:
-        return (self.key,)
+        return self._order
 
     def evaluate(self, env: Mapping[EntryKey, LatticeValue]) -> LatticeValue:
         return env.get(self.key, BOTTOM)

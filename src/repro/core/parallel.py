@@ -174,9 +174,9 @@ def _make_state(
         lowered=lowered,
         graph=graph,
         forward=forward,
-        index=forward.support_index(lowered),
+        index=forward.index,
         schedule=schedule,
-        partition=forward.region_partition(lowered, schedule.region_of),
+        partition=forward.region_partition(schedule.region_of),
         keys_of=entry_keys(lowered),
         rpo=graph.rpo_index(),
         slab=slab,
@@ -203,12 +203,10 @@ def _build_worker_state(source: str, config: AnalysisConfig) -> _WorkerState:
 
     stage0 = build_stage0(parse_program(source))
     returns = build_return_jump_functions(
-        stage0.lowered, stage0.graph, stage0.modref, config,
-        ssa_cache=stage0.ssa_cache,
+        stage0.lowered, stage0.graph, config, stage0.ssa_cache
     )
     forward = build_forward_jump_functions(
-        stage0.lowered, stage0.modref, returns, config,
-        ssa_cache=stage0.ssa_cache,
+        stage0.lowered, returns, config, stage0.ssa_cache
     )
     return _make_state(
         stage0.lowered,
@@ -545,13 +543,14 @@ def _solve_region_task(
     local_passes = 0
     pops = 0
     if not region.recursive and len(reached) == 1:
-        # Singleton fast path, mirroring the sequential solver.
+        # Singleton fast path, mirroring the sequential solver: nothing
+        # to seed, since an edge internal to the region would be a
+        # self-call.
         (proc,) = reached
         if budget is not None:
             budget.check_passes(1)
         pops = 1
         processed[proc] = None
-        engine.seed(proc)  # a singleton has no internal edges
         local_passes = 1
         for callee in engine.callees(proc):
             activations[callee] = None  # all cross-region for a singleton

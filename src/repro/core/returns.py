@@ -25,10 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.ssa import SSAProcedure, build_ssa
+from repro.analysis.ssa import SSAProcedure
 from repro.analysis.valuenum import RESULT_KEY, ValueNumbering, value_number
 from repro.callgraph.graph import CallGraph
-from repro.callgraph.modref import ModRefInfo, make_call_effects
 from repro.core.config import AnalysisConfig
 from repro.core.exprs import EntryExpr, ValueExpr
 from repro.frontend.astnodes import Type
@@ -64,10 +63,9 @@ class ReturnFunctionResult:
     its calls already had an entry, and stage 2 adds the rest (recursive
     SCC members, and every procedure when return jump functions are off)
     the first time it needs them. Each entry is published by one dict
-    store, so a present entry is final. With an
-    :class:`~repro.core.driver.SSACache`, the numberings themselves are
-    the cache's, so results of different settings share every numbering
-    whose inputs agree.
+    store, so a present entry is final. The numberings themselves are
+    the :class:`~repro.core.driver.SSACache`'s, so results of different
+    settings share every numbering whose inputs agree.
     """
 
     table: ReturnTable = field(default_factory=dict)
@@ -94,9 +92,8 @@ class ReturnFunctionResult:
 def build_return_jump_functions(
     lowered: LoweredProgram,
     graph: CallGraph,
-    modref: ModRefInfo,
     config: AnalysisConfig,
-    ssa_cache=None,
+    ssa_cache,
 ) -> ReturnFunctionResult:
     """Stage 1: the bottom-up pass of §4.1.
 
@@ -104,10 +101,9 @@ def build_return_jump_functions(
     table (Table 2's "No Return Jump Functions" columns) — calls then
     simply kill whatever MOD says they may modify.
 
-    ``ssa_cache`` (a :class:`repro.core.driver.SSACache`) shares SSA
-    forms and numberings with stage 2 and with other configurations;
-    without one each procedure is converted and numbered here from
-    scratch.
+    ``ssa_cache`` (a :class:`repro.core.driver.SSACache`, the stage-0
+    bundle's) supplies each procedure's SSA form and numbering, keyed by
+    their own inputs, so stage 2 and other configurations share them.
 
     The result depends on ``config`` only through ``use_mod``,
     ``use_return_jump_functions`` and ``compose_return_functions``, and
@@ -117,21 +113,13 @@ def build_return_jump_functions(
     if not config.use_return_jump_functions:
         return result
 
-    active_modref = modref if config.use_mod else None
     compose = config.compose_return_functions
     table = result.table
     for scc in graph.bottom_up_sccs():
         for name in scc:
             lowered_proc = lowered.procedures[name]
-            if ssa_cache is not None:
-                ssa = ssa_cache.get(name, config.use_mod)
-                numbering = ssa_cache.numbering(
-                    ssa, table, compose, value_number
-                )
-            else:
-                effects = make_call_effects(lowered, name, active_modref)
-                ssa = build_ssa(lowered_proc, effects)
-                numbering = value_number(ssa, lowered, table, compose)
+            ssa = ssa_cache.get(name, config.use_mod)
+            numbering = ssa_cache.numbering(ssa, table, compose, value_number)
             result.ssas[name] = ssa
             if all(call.callee in table for call in lowered_proc.call_instrs):
                 result.numberings[name] = numbering

@@ -291,7 +291,7 @@ def build_slab(
     SCC members adjacent) so one region's slots are contiguous;
     procedures the schedule does not know (defensive) go last, in
     ``entry_keys`` order. Edges are stored grouped by caller in the
-    site-iteration order of :func:`build_support_index`, making every
+    site-iteration order of stage 2's flow index, making every
     per-procedure structure a contiguous slice.
     """
     started = perf_counter()
@@ -353,7 +353,7 @@ def build_slab(
                 payload = caller_slots.get(edge.passthrough, -1)
             elif edge.support:
                 kind = KIND_POLY
-                expr = edge.func.expr
+                expr = edge.func
                 kernel_key = (pid, id(expr))
                 payload = kernel_ids.get(kernel_key, -1)
                 if payload < 0:
@@ -570,7 +570,7 @@ def patch_slab(
                 payload = caller_slots.get(edge.passthrough, -1)
             elif edge.support:
                 kind = KIND_POLY
-                expr = edge.func.expr
+                expr = edge.func
                 payload = kernel_ids.get(id(expr), -1)
                 if payload < 0:
                     payload = len(slab.kernels)
@@ -648,7 +648,7 @@ def slab_for(forward, lowered: LoweredProgram, graph: CallGraph) -> SlabProgram:
     loaded = getattr(forward, "_slab_loaded", None)
     if loaded is not None:
         return loaded
-    index = forward.support_index(lowered)
+    index = forward.index
     schedule = region_schedule(graph)
     cached = getattr(forward, "_slab", None)
     if cached is not None:
@@ -657,8 +657,8 @@ def slab_for(forward, lowered: LoweredProgram, graph: CallGraph) -> SlabProgram:
             return slab
     slab = build_slab(lowered, graph, index)
     try:
-        # keyed by index identity: invalidating forward.index (tests
-        # tamper with site tables) must invalidate the slab too
+        # keyed by index identity: a replaced forward.index gets a
+        # slab of its own
         forward._slab = (index, schedule, slab)  # type: ignore[attr-defined]
     except AttributeError:
         pass  # slotted stand-ins simply rebuild per solve

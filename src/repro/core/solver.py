@@ -210,13 +210,13 @@ def solve_dense(
             callee_env = val[callee_name]
             changed = False
             for key in callee_env:
-                function = site.function_for(key)
-                if function is None:
+                edge = site.get(key)
+                if edge is None:
                     result.skipped += 1  # nothing to evaluate: key is killed
                     incoming: LatticeValue = BOTTOM
                 else:
                     result.evaluations += 1
-                    incoming = function.evaluate(env)
+                    incoming = edge.func.evaluate(env)
                 if sanitizer is not None:
                     sanitizer.observe_transfer(
                         call.site_id, callee_name, key, incoming

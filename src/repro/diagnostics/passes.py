@@ -392,7 +392,8 @@ class UnreachableProcedurePass(LintPass):
 
 
 class JumpFunctionPass(LintPass):
-    """Well-formedness of the stage-2 jump-function tables.
+    """Well-formedness of the stage-2 jump-function tables: each site's
+    flow edges, one per bound entry key.
 
     Violations here cannot come from the shipped builder (the tests
     assert that); the pass exists for hand-assembled tables and future
@@ -404,54 +405,52 @@ class JumpFunctionPass(LintPass):
     description = "jump-function table well-formedness"
 
     def run(self, ctx: LintContext) -> Iterator[Diagnostic]:
-        keys_of = entry_keys(ctx.lowered)
+        keys_of = {
+            name: set(keys) for name, keys in entry_keys(ctx.lowered).items()
+        }
         for site_id in sorted(ctx.forward.sites):
-            site = ctx.forward.sites[site_id]
             span = self._site_span(ctx, site_id)
-            if site.caller not in keys_of or site.callee not in keys_of:
-                missing = site.caller if site.caller not in keys_of else site.callee
-                yield self.diagnostic(
-                    CODE_JF_SITE,
-                    Severity.ERROR,
-                    f"site {site_id} names unknown procedure {missing!r}",
-                    procedure=site.caller,
-                    span=span,
-                )
-                continue
-            callee_keys = set(keys_of[site.callee])
-            caller_keys = set(keys_of[site.caller])
-            for key, function in site.all_functions():
-                if key not in callee_keys:
+            for key, edge in ctx.forward.sites[site_id].items():
+                caller, callee = edge.caller, edge.callee
+                if caller not in keys_of or callee not in keys_of:
+                    missing = caller if caller not in keys_of else callee
+                    yield self.diagnostic(
+                        CODE_JF_SITE,
+                        Severity.ERROR,
+                        f"site {site_id} names unknown procedure {missing!r}",
+                        procedure=caller,
+                        span=span,
+                    )
+                    break
+                if key not in keys_of[callee]:
                     yield self.diagnostic(
                         CODE_JF_KEY,
                         Severity.ERROR,
                         f"site {site_id} binds entry key {key!r} that "
-                        f"{site.callee!r} does not propagate",
-                        procedure=site.caller,
+                        f"{callee!r} does not propagate",
+                        procedure=caller,
                         span=span,
                     )
-                support = function.support
+                support = edge.support
                 for support_key in sorted(support, key=str):
-                    if support_key not in caller_keys:
+                    if support_key not in keys_of[caller]:
                         yield self.diagnostic(
                             CODE_JF_SUPPORT,
                             Severity.ERROR,
                             f"site {site_id} jump function for {key!r} reads "
                             f"{support_key!r}, which is not an entry key of "
-                            f"caller {site.caller!r}",
-                            procedure=site.caller,
+                            f"caller {caller!r}",
+                            procedure=caller,
                             span=span,
                         )
-                if (
-                    function.expr.is_constant or function.expr.is_bottom
-                ) and support:
+                if (edge.func.is_constant or edge.func.is_bottom) and support:
                     yield self.diagnostic(
                         CODE_JF_RESIDUAL,
                         Severity.ERROR,
                         f"site {site_id} jump function for {key!r} folded to "
-                        f"{function.expr} but still carries support "
+                        f"{edge.func} but still carries support "
                         f"{sorted(map(str, support))}",
-                        procedure=site.caller,
+                        procedure=caller,
                         span=span,
                     )
 

@@ -3,13 +3,14 @@
 The paper's stage 3 (§4.1) is one worklist over jump functions. This
 package is that worklist, factored in the IFDS/IDE tradition (and the
 value-contexts formulation of Padhye & Khedker). Every client runs over
-stage 2's jump functions, from the main program, and supplies three
-things: a :class:`~repro.framework.lattice.Lattice`, its seed VAL, and
-optionally a *lift* mapping each stage-2
-:class:`~repro.framework.client.FlowEdge` to the client's
-:class:`~repro.framework.edges.EdgeFunction` transfer for the same
-binding. :func:`~repro.framework.engine.solve_client` runs the
-seed/delta/flush fixed-point discipline over them. Constant propagation
+stage 2's jump functions, from the main program: one
+:class:`~repro.framework.client.FlowEdge` per binding, whose function
+is the binding's projected expression. A client supplies three things:
+a :class:`~repro.framework.lattice.Lattice`, its seed VAL, and
+optionally a *lift* mapping each stage-2 edge to the client's transfer
+for the same binding (an :class:`~repro.framework.edges.EdgeFunction`).
+:func:`~repro.framework.engine.solve_client` runs the seed/delta/flush
+fixed-point discipline over them. Constant propagation
 (:func:`repro.core.solver.solve`) is the constant lattice with no lift.
 
 Layering (no cycles):
@@ -39,7 +40,6 @@ from repro.framework.edges import (
     BottomEdge,
     ConstantEdge,
     EdgeFunction,
-    ExprEdge,
     IdentityEdge,
 )
 from repro.framework.engine import SolveResult, solve_client
@@ -50,7 +50,6 @@ __all__ = [
     "ConstantEdge",
     "ConstantLattice",
     "EdgeFunction",
-    "ExprEdge",
     "FlowEdge",
     "FlowIndex",
     "flow_edge",

@@ -1,30 +1,34 @@
 """The edge shape every client solves over.
 
-Stage 2 (:func:`repro.core.builder.build_support_index`) emits each
-jump function as one :class:`FlowEdge` and indexes them in a
-:class:`FlowIndex`; :class:`RegionPartition` splits that index along
-the call graph's SCC regions. A client does not build an index of its
-own: :func:`repro.framework.engine.solve_client` runs it over stage
-2's, with each edge optionally mapped through the client's *lift*
-(:meth:`RegionPartition.lifted`).
+Stage 2 (:func:`repro.core.builder.build_forward_jump_functions`)
+emits each jump-function binding as one :class:`FlowEdge`, whose
+function is the binding's projected expression, and indexes the same
+edge objects in a :class:`FlowIndex`; :class:`RegionPartition` splits
+that index along the call graph's SCC regions. A client does not build
+an index of its own: :func:`repro.framework.engine.solve_client` runs
+it over stage 2's, with each edge optionally mapped through the
+client's *lift* (:meth:`RegionPartition.lifted`).
 
 A :class:`FlowEdge` is one (site, target key) transfer whose function
 reads the ``source`` node's environment. The structural fast-path
-fields (``const``, ``passthrough``) are derived from the edge function
-at construction so the engine's hot loop never virtual-calls for
-constants or identities — the hoisting §3.1.5 charges to building a
-jump function rather than to every pass. Values flow along call edges,
-from ``caller`` to ``callee``, and the engine schedules over the call
-graph.
+fields (``const``, ``passthrough``, ``support``) are derived from the
+edge function at construction so the engine's hot loop never
+virtual-calls for constants or identities — the hoisting §3.1.5
+charges to building a jump function rather than to every pass. Values
+flow along call edges, from ``caller`` to ``callee``, and the engine
+schedules over the call graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.framework.edges import EdgeFunction
 from repro.framework.lattice import Value
+
+if TYPE_CHECKING:
+    from repro.core.exprs import ValueExpr
 
 #: (flow node, entry key) — one node of the binding multi-graph.
 FlowBinding = tuple[str, object]
@@ -40,20 +44,27 @@ class FlowEdge:
     #: flow target: the node whose ``key`` the result is met into.
     callee: str
     key: object
-    func: EdgeFunction
-    #: ``func.support()``, cached in deterministic first-use order — the
-    #: delta fan-in and the environment slice that keys the memo.
+    #: the transfer: stage 2's projected
+    #: :class:`~repro.core.exprs.ValueExpr`, or a client's
+    #: :class:`~repro.framework.edges.EdgeFunction`. The engine calls
+    #: only its ``evaluate`` and ``memo_token``.
+    func: EdgeFunction | ValueExpr
+    #: the keys ``func`` reads, cached in deterministic first-use order —
+    #: the delta fan-in and the environment slice that keys the memo.
     support: tuple
-    #: ``func.constant_value()``, cached — the engine meets it directly.
+    #: the value ``func`` folds to when it reads nothing, cached — the
+    #: engine meets it directly.
     const: Value | None
-    #: ``func.passthrough_key()``, cached — the engine inlines the fetch.
+    #: the one key ``func`` forwards unchanged, cached — the engine
+    #: inlines the fetch.
     passthrough: object | None
 
 
 def flow_edge(
     site_id: int, source: str, target: str, key: object, func: EdgeFunction
 ) -> FlowEdge:
-    """Build a :class:`FlowEdge`, deriving the fast-path fields."""
+    """Build a client's :class:`FlowEdge`, deriving the fast-path fields
+    from its :class:`~repro.framework.edges.EdgeFunction`."""
     return FlowEdge(
         site_id,
         source,
@@ -68,7 +79,8 @@ def flow_edge(
 
 class FlowIndex:
     """Stage 2's transfer edges in the engine's index shape, built by
-    :func:`repro.core.builder.build_support_index`.
+    :func:`repro.core.builder.build_forward_jump_functions` alongside
+    the site tables that hold the same edges.
 
     ``seeds[p]``
         every edge whose source is ``p`` (transferred once when ``p`` is

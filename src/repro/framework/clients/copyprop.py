@@ -47,7 +47,7 @@ from repro.core.builder import ForwardFunctions
 from repro.core.lattice import BOTTOM, TOP, meet as constant_meet
 from repro.core.solver import initial_val
 from repro.framework.client import FlowEdge
-from repro.framework.edges import EdgeFunction, ExprEdge
+from repro.framework.edges import EdgeFunction
 from repro.framework.engine import solve_client
 from repro.framework.lattice import Lattice, Value
 
@@ -92,9 +92,6 @@ class CopyLattice(Lattice):
             return BOTTOM
         return constant_meet(a, b)
 
-    def is_bottom(self, value: Value) -> bool:
-        return value is BOTTOM
-
 
 @dataclass(frozen=True, slots=True)
 class ProjectedExprEdge(EdgeFunction):
@@ -106,7 +103,7 @@ class ProjectedExprEdge(EdgeFunction):
     expr: object
     keys: tuple
 
-    def apply(self, env: Mapping) -> Value:
+    def evaluate(self, env: Mapping) -> Value:
         projected = {
             key: project(env.get(key, BOTTOM)) for key in self.keys
         }
@@ -123,13 +120,13 @@ class ProjectedExprEdge(EdgeFunction):
 
 
 def _lift_edge(edge: FlowEdge) -> FlowEdge:
-    """One stage-2 constprop edge on the copy lattice: polynomials are
-    re-wrapped to evaluate over the projected slice; constants, ⊥, and
+    """One stage-2 constprop edge on the copy lattice: polynomials (not
+    constant, not a pass-through, reading some support) are re-wrapped
+    to evaluate over the projected slice; constants, ⊥, and
     pass-throughs (copies ride them intact) carry over unchanged."""
-    func = edge.func
-    if func.__class__ is not ExprEdge:
-        return edge
-    return replace(edge, func=ProjectedExprEdge(func.expr, edge.support))
+    if edge.const is None and edge.passthrough is None and edge.support:
+        return replace(edge, func=ProjectedExprEdge(edge.func, edge.support))
+    return edge
 
 
 def copy_seed(lowered) -> dict[str, dict]:

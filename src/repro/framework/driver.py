@@ -102,10 +102,12 @@ def drive_region_schedule(
         members = active.pop(index)
         result.regions += 1
         # Fast path: a non-recursive singleton region (every region of a
-        # DAG-shaped call graph) converges in exactly one visit — seed,
-        # reach callees, flush. Bypassing the worklist machinery here is
-        # what keeps region scheduling from costing wall-clock on
-        # programs with no recursion at all.
+        # DAG-shaped call graph) converges in exactly one visit — reach
+        # callees, flush. Bypassing the worklist machinery here is what
+        # keeps region scheduling from costing wall-clock on programs
+        # with no recursion at all. There is nothing to seed: an edge or
+        # kill internal to the region would be a self-call, and a region
+        # with one is recursive.
         region = schedule.regions[index]
         if not region.recursive and len(members) == 1:
             (proc,) = members
@@ -113,7 +115,6 @@ def drive_region_schedule(
                 budget.check_passes(1)
             worklist.pops += 1
             result.reached.add(proc)
-            engine.seed(proc)  # a singleton has no internal edges
             for callee in engine.callees(proc):
                 activate(callee)
             result.region_passes += 1

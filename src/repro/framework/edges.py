@@ -2,17 +2,22 @@
 
 An :class:`EdgeFunction` maps a *source environment* (the flow
 predecessor's entry-key → value mapping) to one lattice value for one
-target key — exactly the shape of the paper's jump functions, which is
-what makes the constprop pipeline a client of this framework: stage 2
-emits its jump functions as the four structural shapes below.
+target key — exactly the shape of the paper's jump functions. Stage 2
+needs no wrapper for them: each of its edges carries the binding's
+projected :class:`~repro.core.exprs.ValueExpr`, which answers the two
+calls the engine makes, ``evaluate`` and ``memo_token``. The three
+structural shapes below are the toolkit a client lifts those edges into
+(``examples/parity_client.py``).
 
-The engine never calls ``apply`` for the three structural shapes it
+The engine never calls ``evaluate`` for the three structural shapes it
 can transfer directly — constants, identities, and support-free
-bottoms — the build-time hoisting §3.1.5 charges to constructing a
-jump function rather than to every pass. ``memo_token()`` keys the
-evaluation memo: edge functions wrapping hash-consed structures (e.g.
-:class:`ExprEdge` over interned ``ValueExpr`` trees) return the shared
-structure so distinct edges carrying the same function share memo hits.
+bottoms: :class:`~repro.framework.client.FlowEdge` caches
+``const``/``passthrough``/``support`` when the edge is built, the
+hoisting §3.1.5 charges to constructing a jump function rather than to
+every pass. ``memo_token()`` keys the evaluation memo: a function
+wrapping a hash-consed structure returns the shared structure, and an
+interned expression returns itself, so distinct edges carrying the same
+function share memo hits.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.core.exprs import ValueExpr
 from repro.core.lattice import BOTTOM
 from repro.framework.lattice import Value
 
@@ -28,11 +32,11 @@ from repro.framework.lattice import Value
 class EdgeFunction:
     """One transfer: source environment → value for one target key."""
 
-    def apply(self, env: Mapping) -> Value:
+    def evaluate(self, env: Mapping) -> Value:
         raise NotImplementedError
 
     def support(self) -> tuple:
-        """The source keys ``apply`` reads, in deterministic order —
+        """The source keys ``evaluate`` reads, in deterministic order —
         the environment slice that keys the memo and the delta fan-out."""
         raise NotImplementedError
 
@@ -59,7 +63,7 @@ class ConstantEdge(EdgeFunction):
 
     value: Value
 
-    def apply(self, env: Mapping) -> Value:
+    def evaluate(self, env: Mapping) -> Value:
         return self.value
 
     def support(self) -> tuple:
@@ -75,7 +79,7 @@ class IdentityEdge(EdgeFunction):
 
     key: object
 
-    def apply(self, env: Mapping) -> Value:
+    def evaluate(self, env: Mapping) -> Value:
         return env.get(self.key, BOTTOM)
 
     def support(self) -> tuple:
@@ -92,28 +96,8 @@ class BottomEdge(EdgeFunction):
 
     bottom: Value = BOTTOM
 
-    def apply(self, env: Mapping) -> Value:
+    def evaluate(self, env: Mapping) -> Value:
         return self.bottom
 
     def support(self) -> tuple:
         return ()
-
-
-@dataclass(frozen=True, slots=True)
-class ExprEdge(EdgeFunction):
-    """A polynomial jump function as an edge: wraps a hash-consed
-    :class:`repro.core.exprs.ValueExpr` and shares its identity as the
-    memo token, so distinct sites passing the same interned polynomial
-    share memo entries."""
-
-    expr: ValueExpr
-    keys: tuple
-
-    def apply(self, env: Mapping) -> Value:
-        return self.expr.evaluate(env)
-
-    def support(self) -> tuple:
-        return self.keys
-
-    def memo_token(self) -> object:
-        return self.expr

@@ -2,11 +2,13 @@
 
 :class:`ClientEngine` is the one stage-3 engine: a seed / delta / flush
 discipline over any :class:`~repro.framework.lattice.Lattice` and any
-:class:`~repro.framework.edges.EdgeFunction`, with the lattice's
-``top``/``is_bottom``/``meet`` bound once per solve.
+edge function (stage 2's projected
+:class:`~repro.core.exprs.ValueExpr`, or a client's
+:class:`~repro.framework.edges.EdgeFunction`), with the lattice's
+``top``/``bottom``/``meet`` bound once per solve.
 
-- Stage 2's :class:`~repro.framework.client.FlowIndex`, precomputed by
-  the builder, maps each source key to the edges whose ``support()``
+- Stage 2's :class:`~repro.framework.client.FlowIndex`, built with the
+  edges themselves, maps each source key to the edges whose support
   reads it: the reverse of the paper's §2 support sets, in the spirit
   of Wegman–Zadeck SSA-edge-driven SCCP.
 - The engine seeds each node's edges exactly once when the node is
@@ -157,7 +159,7 @@ class ClientEngine:
     support slice)`` — is sound because the memo holds a strong reference
     to every token it keys by id (so no id can be recycled mid-solve,
     even across a :func:`repro.core.exprs.clear_intern_table`) and
-    ``apply`` reads nothing outside the support slice; the value class
+    ``evaluate`` reads nothing outside the support slice; the value class
     rides along in the slice so a LOGICAL ``.true.`` never aliases an
     INTEGER ``1``.
 
@@ -181,7 +183,6 @@ class ClientEngine:
         "_dependents",
         "_top",
         "_floor",
-        "_is_bottom",
         "_meet",
     )
 
@@ -202,7 +203,6 @@ class ClientEngine:
         self._partition = partition
         self._top = lattice.top
         self._floor = lattice.bottom
-        self._is_bottom = lattice.is_bottom
         self._meet = lattice.meet
         # seed/delta traffic is intra-region only; cross-region edges
         # wait for flush_region
@@ -224,7 +224,6 @@ class ClientEngine:
         val = self._val
         caller_env = val[caller]
         top = self._top
-        is_bottom = self._is_bottom
         lattice_meet = self._meet
         floor = self._floor
         evaluations = meets = bottom_skips = 0
@@ -233,7 +232,7 @@ class ClientEngine:
             env = val[callee]
             key = edge.key
             old = env[key]
-            if is_bottom(old):
+            if old is floor:
                 bottom_skips += 1  # already at the lattice floor
                 continue
             incoming = edge.const
@@ -273,7 +272,7 @@ class ClientEngine:
             stats.skipped += 1
             env = val[callee]
             old = env[key]
-            if self._is_bottom(old):
+            if old is floor:
                 continue
             stats.meets += 1
             env[key] = floor  # meet(old, ⊥) is ⊥ for every old
@@ -365,7 +364,7 @@ class ClientEngine:
         if incoming is _MISSING:
             stats.memo_misses += 1
             stats.evaluations += 1
-            incoming = edge.func.apply(caller_env)
+            incoming = edge.func.evaluate(caller_env)
             self._memo[memo_key] = incoming
             self._tokens.append(token)
         else:
@@ -402,7 +401,7 @@ def solve_client(
     :class:`~repro.resilience.budgets.SolveBudget` hooks.
     """
     schedule = region_schedule(graph)
-    partition = forward.region_partition(lowered, schedule.region_of)
+    partition = forward.region_partition(schedule.region_of)
     if lift is not None:
         partition = partition.lifted(lift)
     result = SolveResult(val=seed)

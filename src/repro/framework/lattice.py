@@ -8,10 +8,11 @@ times. The engine exploits two structural facts:
 
 - ``top`` is a singleton object, so ``meet(top, x) = x`` is applied by
   identity test without a call;
-- ``is_bottom(v)`` detects the floor, so edges into an already-⊥ key
-  are skipped entirely (``bottom_skips``). ``bottom`` is also what a
-  kill or a support-free non-constant edge meets in, and what a source
-  key missing from an environment reads as.
+- ``bottom`` is a singleton too, so the floor is detected by identity
+  and edges into an already-⊥ key are skipped entirely
+  (``bottom_skips``). ``bottom`` is also what a kill or a support-free
+  non-constant edge meets in, and what a source key missing from an
+  environment reads as.
 
 Values must be hashable (they ride in the evaluation-memo key) and
 comparable with ``==``; the memo slices pair each value with its class
@@ -33,37 +34,27 @@ Value = Hashable
 class Lattice:
     """Client contract: a bounded-height meet semilattice.
 
-    ``top`` must be a singleton (compared with ``is``). ``meet`` must be
-    commutative, associative, idempotent, and monotone-descending:
-    ``meet(a, b) ⊑ a``.
+    ``top`` and ``bottom`` must be singletons (compared with ``is``).
+    ``meet`` must be commutative, associative, idempotent, and
+    monotone-descending: ``meet(a, b) ⊑ a``.
     """
 
     #: the greatest element (a singleton object).
     top: Value = None
-    #: the least element.
+    #: the least element (a singleton object).
     bottom: Value = None
 
     def meet(self, a: Value, b: Value) -> Value:
         raise NotImplementedError
 
-    def is_bottom(self, value: Value) -> bool:
-        """Whether ``value`` is the floor (the ⊥ short-circuit).
-        Default: identity with ``bottom``."""
-        return value is self.bottom
-
 
 class ConstantLattice(Lattice):
     """The paper's 3-level lattice (§2 Figure 1) as a framework client
-    lattice: ⊤ / the constants / ⊥, delegating to
-    :func:`repro.core.lattice.meet` so the constprop client meets
-    exactly as the dense reference solver does."""
+    lattice: ⊤ / the constants / ⊥. Its ``meet`` *is*
+    :func:`repro.core.lattice.meet`, so the constprop client meets
+    exactly as the dense reference solver does, with no call between."""
 
     top = TOP
     bottom = BOTTOM
-
-    def meet(self, a: Value, b: Value) -> Value:
-        return constant_meet(a, b)
-
-    def is_bottom(self, value: Value) -> bool:
-        return value is BOTTOM
+    meet = staticmethod(constant_meet)
 

@@ -54,11 +54,11 @@ def run_cost_report(scale: float = 1.0) -> list[CostRow]:
             record += result.timings["record"]
             constants += result.constants_found
             for site in result.forward.sites.values():
-                for _, function in site.all_functions():
-                    if function.is_bottom:
+                for edge in site.values():
+                    if edge.func.is_bottom:
                         continue
-                    sizes.append(function.cost)
-                    supports.append(len(function.support))
+                    sizes.append(edge.func.size)
+                    supports.append(len(edge.support))
         rows.append(
             CostRow(
                 kind=kind.value,

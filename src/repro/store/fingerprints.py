@@ -241,30 +241,32 @@ def encode_all_forward_jfs(
 ) -> dict[str, list]:
     """Every procedure's forward jump functions: procedure name -> one
     entry per call site in textual (lowering) order, without raw site
-    ids. One sorted pass over the program's call sites, so publishing or
-    diffing a snapshot is linear in the number of sites."""
+    ids. ``sites`` is stage 2's site table (site id -> entry key -> flow
+    edge); each entry names its callee and encodes each edge's
+    expression, formals by name and globals by encoded key. One sorted
+    pass over the program's call sites, so publishing or diffing a
+    snapshot is linear in the number of sites."""
     payloads: dict[str, list] = {name: [] for name in lowered.procedures}
     for site_id in sorted(lowered.call_sites):
-        caller, _ = lowered.call_sites[site_id]
+        caller, call = lowered.call_sites[site_id]
         site = sites.get(site_id)
         if site is None:
             continue
         entries = payloads.get(caller)
         if entries is None:
             continue
+        formals: dict[str, list] = {}
+        global_rows: dict[str, list] = {}
+        for key, edge in site.items():
+            if isinstance(key, GlobalId):
+                global_rows[encode_key(key)] = encode_expr(edge.func)
+            else:
+                formals[key] = encode_expr(edge.func)
         entries.append(
             {
-                "callee": site.callee,
-                "formals": {
-                    name: encode_expr(jf.expr)
-                    for name, jf in sorted(site.formals.items())
-                },
-                "globals": {
-                    encode_key(gid): encode_expr(jf.expr)
-                    for gid, jf in sorted(
-                        site.globals.items(), key=lambda kv: encode_key(kv[0])
-                    )
-                },
+                "callee": call.callee,
+                "formals": dict(sorted(formals.items())),
+                "globals": dict(sorted(global_rows.items())),
             }
         )
     return payloads

@@ -370,7 +370,7 @@ def plan_slab(
                 changed.append(name)
         slab = deserialize_slab(store.get_blob(meta["blob"]))
         if changed and not patch_slab(
-            slab, lowered, forward.support_index(lowered), changed
+            slab, lowered, forward.index, changed
         ):
             return None, IncrementalReport(
                 mode="cold",

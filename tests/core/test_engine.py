@@ -2,10 +2,9 @@
 flow index, constant hoisting, ⊥ handling, and the evaluation memo."""
 
 from repro import analyze
-from repro.analysis.ssa import ensure_global_symbols
-from repro.callgraph import build_call_graph, compute_modref
-from repro.core.builder import build_forward_jump_functions, build_support_index
+from repro.core.builder import build_forward_jump_functions
 from repro.core.config import AnalysisConfig, JumpFunctionKind
+from repro.core.driver import build_stage0
 from repro.core.exprs import (
     ConstExpr,
     EntryExpr,
@@ -15,27 +14,21 @@ from repro.core.exprs import (
     intern_counters,
     make_binary,
 )
-from repro.core.jump_functions import CallSiteFunctions
 from repro.core.lattice import BOTTOM
 from repro.core.returns import build_return_jump_functions
 from repro.core.solver import SolveResult, initial_val, solve, solve_dense
-from repro.framework.client import RegionPartition
-from repro.framework.edges import ConstantEdge, ExprEdge, IdentityEdge
+from repro.framework.client import FlowIndex, RegionPartition
 from repro.framework.engine import ClientEngine
 from repro.framework.lattice import ConstantLattice
 from repro.frontend import parse_program
-from repro.ir import lower_program
 
 
 def pipeline(source, config=None):
     config = config or AnalysisConfig()
-    program = parse_program(source)
-    lowered = lower_program(program)
-    ensure_global_symbols(lowered)
-    graph = build_call_graph(lowered)
-    modref = compute_modref(lowered, graph)
-    returns = build_return_jump_functions(lowered, graph, modref, config)
-    forward = build_forward_jump_functions(lowered, modref, returns, config)
+    stage0 = build_stage0(parse_program(source))
+    lowered, graph, cache = stage0.lowered, stage0.graph, stage0.ssa_cache
+    returns = build_return_jump_functions(lowered, graph, config, cache)
+    forward = build_forward_jump_functions(lowered, returns, config, cache)
     return lowered, graph, forward
 
 
@@ -108,9 +101,13 @@ end
 
 class TestSupportIndex:
     def test_builder_precomputes_index(self):
-        lowered, graph, forward = pipeline(SIMPLE)
+        # the index lists the very edges the site tables hold
+        lowered, graph, forward = pipeline(PASS_THROUGH)
         assert forward.index is not None
-        assert forward.support_index(lowered) is forward.index
+        indexed = [e for row in forward.index.seeds.values() for e in row]
+        tabled = [e for site in forward.sites.values() for e in site.values()]
+        assert len(indexed) == len(tabled)
+        assert all(a is b for a, b in zip(indexed, tabled))
 
     def test_seeds_and_callees(self):
         lowered, graph, forward = pipeline(SIMPLE)
@@ -119,21 +116,23 @@ class TestSupportIndex:
         assert index.callees["m"] == ("s",)
 
     def test_const_hoisted_at_build(self):
-        # the literal jump function folds at index construction: §3.1.5
+        # the literal jump function folds at edge construction: §3.1.5
         # charges building it, not re-deriving its value each pass
         lowered, graph, forward = pipeline(SIMPLE)
         (edge,) = forward.index.seeds["m"]
         assert edge.const == 1
         assert edge.support == ()
-        assert edge.func == ConstantEdge(1)
+        assert edge.func is const_expr(1)
 
     def test_pass_through_edge_has_support(self):
         lowered, graph, forward = pipeline(PASS_THROUGH)
         (edge,) = forward.index.seeds["t"]
         assert edge.const is None
         assert edge.passthrough == "x"
-        assert edge.func == IdentityEdge("x")
+        assert edge.func is entry_expr("x")
         assert edge.support == ("x",)
+        # one support tuple per entry key, shared through the interned node
+        assert edge.support is entry_expr("x").support_order()
         assert forward.index.dependents[("t", "x")] == (edge,)
 
     def test_polynomial_edge_wraps_interned_expr(self):
@@ -142,19 +141,18 @@ class TestSupportIndex:
         lowered, graph, forward = pipeline(source, config)
         (edge,) = forward.index.seeds["t"]
         assert edge.const is None and edge.passthrough is None
-        assert edge.func.__class__ is ExprEdge
-        # the interned expression is the memo token
+        # the edge's function, and its memo token, is the interned
+        # expression itself
         expr = make_binary("+", entry_expr("x"), const_expr(1))
-        assert edge.func.expr is expr
+        assert edge.func is expr
         assert edge.func.memo_token() is expr
+        assert edge.support == ("x",)
 
     def test_unbound_callee_key_is_killed(self):
-        # hand-assemble a site that binds nothing: the callee formal must
-        # be killed at seed time (skipped, not evaluated)
+        # hand-assemble an index whose one site binds nothing: the callee
+        # formal must be killed at seed time (skipped, not evaluated)
         lowered, _, _ = pipeline(SIMPLE)
-        site = CallSiteFunctions(site_id=0, caller="m", callee="s")
-        index = build_support_index(lowered, {0: site})
-        assert index.kills["m"] == (("s", "a"),)
+        index = FlowIndex({}, {"m": (("s", "a"),)}, {}, {"m": ("s",)})
         result = SolveResult(val=initial_val(lowered))
         engine = engine_for(index, result)
         changed = engine.seed("m")
@@ -218,8 +216,8 @@ end
         bottom_functions = sum(
             1
             for site in forward.sites.values()
-            for _, jf in site.all_functions()
-            if jf.expr.is_bottom
+            for edge in site.values()
+            if edge.func.is_bottom
         )
         assert len(calls) <= bottom_functions
 
@@ -271,7 +269,7 @@ end
         config = AnalysisConfig(jump_function=JumpFunctionKind.POLYNOMIAL)
         lowered, graph, forward = pipeline(source, config)
         result = SolveResult(val=initial_val(lowered))
-        engine = engine_for(forward.support_index(lowered), result)
+        engine = engine_for(forward.index, result)
         engine.seed("m")
         engine.seed("t")  # evaluates x + 1 and memoizes it
         assert result.val["s"]["a"] == 4

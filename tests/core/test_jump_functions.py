@@ -11,13 +11,8 @@ from repro.core.exprs import (
     entry_expr,
     make_binary,
 )
-from repro.core.jump_functions import (
-    CallSiteFunctions,
-    JumpFunction,
-    constants_subset_holds,
-    evaluate_all,
-    project,
-)
+from repro.core.builder import binding_edge
+from repro.core.jump_functions import projected_expr
 from repro.core.lattice import BOTTOM, is_constant
 from repro.frontend.symbols import GlobalId
 
@@ -30,82 +25,82 @@ ALL_KINDS = list(JumpFunctionKind)
 
 class TestLiteralProjection:
     def test_accepts_literal_actual(self):
-        jf = project(LITERAL_5, JumpFunctionKind.LITERAL, is_literal_actual=True)
+        jf = projected_expr(LITERAL_5, JumpFunctionKind.LITERAL, is_literal_actual=True)
         assert jf.evaluate({}) == 5
 
     def test_rejects_computed_constant(self):
         # gcp finds it, but it is not a literal token at the call site
-        jf = project(LITERAL_5, JumpFunctionKind.LITERAL, is_literal_actual=False)
+        jf = projected_expr(LITERAL_5, JumpFunctionKind.LITERAL, is_literal_actual=False)
         assert jf.is_bottom
 
     def test_rejects_passthrough(self):
-        jf = project(PASSTHROUGH, JumpFunctionKind.LITERAL, is_literal_actual=False)
+        jf = projected_expr(PASSTHROUGH, JumpFunctionKind.LITERAL, is_literal_actual=False)
         assert jf.is_bottom
 
     def test_rejects_globals(self):
         # §3.1.1: literal misses constants passed implicitly via globals
-        jf = project(LITERAL_5, JumpFunctionKind.LITERAL,
+        jf = projected_expr(LITERAL_5, JumpFunctionKind.LITERAL,
                      is_literal_actual=True, is_global=True)
         assert jf.is_bottom
 
 
 class TestIntraproceduralProjection:
     def test_accepts_computed_constant(self):
-        jf = project(LITERAL_5, JumpFunctionKind.INTRAPROCEDURAL)
+        jf = projected_expr(LITERAL_5, JumpFunctionKind.INTRAPROCEDURAL)
         assert jf.evaluate({}) == 5
 
     def test_rejects_passthrough(self):
-        jf = project(PASSTHROUGH, JumpFunctionKind.INTRAPROCEDURAL)
+        jf = projected_expr(PASSTHROUGH, JumpFunctionKind.INTRAPROCEDURAL)
         assert jf.is_bottom
 
     def test_accepts_constant_global(self):
-        jf = project(LITERAL_5, JumpFunctionKind.INTRAPROCEDURAL, is_global=True)
+        jf = projected_expr(LITERAL_5, JumpFunctionKind.INTRAPROCEDURAL, is_global=True)
         assert jf.evaluate({}) == 5
 
     def test_ignores_entry_values(self):
         # even if the env knows k, the intraprocedural function is fixed ⊥
-        jf = project(PASSTHROUGH, JumpFunctionKind.INTRAPROCEDURAL)
+        jf = projected_expr(PASSTHROUGH, JumpFunctionKind.INTRAPROCEDURAL)
         assert jf.evaluate({"k": 3}) is BOTTOM
 
 
 class TestPassThroughProjection:
     def test_accepts_passthrough(self):
-        jf = project(PASSTHROUGH, JumpFunctionKind.PASS_THROUGH)
+        jf = projected_expr(PASSTHROUGH, JumpFunctionKind.PASS_THROUGH)
         assert jf.evaluate({"k": 3}) == 3
-        assert jf.support == {"k"}
+        assert jf.support() == {"k"}
 
     def test_accepts_constant(self):
-        jf = project(LITERAL_5, JumpFunctionKind.PASS_THROUGH)
+        jf = projected_expr(LITERAL_5, JumpFunctionKind.PASS_THROUGH)
         assert jf.evaluate({}) == 5
 
     def test_rejects_polynomial(self):
-        jf = project(POLY, JumpFunctionKind.PASS_THROUGH)
+        jf = projected_expr(POLY, JumpFunctionKind.PASS_THROUGH)
         assert jf.is_bottom
 
     def test_global_passthrough(self):
         gid = GlobalId("c", 0)
-        jf = project(entry_expr(gid), JumpFunctionKind.PASS_THROUGH, is_global=True)
+        jf = projected_expr(entry_expr(gid), JumpFunctionKind.PASS_THROUGH, is_global=True)
         assert jf.evaluate({gid: 10}) == 10
 
     def test_support_of_passthrough_is_single_parameter(self):
         # §3.1.5 case 2: each actual depends on exactly one formal
-        jf = project(PASSTHROUGH, JumpFunctionKind.PASS_THROUGH)
-        assert len(jf.support) == 1
+        jf = projected_expr(PASSTHROUGH, JumpFunctionKind.PASS_THROUGH)
+        assert len(jf.support()) == 1
 
 
 class TestPolynomialProjection:
     def test_accepts_polynomial(self):
-        jf = project(POLY, JumpFunctionKind.POLYNOMIAL)
+        jf = projected_expr(POLY, JumpFunctionKind.POLYNOMIAL)
         assert jf.evaluate({"k": 20}) == 41
 
     def test_bottom_expression_stays_bottom(self):
-        jf = project(BOTTOM_EXPR, JumpFunctionKind.POLYNOMIAL)
+        jf = projected_expr(BOTTOM_EXPR, JumpFunctionKind.POLYNOMIAL)
         assert jf.is_bottom
 
     def test_cost_tracks_expression_size(self):
-        simple = project(LITERAL_5, JumpFunctionKind.POLYNOMIAL)
-        poly = project(POLY, JumpFunctionKind.POLYNOMIAL)
-        assert poly.cost > simple.cost
+        simple = projected_expr(LITERAL_5, JumpFunctionKind.POLYNOMIAL)
+        poly = projected_expr(POLY, JumpFunctionKind.POLYNOMIAL)
+        assert poly.size > simple.size
 
 
 class TestSubsetChain:
@@ -131,7 +126,7 @@ class TestSubsetChain:
         ]
         previous_value = None
         for kind in chain:
-            jf = project(expr, kind, is_literal_actual=is_lit, is_global=is_glob)
+            jf = projected_expr(expr, kind, is_literal_actual=is_lit, is_global=is_glob)
             value = jf.evaluate(env)
             if previous_value is not None and is_constant(previous_value):
                 assert value == previous_value, (
@@ -141,39 +136,44 @@ class TestSubsetChain:
                 previous_value = value
 
 
-class TestCallSiteFunctions:
-    def make_site(self):
-        site = CallSiteFunctions(site_id=0, caller="p", callee="q")
-        site.formals["a"] = project(LITERAL_5, JumpFunctionKind.POLYNOMIAL)
-        site.formals["b"] = project(PASSTHROUGH, JumpFunctionKind.POLYNOMIAL)
-        gid = GlobalId("c", 0)
-        site.globals[gid] = project(entry_expr(gid), JumpFunctionKind.POLYNOMIAL)
-        return site, gid
+def site_edges(bindings):
+    """One hand-built call site (``p`` calls ``q``): entry key -> edge."""
+    return {
+        key: binding_edge(0, "p", "q", key, expr)
+        for key, expr in bindings.items()
+    }
 
-    def test_evaluate_all(self):
-        site, gid = self.make_site()
-        values = evaluate_all(site, {"k": 2, gid: 9})
-        assert values["a"] == 5
-        assert values["b"] == 2
-        assert values[gid] == 9
 
-    def test_function_for_dispatches_on_key_type(self):
-        site, gid = self.make_site()
-        assert site.function_for("a") is site.formals["a"]
-        assert site.function_for(gid) is site.globals[gid]
-        assert site.function_for("zz") is None
+def constants_subset_holds(weaker, stronger, env) -> bool:
+    """The §3.1 containment over two sites' edges: everything the weaker
+    jump functions prove constant, the stronger ones prove too (same
+    value, same class)."""
+    for key, weak_edge in weaker.items():
+        weak_value = weak_edge.func.evaluate(env)
+        if not is_constant(weak_value):
+            continue
+        strong_edge = stronger.get(key)
+        strong_value = strong_edge.func.evaluate(env) if strong_edge else BOTTOM
+        if (strong_value.__class__, strong_value) != (
+            weak_value.__class__,
+            weak_value,
+        ):
+            return False
+    return True
 
-    def test_total_cost(self):
-        site, _ = self.make_site()
-        assert site.total_cost() == sum(jf.cost for _, jf in site.all_functions())
 
+class TestSubsetOverEdges:
     def test_constants_subset_holds_between_sites(self):
-        weak_site = CallSiteFunctions(site_id=0, caller="p", callee="q")
         # a computed constant: the literal jump function misses it
-        weak_site.formals["a"] = project(
-            LITERAL_5, JumpFunctionKind.LITERAL, is_literal_actual=False
+        weak_site = site_edges(
+            {
+                "a": projected_expr(
+                    LITERAL_5, JumpFunctionKind.LITERAL, is_literal_actual=False
+                )
+            }
         )
-        strong_site = CallSiteFunctions(site_id=0, caller="p", callee="q")
-        strong_site.formals["a"] = project(LITERAL_5, JumpFunctionKind.POLYNOMIAL)
+        strong_site = site_edges(
+            {"a": projected_expr(LITERAL_5, JumpFunctionKind.POLYNOMIAL)}
+        )
         assert constants_subset_holds(weak_site, strong_site, {})
         assert not constants_subset_holds(strong_site, weak_site, {})

@@ -7,7 +7,8 @@ import math
 from repro.cli import main
 from repro.core.config import AnalysisConfig, JumpFunctionKind
 from repro.core.driver import analyze
-from repro.framework.edges import ConstantEdge
+from repro.core.exprs import const_expr
+from repro.framework.client import FlowEdge
 from repro.frontend import parse_program
 from repro.ir import lower_program
 from repro.ir.instructions import WriteOut
@@ -63,23 +64,28 @@ def test_one_lowering_shares_equal_literals_only():
 
 def test_one_stage2_build_shares_jump_functions_by_expression_identity():
     forward = analyze(SOURCE, POLYNOMIAL, cache=None).forward
-    by_expr = {}
-    for site in forward.sites.values():
-        for _, function in site.all_functions():
-            key = (id(function.expr), function.kind)
-            assert by_expr.setdefault(key, function) is function
-    first, second = (forward.sites[i] for i in sorted(forward.sites))
-    assert first.formals["n"] is second.formals["n"]
-    assert first.formals["b"] is second.formals["b"]
-    assert first.formals["b"] is not first.formals["n"]
-    assert first.formals["b"].expr.value is True
-    # the flow index shares one ConstantEdge per constant, per class
-    edges = {
-        (edge.site_id, edge.key): edge.func
+    indexed = {
+        (edge.site_id, edge.key): edge
         for edges in forward.index.seeds.values()
         for edge in edges
     }
-    assert edges[(first.site_id, "n")] is edges[(second.site_id, "n")]
-    assert edges[(first.site_id, "b")] is not edges[(first.site_id, "n")]
-    assert edges[(first.site_id, "b")] == ConstantEdge(True)
-    assert edges[(first.site_id, "b")].value.__class__ is bool
+    # each binding is one FlowEdge: the site table holds the very edge
+    # the flow index lists
+    bindings = [
+        (site_id, key, edge)
+        for site_id, site in forward.sites.items()
+        for key, edge in site.items()
+    ]
+    assert len(bindings) == len(indexed)
+    for site_id, key, edge in bindings:
+        assert edge.__class__ is FlowEdge
+        assert indexed[(site_id, key)] is edge
+    first, second = (forward.sites[i] for i in sorted(forward.sites))
+    # one interned expression per constant, per class
+    assert first["n"] is not second["n"]
+    assert first["n"].func is second["n"].func is const_expr(1)
+    assert first["b"].func is second["b"].func is const_expr(True)
+    assert first["b"].func is not first["n"].func
+    assert first["b"].const is True
+    assert first["b"].const.__class__ is bool
+    assert first["n"].const.__class__ is int

@@ -1,23 +1,21 @@
 """Tests for return jump function generation (stage 1, §3.2)."""
 
-from repro.analysis.ssa import ensure_global_symbols
 from repro.analysis.valuenum import RESULT_KEY
-from repro.callgraph import build_call_graph, compute_modref
 from repro.core.config import AnalysisConfig
+from repro.core.driver import build_stage0
 from repro.core.exprs import ConstExpr, EntryExpr
 from repro.core.returns import build_return_jump_functions
 from repro.frontend import parse_program
 from repro.frontend.symbols import GlobalId
-from repro.ir import lower_program
 
 
 def returns_of(source, config=None):
-    lowered = lower_program(parse_program(source))
-    ensure_global_symbols(lowered)
-    graph = build_call_graph(lowered)
-    modref = compute_modref(lowered, graph)
+    stage0 = build_stage0(parse_program(source))
     config = config or AnalysisConfig()
-    return build_return_jump_functions(lowered, graph, modref, config), lowered
+    returns = build_return_jump_functions(
+        stage0.lowered, stage0.graph, config, stage0.ssa_cache
+    )
+    return returns, stage0.lowered
 
 
 WRAP = "program t\nx = 1\nend\n"

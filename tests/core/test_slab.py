@@ -5,10 +5,9 @@ from array import array
 
 import pytest
 
-from repro.analysis.ssa import ensure_global_symbols
-from repro.callgraph import build_call_graph, compute_modref
 from repro.core.builder import build_forward_jump_functions
 from repro.core.config import AnalysisConfig, JumpFunctionKind
+from repro.core.driver import build_stage0
 from repro.core.exprs import clear_intern_table
 from repro.core.lattice import BOTTOM, TOP
 from repro.core.returns import build_return_jump_functions
@@ -25,18 +24,14 @@ from repro.core.slab import (
 )
 from repro.core.solver import solve
 from repro.frontend import parse_program
-from repro.ir import lower_program
 
 
 def pipeline(source, config=None):
     config = config or AnalysisConfig()
-    program = parse_program(source)
-    lowered = lower_program(program)
-    ensure_global_symbols(lowered)
-    graph = build_call_graph(lowered)
-    modref = compute_modref(lowered, graph)
-    returns = build_return_jump_functions(lowered, graph, modref, config)
-    forward = build_forward_jump_functions(lowered, modref, returns, config)
+    stage0 = build_stage0(parse_program(source))
+    lowered, graph, cache = stage0.lowered, stage0.graph, stage0.ssa_cache
+    returns = build_return_jump_functions(lowered, graph, config, cache)
+    forward = build_forward_jump_functions(lowered, returns, config, cache)
     return lowered, graph, forward
 
 
@@ -94,8 +89,7 @@ class TestConstPool:
 class TestBuildSlab:
     def build(self, source, config=None):
         lowered, graph, forward = pipeline(source, config)
-        index = forward.support_index(lowered)
-        return build_slab(lowered, graph, index), lowered
+        return build_slab(lowered, graph, forward.index), lowered
 
     def test_one_slot_per_entry_key(self):
         slab, lowered = self.build(DIAMOND)
@@ -145,7 +139,7 @@ class TestBuildSlab:
 
 def slab_edges(lowered, source):
     _, graph, forward = pipeline(source)
-    return forward.support_index(lowered).seeds
+    return forward.index.seeds
 
 
 class TestSolveFlat:

@@ -6,13 +6,13 @@ mutating the analysis result before running the pass — exactly the
 programmatically-built inputs those passes guard against.
 """
 
+import dataclasses
 from pathlib import Path
 
 import pytest
 
-from repro.core.config import JumpFunctionKind
+from repro.core.builder import binding_edge
 from repro.core.exprs import ValueExpr, const_expr, entry_expr
-from repro.core.jump_functions import CallSiteFunctions, JumpFunction
 from repro.core.lattice import BOTTOM, is_constant
 from repro.diagnostics import LintContext, run_passes
 
@@ -285,43 +285,38 @@ class TestJumpFunctionWF:
 
     @pytest.fixture
     def ctx(self):
-        ctx = private_ctx(CLEAN)
-        ctx.forward.index = None  # force the index to rebuild if solved
-        return ctx
+        return private_ctx(CLEAN)
 
     def _site(self, ctx):
         (site_id,) = ctx.forward.sites
         return site_id, ctx.forward.sites[site_id]
 
+    def _bind(self, ctx, key, expr):
+        # a hand-built binding at the one site: main calls s
+        site_id, site = self._site(ctx)
+        site[key] = binding_edge(site_id, "main", "s", key, expr)
+
     def test_unknown_procedure(self, ctx):
         site_id, site = self._site(ctx)
-        ctx.forward.sites[site_id] = CallSiteFunctions(
-            site_id, caller="main", callee="phantom", formals=site.formals
-        )
+        ctx.forward.sites[site_id] = {
+            key: dataclasses.replace(edge, callee="phantom")
+            for key, edge in site.items()
+        }
         report = run_passes(ctx, select=["jump-function-wf"])
         assert "RL201" in codes(report)
 
     def test_unknown_entry_key(self, ctx):
-        _, site = self._site(ctx)
-        site.formals["zz"] = JumpFunction(
-            const_expr(1), JumpFunctionKind.PASS_THROUGH
-        )
+        self._bind(ctx, "zz", const_expr(1))
         report = run_passes(ctx, select=["jump-function-wf"])
         assert "RL202" in codes(report)
 
     def test_support_outside_caller(self, ctx):
-        _, site = self._site(ctx)
-        site.formals["a"] = JumpFunction(
-            entry_expr("ghost"), JumpFunctionKind.PASS_THROUGH
-        )
+        self._bind(ctx, "a", entry_expr("ghost"))
         report = run_passes(ctx, select=["jump-function-wf"])
         assert "RL203" in codes(report)
 
     def test_constant_with_residual_support(self, ctx):
-        _, site = self._site(ctx)
-        site.formals["a"] = JumpFunction(
-            _ConstWithSupport(), JumpFunctionKind.POLYNOMIAL
-        )
+        self._bind(ctx, "a", _ConstWithSupport())
         report = run_passes(ctx, select=["jump-function-wf"])
         assert "RL204" in codes(report)
 

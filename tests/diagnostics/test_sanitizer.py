@@ -4,9 +4,8 @@ must be *reported*, not crashed on), and the sparse/dense cross-check."""
 
 import pytest
 
-from repro.core.config import JumpFunctionKind
+from repro.core.builder import binding_edge
 from repro.core.driver import analyze
-from repro.core.jump_functions import JumpFunction
 from repro.core.exprs import ValueExpr
 from repro.core.lattice import BOTTOM, TOP
 from repro.core.solver import solve, solve_dense
@@ -143,12 +142,14 @@ def _solve_with_rising_edge(sanitizer=None):
     result = analyze(RECURSIVE, cache=None)
     forward = result.forward
     site_to_s = next(
-        site for site in forward.sites.values() if site.callee == "s"
+        site
+        for site in forward.sites.values()
+        if any(edge.callee == "s" for edge in site.values())
     )
-    site_to_s.formals["b"] = JumpFunction(
-        _RisingExpr(), JumpFunctionKind.POLYNOMIAL
+    edge = site_to_s["b"]
+    site_to_s["b"] = binding_edge(
+        edge.site_id, edge.caller, edge.callee, "b", _RisingExpr()
     )
-    forward.index = None  # rebuild the support index over the tampered table
     return solve_dense(
         result.lowered, result.call_graph, forward, sanitizer=sanitizer
     )

@@ -2,13 +2,11 @@
 
 from hypothesis import strategies as st
 
-from repro.analysis.ssa import ensure_global_symbols
-from repro.callgraph import build_call_graph, compute_modref
 from repro.core.builder import build_forward_jump_functions
 from repro.core.config import AnalysisConfig
+from repro.core.driver import build_stage0
 from repro.core.returns import build_return_jump_functions
 from repro.frontend import parse_program
-from repro.ir import lower_program
 from repro.workloads.profiles import WorkloadProfile
 
 #: Small generated programs covering every jump-function shape the
@@ -44,14 +42,11 @@ def prepare(source, config=None):
     """Run the stage-0..2 pipeline, returning everything a client needs:
     ``(lowered, graph, modref, forward)``."""
     config = config or AnalysisConfig()
-    program = parse_program(source)
-    lowered = lower_program(program)
-    ensure_global_symbols(lowered)
-    graph = build_call_graph(lowered)
-    modref = compute_modref(lowered, graph)
-    returns = build_return_jump_functions(lowered, graph, modref, config)
-    forward = build_forward_jump_functions(lowered, modref, returns, config)
-    return lowered, graph, modref, forward
+    stage0 = build_stage0(parse_program(source))
+    lowered, graph, cache = stage0.lowered, stage0.graph, stage0.ssa_cache
+    returns = build_return_jump_functions(lowered, graph, config, cache)
+    forward = build_forward_jump_functions(lowered, returns, config, cache)
+    return lowered, graph, stage0.modref, forward
 
 
 def tagged(val):

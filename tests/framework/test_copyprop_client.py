@@ -12,7 +12,7 @@ program) is pinned on a crafted chain program and on
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 
 from repro.core.lattice import BOTTOM, TOP
 from repro.core.solver import solve
@@ -23,7 +23,17 @@ from repro.workloads.generator import generate
 
 from tests.framework.helpers import prepare, profile_strategy, tagged
 
-SETTINGS = settings(max_examples=15, deadline=None)
+SETTINGS = settings(
+    # tier-1 draws 15 examples; the CI soak loads the soak profile of
+    # tests/properties/conftest.py
+    max_examples=(
+        settings.default.max_examples
+        if settings.get_current_profile_name() == "soak"
+        else 15
+    ),
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
 SUITE = load_suite(scale=0.25)
 

@@ -13,18 +13,15 @@ encode/decode round-trips over real solver output.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.ssa import ensure_global_symbols
-from repro.callgraph import build_call_graph, compute_modref
 from repro.core.builder import build_forward_jump_functions
 from repro.core.config import AnalysisConfig, JumpFunctionKind
 from repro.core.exprs import clear_intern_table
-from repro.core.driver import Analyzer, analyze
+from repro.core.driver import Analyzer, analyze, build_stage0
 from repro.core.parallel import solve_parallel
 from repro.core.returns import build_return_jump_functions
 from repro.core.slab import slab_for
 from repro.core.solver import solve
 from repro.frontend import parse_program
-from repro.ir import lower_program
 from repro.workloads.generator import generate
 from repro.workloads.profiles import WorkloadProfile
 
@@ -64,13 +61,10 @@ kind_strategy = st.sampled_from(list(JumpFunctionKind))
 
 
 def build(source, config):
-    program = parse_program(source)
-    lowered = lower_program(program)
-    ensure_global_symbols(lowered)
-    graph = build_call_graph(lowered)
-    modref = compute_modref(lowered, graph)
-    returns = build_return_jump_functions(lowered, graph, modref, config)
-    forward = build_forward_jump_functions(lowered, modref, returns, config)
+    stage0 = build_stage0(parse_program(source))
+    lowered, graph, cache = stage0.lowered, stage0.graph, stage0.ssa_cache
+    returns = build_return_jump_functions(lowered, graph, config, cache)
+    forward = build_forward_jump_functions(lowered, returns, config, cache)
     return lowered, graph, forward
 
 

@@ -15,15 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import analyze
-from repro.analysis.ssa import ensure_global_symbols
-from repro.callgraph import build_call_graph, compute_modref
 from repro.core.builder import build_forward_jump_functions
 from repro.core.config import AnalysisConfig, JumpFunctionKind
+from repro.core.driver import build_stage0
 from repro.core.parallel import solve_parallel
 from repro.core.returns import build_return_jump_functions
 from repro.core.solver import solve
 from repro.frontend import parse_program
-from repro.ir import lower_program
 from repro.resilience import chaos
 from repro.resilience.chaos import ChaosSpec, Fault
 from repro.resilience.errors import Stage
@@ -62,12 +60,10 @@ profile_strategy = st.builds(
 
 def build(source, config=None):
     config = config or AnalysisConfig()
-    lowered = lower_program(parse_program(source))
-    ensure_global_symbols(lowered)
-    graph = build_call_graph(lowered)
-    modref = compute_modref(lowered, graph)
-    returns = build_return_jump_functions(lowered, graph, modref, config)
-    forward = build_forward_jump_functions(lowered, modref, returns, config)
+    stage0 = build_stage0(parse_program(source))
+    lowered, graph, cache = stage0.lowered, stage0.graph, stage0.ssa_cache
+    returns = build_return_jump_functions(lowered, graph, config, cache)
+    forward = build_forward_jump_functions(lowered, returns, config, cache)
     return lowered, graph, forward
 
 

@@ -12,23 +12,31 @@ generated workloads (random jump-function kinds, MOD on and off).
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.ssa import ensure_global_symbols
-from repro.callgraph import build_call_graph, compute_modref
 from repro.core.builder import build_forward_jump_functions
 from repro.core.config import AnalysisConfig, JumpFunctionKind
+from repro.core.driver import build_stage0
 from repro.core.returns import build_return_jump_functions
 from repro.core.solver import solve, solve_dense
 from repro.diagnostics.sanitizer import LatticeSanitizer
 from repro.frontend import parse_program
-from repro.ir import lower_program
 from repro.workloads import load_suite
 from repro.workloads.generator import generate
 from repro.workloads.profiles import WorkloadProfile
 
-SETTINGS = settings(max_examples=15, deadline=None)
+SETTINGS = settings(
+    # tier-1 draws 15 examples; the CI soak loads the soak profile of
+    # tests/properties/conftest.py
+    max_examples=(
+        settings.default.max_examples
+        if settings.get_current_profile_name() == "soak"
+        else 15
+    ),
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
 # Small but structurally diverse profiles: every jump-function shape the
 # generator knows (literal, intraprocedural, pass-through chains, global
@@ -66,13 +74,10 @@ SUITE = load_suite(scale=0.25)
 
 def pipeline(source, config=None):
     config = config or AnalysisConfig()
-    program = parse_program(source)
-    lowered = lower_program(program)
-    ensure_global_symbols(lowered)
-    graph = build_call_graph(lowered)
-    modref = compute_modref(lowered, graph)
-    returns = build_return_jump_functions(lowered, graph, modref, config)
-    forward = build_forward_jump_functions(lowered, modref, returns, config)
+    stage0 = build_stage0(parse_program(source))
+    lowered, graph, cache = stage0.lowered, stage0.graph, stage0.ssa_cache
+    returns = build_return_jump_functions(lowered, graph, config, cache)
+    forward = build_forward_jump_functions(lowered, returns, config, cache)
     return lowered, graph, forward
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.config import AnalysisConfig, JumpFunctionKind
 from repro.core.driver import Analyzer, analyze
+from repro.frontend.symbols import GlobalId
 from repro.store.artifacts import ArtifactStore, MemoryStore
 from repro.store.fingerprints import (
     config_key,
@@ -239,21 +240,33 @@ def forward_payload_of(proc, lowered, sites) -> list:
     every site in the program, in site-id order."""
     entries = []
     for site_id in sorted(lowered.call_sites):
-        caller, _ = lowered.call_sites[site_id]
+        caller, call = lowered.call_sites[site_id]
         site = sites.get(site_id)
         if caller != proc or site is None:
             continue
         entries.append(
             {
-                "callee": site.callee,
+                "callee": call.callee,
                 "formals": {
-                    name: encode_expr(jf.expr)
-                    for name, jf in sorted(site.formals.items())
+                    name: encode_expr(edge.func)
+                    for name, edge in sorted(
+                        (
+                            (key, edge)
+                            for key, edge in site.items()
+                            if not isinstance(key, GlobalId)
+                        ),
+                        key=lambda kv: kv[0],
+                    )
                 },
                 "globals": {
-                    encode_key(gid): encode_expr(jf.expr)
-                    for gid, jf in sorted(
-                        site.globals.items(), key=lambda kv: encode_key(kv[0])
+                    encode_key(gid): encode_expr(edge.func)
+                    for gid, edge in sorted(
+                        (
+                            (key, edge)
+                            for key, edge in site.items()
+                            if isinstance(key, GlobalId)
+                        ),
+                        key=lambda kv: encode_key(kv[0]),
                     )
                 },
             }

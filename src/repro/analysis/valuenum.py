@@ -98,10 +98,14 @@ class ValueNumbering:
     off this numbering, filled in by the first stage 1 that needs them
     (:mod:`repro.core.returns`), so every table built from one numbering
     holds one entry object.
+
+    A numbering names nothing program-wide: an edit carries it into the
+    next program version (see :func:`~repro.core.driver.build_stage0`),
+    and a reference to its own version's lowering would keep that whole
+    version alive.
     """
 
     ssa: SSAProcedure
-    program: "LoweredProgram"
     exprs: dict[object, ValueExpr] = field(default_factory=dict)
     return_functions: Mapping[object, ValueExpr] | None = field(
         default=None, repr=False
@@ -154,7 +158,7 @@ def _entry_value_expr(symbol: Symbol) -> ValueExpr:
 
 def value_number(
     ssa: SSAProcedure,
-    program: "LoweredProgram",
+    program: LoweredProgram,
     return_jump_table: ReturnJumpTable | None = None,
     compose_return_functions: bool = False,
 ) -> ValueNumbering:
@@ -166,7 +170,7 @@ def value_number(
     omit it to disable return jump functions, as in Table 2's final
     columns).
     """
-    numbering = ValueNumbering(ssa=ssa, program=program)
+    numbering = ValueNumbering(ssa=ssa)
     exprs = numbering.exprs
     for symbol in ssa.variables:
         entry = _entry_value_expr(symbol)
@@ -177,13 +181,14 @@ def value_number(
     for block_id in ssa.cfg.reverse_postorder():
         block = ssa.cfg.blocks[block_id]
         for instr in block.instrs:
-            _transfer(instr, numbering, rjf, compose_return_functions)
+            _transfer(instr, numbering, program, rjf, compose_return_functions)
     return numbering
 
 
 def _transfer(
     instr,
     numbering: ValueNumbering,
+    program: LoweredProgram,
     rjf: ReturnJumpTable,
     compose: bool,
 ) -> None:
@@ -229,14 +234,14 @@ def _transfer(
     elif isinstance(instr, Call):
         if instr.dest is not None:
             result_expr = _apply_return_function(
-                instr, RESULT_KEY, numbering, rjf, compose
+                instr, RESULT_KEY, numbering, program, rjf, compose
             )
             _define(exprs, instr.dest, result_expr)
     elif isinstance(instr, CallKill):
         kind, payload = instr.binding
         callee_key = payload if kind in ("formal", "global") else None
         value = _apply_return_function(
-            instr.call, callee_key, numbering, rjf, compose
+            instr.call, callee_key, numbering, program, rjf, compose
         )
         _define(exprs, instr.dest, value)
 
@@ -255,6 +260,7 @@ def _apply_return_function(
     call: Call,
     callee_key,
     numbering: ValueNumbering,
+    program: LoweredProgram,
     rjf: ReturnJumpTable,
     compose: bool,
 ) -> ValueExpr:
@@ -270,7 +276,7 @@ def _apply_return_function(
         return BOTTOM_EXPR
     if function.is_bottom:
         return BOTTOM_EXPR
-    bindings = _call_bindings(call, numbering)
+    bindings = _call_bindings(call, numbering, program)
     if compose:
         return substitute(function, bindings)
     env = {}
@@ -285,7 +291,9 @@ def _apply_return_function(
     return BOTTOM_EXPR
 
 
-def _call_bindings(call: Call, numbering: ValueNumbering) -> dict:
+def _call_bindings(
+    call: Call, numbering: ValueNumbering, program: LoweredProgram
+) -> dict:
     """Map callee entry keys to caller-side expressions at this call.
 
     Formals bind positionally to the actual-parameter expressions; globals
@@ -293,7 +301,7 @@ def _call_bindings(call: Call, numbering: ValueNumbering) -> dict:
     call (globals are "implicitly passed parameters", footnote 1).
     """
     bindings: dict[EntryKey, ValueExpr] = {}
-    callee = numbering.program.procedures[call.callee].procedure
+    callee = program.procedures[call.callee].procedure
     for formal, arg in zip(callee.formals, call.args):
         bindings[formal.name] = numbering.argument_expr(arg)
     for symbol in numbering.ssa.call_versions.get(call.site_id, {}):

@@ -12,6 +12,8 @@ non-trivial SCCs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 from repro.ir.instructions import Call
 from repro.ir.lower import LoweredProgram
@@ -80,9 +82,16 @@ class CallGraph:
         order.extend(name for name in self.nodes if name not in seen)
         return order
 
-    def rpo_index(self) -> dict[str, int]:
-        """Map each procedure to its reverse-postorder position."""
-        return {name: index for index, name in enumerate(self.reverse_postorder())}
+    def rpo_index(self) -> Mapping[str, int]:
+        """Map each procedure to its reverse-postorder position. Computed
+        once per graph, like its region schedule, and read-only: every
+        solve over the graph shares it."""
+        index = self.__dict__.get("_rpo_index")
+        if index is None:
+            index = self._rpo_index = MappingProxyType(
+                {name: i for i, name in enumerate(self.reverse_postorder())}
+            )
+        return index
 
     # -- SCC condensation -----------------------------------------------------
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 from repro.analysis.ssa import SSAProcedure
@@ -47,24 +48,28 @@ from repro.ir.lower import LoweredProgram
 SiteEdges = dict[EntryKey, FlowEdge]
 
 
-def entry_keys(lowered: LoweredProgram) -> dict[str, list[EntryKey]]:
+def entry_keys(lowered: LoweredProgram) -> Mapping[str, tuple[EntryKey, ...]]:
     """Each procedure's propagated entry keys: scalar INTEGER/LOGICAL
-    formals plus every scalar global (paper §2, footnote 1)."""
-    scalar_gids = [
-        gid
-        for gid, gvar in lowered.program.globals.items()
-        if not gvar.is_array and gvar.type in (Type.INTEGER, Type.LOGICAL)
-    ]
-    keys: dict[str, list[EntryKey]] = {}
-    for name, lowered_proc in lowered.procedures.items():
-        proc_keys: list[EntryKey] = [
-            formal.name
-            for formal in lowered_proc.procedure.formals
-            if not formal.is_array
-            and formal.type in (Type.INTEGER, Type.LOGICAL)
-        ]
-        proc_keys.extend(scalar_gids)
-        keys[name] = proc_keys
+    formals plus every scalar global (paper §2, footnote 1).
+
+    Computed once per lowered program and read-only, so every solve,
+    stage 2 and the store's plan share one table."""
+    keys = lowered.__dict__.get("_entry_keys")
+    if keys is None:
+        scalar_gids = tuple(
+            gid
+            for gid, gvar in lowered.program.globals.items()
+            if not gvar.is_array and gvar.type in (Type.INTEGER, Type.LOGICAL)
+        )
+        keys = lowered._entry_keys = MappingProxyType({
+            name: tuple(
+                formal.name
+                for formal in lowered_proc.procedure.formals
+                if not formal.is_array
+                and formal.type in (Type.INTEGER, Type.LOGICAL)
+            ) + scalar_gids
+            for name, lowered_proc in lowered.procedures.items()
+        })
     return keys
 
 
@@ -156,16 +161,6 @@ def build_forward_jump_functions(
     dependents: dict[FlowBinding, list[FlowEdge]] = defaultdict(list)
     callees: dict[str, list[str]] = defaultdict(list)
 
-    # scalar global -> the program's own GlobalId for it, the object that
-    # keys every VAL environment. Edges keyed by it find their binding by
-    # identity; a symbol's GlobalId is an equal twin from its procedure's
-    # scope, and each lookup by it would call GlobalId.__eq__.
-    scalar_globals = {
-        gid: gid
-        for gid, gvar in lowered.program.globals.items()
-        if not gvar.is_array and gvar.type in (Type.INTEGER, Type.LOGICAL)
-    }
-
     for name in lowered.procedures:
         numbering = shared.get(name)
         if numbering is None:
@@ -178,9 +173,10 @@ def build_forward_jump_functions(
         result.numberings[name] = numbering
 
         global_symbols = {
-            scalar_globals[s.global_id]: s
+            s.global_id: s
             for s in ssa.variables
-            if s.kind is SymbolKind.GLOBAL and s.global_id in scalar_globals
+            if s.kind is SymbolKind.GLOBAL
+            and s.type in (Type.INTEGER, Type.LOGICAL)
         }
         edges = seeds[name]
 

@@ -22,8 +22,10 @@ pipeline makes that explicit:
   reuses each procedure's substitution record for a CONSTANTS(p) it has
   seen (see :func:`~repro.core.substitute.compute_substitutions`);
 - :class:`Analyzer` parses once and sweeps many configurations over one
-  bundle; :func:`sweep_programs` fans whole-program sweeps across worker
-  processes for table regeneration.
+  bundle, and :meth:`Analyzer.reanalyze` builds an edited version's
+  bundle from the one it replaces, rebuilding only the units the edit
+  touched; :func:`sweep_programs` fans whole-program sweeps across
+  worker processes for table regeneration.
 
 Complete propagation (``config.complete``) iterates analysis with
 dead-code elimination. Its first round is the shared pipeline above, and
@@ -89,6 +91,7 @@ from repro.store.artifacts import MemoryStore, StoreError, StoreIndexError
 from repro.store.fingerprints import config_key as _store_config_key
 from repro.store.incremental import (
     IncrementalReport,
+    RunDigests,
     plan_warm_start,
     publish_snapshot,
 )
@@ -123,12 +126,21 @@ class SSACache:
     its identity reused while the entry lives.
 
     Consumers (value numbering, SCCP, the dependence clients) never
-    mutate the SSA CFG. A later round of complete propagation analyzes a
-    rewritten program through a cache of its own whose ``base`` is the
-    stage-0 bundle's: lookups try the base first, so a procedure that
-    DCE left alone, with callees whose MOD summaries and return
-    functions did not change, keeps its round-1 SSA form, numbering and
-    records. The round's own entries never enter the base.
+    mutate the SSA CFG. A lookup that misses tries the ``base`` cache
+    with the same key and keeps a hit under it, so a procedure whose
+    CFG, callee MOD summaries and callee return functions did not change
+    keeps its SSA form, numbering and records (the record memo lives on
+    the SSA form):
+
+    - a later round of complete propagation analyzes a rewritten program
+      through a cache of its own whose base is the stage-0 bundle's, so
+      the procedures DCE left alone keep their round-1 work;
+    - an edit's stage 0 (:func:`build_stage0`) has the superseded
+      version's cache as its base, so the units the edit left in place
+        keep theirs. :meth:`release_base` drops the base once the edit's
+      stages 1–3 are done: what they did not look up dies with it.
+
+    Nothing is ever written into a base.
 
     Entries are published by one dict store each, so a present entry is
     final; two threads racing on a miss may both build it.
@@ -145,9 +157,14 @@ class SSACache:
         self._ssas: dict[tuple, SSAProcedure] = {}
         self._numberings: dict[tuple, ValueNumbering] = {}
         self._returns: dict[tuple[bool, bool, bool], ReturnFunctionResult] = {}
-        # looked up first, never written
+        # looked up on a miss, never written
         self._base_ssas = base._ssas if base is not None else {}
         self._base_numberings = base._numberings if base is not None else {}
+
+    def release_base(self) -> None:
+        """Stop looking up the base cache, so nothing here keeps it."""
+        self._base_ssas = {}
+        self._base_numberings = {}
 
     def get(self, name: str, use_mod: bool) -> SSAProcedure:
         lowered_proc = self._lowered.procedures[name]
@@ -163,12 +180,14 @@ class SSACache:
                 parts.append(mod_globals.get(callee))
                 parts.append(mod_formals.get(callee))
             key = tuple(parts)
-        ssa = self._base_ssas.get(key) or self._ssas.get(key)
+        ssa = self._ssas.get(key)
         if ssa is None:
-            effects = make_call_effects(
-                self._lowered, name, self._modref if use_mod else None
-            )
-            ssa = build_ssa(lowered_proc, effects)
+            ssa = self._base_ssas.get(key)
+            if ssa is None:
+                effects = make_call_effects(
+                    self._lowered, name, self._modref if use_mod else None
+                )
+                ssa = build_ssa(lowered_proc, effects)
             self._ssas[key] = ssa
         return ssa
 
@@ -186,9 +205,11 @@ class SSACache:
             table.get(callee) or None for callee in _callees(ssa.lowered)
         )
         key = (ssa, compose, *entries) if any(entries) else (ssa,)
-        numbering = self._base_numberings.get(key) or self._numberings.get(key)
+        numbering = self._numberings.get(key)
         if numbering is None:
-            numbering = number(ssa, self._lowered, table, compose)
+            numbering = self._base_numberings.get(key)
+            if numbering is None:
+                numbering = number(ssa, self._lowered, table, compose)
             self._numberings[key] = numbering
         return numbering
 
@@ -231,11 +252,27 @@ class Stage0Artifacts:
     timings: dict[str, float] = field(default_factory=dict)
 
 
-def build_stage0(program: Program) -> Stage0Artifacts:
-    """Lower a resolved program and compute its call graph and MOD/REF."""
+def build_stage0(
+    program: Program, previous: Stage0Artifacts | None = None
+) -> Stage0Artifacts:
+    """Lower a resolved program and compute its call graph and MOD/REF.
+
+    ``previous`` is the bundle of the version ``program``'s text replaces
+    (an edit; see :meth:`Analyzer.reanalyze`). Each unit the edit left in
+    place keeps its lowered procedure and resolved procedure
+    (:func:`~repro.ir.lower.lower_program` states the rule), and the new
+    :class:`SSACache` has the old one as its base, so those units keep
+    their SSA forms, numberings and records too, as long as their callees'
+    MOD summaries and return functions did not change. The call graph and
+    MOD/REF are computed afresh. The bundle keeps nothing of ``previous``
+    but the objects it reuses and, until the first run releases it, the
+    base cache's dicts.
+    """
     timings: dict[str, float] = {}
     start = time.perf_counter()
-    lowered = lower_program(program)
+    lowered = lower_program(
+        program, previous.lowered if previous is not None else None
+    )
     ensure_global_symbols(lowered)
     timings["lower"] = time.perf_counter() - start
 
@@ -243,8 +280,9 @@ def build_stage0(program: Program) -> Stage0Artifacts:
     graph = build_call_graph(lowered)
     modref = compute_modref(lowered, graph)
     timings["modref"] = time.perf_counter() - start
+    base = previous.ssa_cache if previous is not None else None
     return Stage0Artifacts(
-        program, lowered, graph, modref, SSACache(lowered, modref), timings
+        program, lowered, graph, modref, SSACache(lowered, modref, base), timings
     )
 
 
@@ -283,10 +321,15 @@ class Stage0Cache:
         ``source``: program text, or a parsed program."""
         return self.lookup(source)[0]
 
-    def lookup(self, source: str | Program) -> tuple[Stage0Artifacts, bool]:
+    def lookup(
+        self,
+        source: str | Program,
+        previous: Stage0Artifacts | None = None,
+    ) -> tuple[Stage0Artifacts, bool]:
         """:meth:`get`, plus whether this lookup was a hit. Threads share
         the counters, so comparing ``hits`` around a lookup can count
-        another thread's hit as this one's."""
+        another thread's hit as this one's. A miss builds the bundle from
+        ``previous`` (see :func:`build_stage0`)."""
         key = source if isinstance(source, str) else source.source
         if key:
             with self._lock:
@@ -297,7 +340,7 @@ class Stage0Cache:
                     return cached, True
                 self.misses += 1
         program = parse_program(source) if isinstance(source, str) else source
-        artifacts = build_stage0(program)
+        artifacts = build_stage0(program, previous)
         if key:
             with self._lock:
                 self._entries[key] = artifacts
@@ -305,10 +348,11 @@ class Stage0Cache:
                     self._entries.popitem(last=False)
         return artifacts, False
 
-    def discard(self, source: str) -> None:
-        """Forget the bundle for program text ``source``, if held."""
+    def discard(self, source: str) -> Stage0Artifacts | None:
+        """Forget the bundle for program text ``source``, if held, and
+        return it."""
         with self._lock:
-            self._entries.pop(source, None)
+            return self._entries.pop(source, None)
 
     def clear(self) -> None:
         with self._lock:
@@ -563,18 +607,17 @@ def _attempt_solve(
 
 def _plan_incremental(
     store,
-    cfg_key: str,
-    lowered: LoweredProgram,
+    digests: RunDigests,
     graph: CallGraph,
-    modref: ModRefInfo,
-    forward: ForwardFunctions,
     degradations: list[DegradationRecord],
 ) -> tuple[WarmStart | None, IncrementalReport]:
     """The incremental pre-pass: load the latest snapshot, diff
     fingerprints, and plan the warm start. Any store problem degrades to
     a cold run (RL530/RL531) — never an analysis failure."""
     try:
-        snapshot = store.load_snapshot(cfg_key, lowered.program.main)
+        snapshot = store.load_snapshot(
+            digests.cfg_key, digests.lowered.program.main
+        )
     except StoreIndexError as exc:
         degradations.append(
             DegradationRecord(
@@ -589,15 +632,7 @@ def _plan_incremental(
     if snapshot is None:
         return None, IncrementalReport(mode="cold", detail="no snapshot")
     try:
-        return plan_warm_start(
-            store,
-            snapshot,
-            cfg_key=cfg_key,
-            lowered=lowered,
-            graph=graph,
-            modref=modref,
-            forward=forward,
-        )
+        return plan_warm_start(store, snapshot, digests, graph=graph)
     except StoreError as exc:
         degradations.append(
             DegradationRecord(
@@ -735,6 +770,8 @@ def _config_stages(
         timings["forward"] = (
             timings.get("forward", 0.0) + time.perf_counter() - start
         )
+        # digests are computed on first use, once for both plan and publish
+        digests = RunDigests(cfg_key, lowered, modref, forward)
 
         warm: WarmStart | None = None
         if (
@@ -746,7 +783,7 @@ def _config_stages(
             and kind is effective.jump_function
         ):
             warm, store_report = _plan_incremental(
-                store, cfg_key, lowered, graph, modref, forward, degradations
+                store, digests, graph, degradations
             )
         if (
             store is not None
@@ -845,15 +882,7 @@ def _config_stages(
                         slab=slab,
                     )
             else:
-                publish_snapshot(
-                    store,
-                    cfg_key=cfg_key,
-                    lowered=lowered,
-                    graph=graph,
-                    modref=modref,
-                    forward=forward,
-                    solved=solved,
-                )
+                publish_snapshot(store, digests, graph=graph, solved=solved)
         except (StoreError, OSError, ValueError) as exc:
             degradations.append(
                 DegradationRecord(
@@ -885,6 +914,7 @@ def analyze(
     cache: Stage0Cache | None = GLOBAL_STAGE0_CACHE,
     store=None,
     incremental: bool = False,
+    previous: Stage0Artifacts | None = None,
 ) -> AnalysisResult:
     """Run the full analyzer over MiniFortran source (or a parsed Program).
 
@@ -903,6 +933,11 @@ def analyze(
     program between rounds, so there is no stable identity to key on.
     Its CONSTANTS describe the final round's DCE'd program,
     ``result.lowered``.
+
+    ``previous``, the stage-0 bundle of the version ``source`` replaces,
+    is what :meth:`Analyzer.reanalyze` passes: a stage 0 built here is
+    built from it (:func:`build_stage0`) and lets go of it once stages
+    1–3 are done.
     """
     config = config or AnalysisConfig()
     cancel_point()
@@ -915,20 +950,27 @@ def analyze(
     stage0_cached = False
     chaos_point(Stage.LOWERING)
     if cache is not None:
-        stage0, stage0_cached = cache.lookup(source)
+        stage0, stage0_cached = cache.lookup(source, previous)
         # chaos corruption clobbers the live cache entry, exactly
         # like a real poisoned cache would persist across fetches
         maybe_corrupt_stage0(stage0)
     else:
-        stage0 = build_stage0(source)
+        stage0 = build_stage0(source, previous)
+    # stage 0 holds what it reuses: let the rest of the old version go
+    carried_over, previous = previous is not None, None
     timings.update(stage0.timings)
-    artifacts = _config_stages(
-        stage0.lowered, stage0.graph, stage0.modref, config, timings,
-        ssa_cache=stage0.ssa_cache,
-        degradations=degradations,
-        store=None if config.complete else store,
-        incremental=incremental,
-    )
+    try:
+        artifacts = _config_stages(
+            stage0.lowered, stage0.graph, stage0.modref, config, timings,
+            ssa_cache=stage0.ssa_cache,
+            degradations=degradations,
+            store=None if config.complete else store,
+            incremental=incremental,
+        )
+    finally:
+        # stages 1-3 made the last lookups the superseded cache can serve
+        if carried_over:
+            stage0.ssa_cache.release_base()
     lowered = stage0.lowered
     complete_stats: CompleteStats | None = None
     if config.complete:
@@ -1015,28 +1057,49 @@ class Analyzer:
     ) -> AnalysisResult:
         """Swap in edited source and re-run incrementally.
 
+        The edited text is parsed whole. Its stage 0 is built from the
+        superseded version's bundle, which the edit takes out of
+        :attr:`cache` (an edit session holds one program version, not one
+        per edit): every unit the edit left in place keeps its lowering,
+        SSA forms, numberings and records (:func:`build_stage0`), so only
+        the edited units, and the callers whose callees' MOD summaries or
+        return functions changed, are rebuilt. The new bundle keeps
+        nothing of the old one but what it reuses.
+
         The previous :meth:`run` (or ``reanalyze``) left a snapshot in
         :attr:`store`; this run diffs procedure fingerprints against it,
         re-solves only the invalidated regions, and adopts the stored
         fixed points for everything clean. The result is equivalent to a
         from-scratch :func:`analyze` of ``new_source`` — the property
-        tests assert byte-identical CONSTANTS sets and substitution
-        counts — just cheaper (see ``result.incremental`` and the
-        ``regions_warm`` solver counter).
+        tests assert identical CONSTANTS sets, substitutions and
+        transformed text — just cheaper (see ``result.incremental`` and
+        the ``regions_warm`` solver counter).
 
-        The warm start comes from the store, not from stage 0, so an edit
-        drops the superseded text's bundle from :attr:`cache`: an edit
-        session holds one program version, not one per edit.
+        A text that fails to parse raises and leaves the analyzer on the
+        version it had.
         """
-        program = (
-            parse_program(new_source)
-            if isinstance(new_source, str)
-            else new_source
+        if isinstance(new_source, str):
+            # the last unit holds the newest line table: an edit re-derives
+            # every unit from the first one whose position it moves
+            last = next(reversed(self.program.procedures.values()))
+            program = parse_program(new_source, last.ast.span.lines)
+        else:
+            program = new_source
+        old_source, self.program = self.program.source, program
+        return analyze(
+            program,
+            config,
+            cache=self.cache,
+            store=self.store,
+            incremental=True,
+            # no local keeps the old bundle: analyze() lets it go as soon
+            # as stage 0 is built
+            previous=(
+                self.cache.discard(old_source)
+                if program.source != old_source
+                else None
+            ),
         )
-        if program.source != self.program.source:
-            self.cache.discard(self.program.source)
-        self.program = program
-        return self.run(config, incremental=True)
 
     def sweep(
         self, configs: dict[str, AnalysisConfig]

@@ -77,9 +77,13 @@ _NEWLINE, _DOT, _STRING = _GROUP["newline"], _GROUP["dot"], _GROUP["string"]
 _CONTINUATION = _GROUP["continuation"]
 
 
-def tokenize(source: str) -> list[Token]:
-    """Scan ``source``; the list always ends with a single EOF token."""
-    lines = LineTable(source)
+def tokenize(source: str, lines: LineTable | None = None) -> list[Token]:
+    """Scan ``source``; the list always ends with a single EOF token.
+
+    ``lines``, the line table of an earlier version of the text, stands
+    in for this text's own when the two agree (:meth:`LineTable.same_as`).
+    """
+    lines = LineTable(source).same_as(lines)
     tokens: list[Token] = []
     append = tokens.append
     IDENT, NEWLINE = TokenKind.IDENT, TokenKind.NEWLINE

@@ -24,7 +24,7 @@ from __future__ import annotations
 from repro.frontend import astnodes as ast
 from repro.frontend.errors import ParseError
 from repro.frontend.lexer import tokenize
-from repro.frontend.source import SourceSpan
+from repro.frontend.source import LineTable, SourceSpan
 from repro.frontend.tokens import Token, TokenKind
 
 _TYPE_KEYWORDS = {
@@ -578,6 +578,9 @@ class Parser:
             self._advance()
 
 
-def parse_source(source: str) -> ast.CompilationUnit:
-    """Lex and parse ``source`` into an unresolved compilation unit."""
-    return Parser(tokenize(source), source).parse()
+def parse_source(
+    source: str, lines: LineTable | None = None
+) -> ast.CompilationUnit:
+    """Lex and parse ``source`` into an unresolved compilation unit
+    (``lines`` as :func:`~repro.frontend.lexer.tokenize` takes it)."""
+    return Parser(tokenize(source, lines), source).parse()

@@ -16,6 +16,7 @@ from the table when a diagnostic or an error message asks for them.
 from __future__ import annotations
 
 import re
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -44,12 +45,26 @@ class LineTable:
     Built once per :func:`~repro.frontend.lexer.tokenize` call and shared
     by every span into that text. Only ``\\n`` ends a line; ``\\r`` and
     ``\\t`` are one column each.
+
+    The offsets are one machine word each, in an untracked array, not a
+    list of ``int`` objects: spans an edit carries into the next program
+    version keep their table alive (see :meth:`same_as`).
     """
 
     __slots__ = ("starts",)
 
     def __init__(self, source: str):
-        self.starts = [0, *(match.end() for match in re.finditer("\n", source))]
+        self.starts = array(
+            "q", [0, *(match.end() for match in re.finditer("\n", source))]
+        )
+
+    def same_as(self, other: LineTable | None) -> LineTable:
+        """``other`` when it describes the same lines as this table, else
+        this table: the versions of an edited text whose lines did not
+        move share one table."""
+        if other is not None and other.starts == self.starts:
+            return other
+        return self
 
     def location(self, offset: int) -> SourceLocation:
         line = bisect_right(self.starts, offset)

@@ -26,11 +26,12 @@ from __future__ import annotations
 import enum
 import statistics
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.frontend import astnodes as ast
 from repro.frontend.errors import SemanticError
 from repro.frontend.parser import parse_source
-from repro.frontend.source import DUMMY_SPAN, SourceSpan
+from repro.frontend.source import DUMMY_SPAN, LineTable, SourceSpan
 from repro.semantics import EvalError, apply_binary
 
 #: Intrinsic functions: name -> (min_arity, max_arity).
@@ -58,14 +59,15 @@ class SymbolKind(enum.Enum):
     RESULT = "result"
 
 
-@dataclass(frozen=True)
-class GlobalId:
+class GlobalId(NamedTuple):
     """Program-wide identity of a COMMON-block member: block name + slot.
 
-    GlobalIds key every entry environment and support index, so the hash
-    is computed once and cached — the generated dataclass ``__hash__``
-    would rebuild and rehash a ``(block, offset)`` tuple on every dict
-    operation in the propagation hot loops.
+    GlobalIds key every entry environment and support index, so they
+    hash and compare as the tuple they are, in C: the propagation hot
+    loops never call a Python-level ``__hash__`` or ``__eq__``. A GlobalId
+    equals the plain tuple of its fields; no entry key or binding is such
+    a tuple (entry keys are GlobalIds and names, bindings pair a
+    procedure name with an entry key).
     """
 
     block: str
@@ -73,23 +75,6 @@ class GlobalId:
 
     def __str__(self) -> str:
         return f"/{self.block}/[{self.offset}]"
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            value = hash((self.block, self.offset))
-            object.__setattr__(self, "_hash", value)
-            return value
-
-    # str hashes are salted per process: never serialize the cache
-    # (GlobalIds cross process boundaries in sweep_programs).
-    def __getstate__(self):
-        return (self.block, self.offset)
-
-    def __setstate__(self, state):
-        object.__setattr__(self, "block", state[0])
-        object.__setattr__(self, "offset", state[1])
 
 
 @dataclass(eq=False)
@@ -790,6 +775,7 @@ def _calls_in_stmt(stmt: ast.Stmt, procedures: dict[str, Procedure]):
                 yield (node.name, node.args, node.span)
 
 
-def parse_program(source: str) -> Program:
-    """Parse and resolve MiniFortran ``source`` — the main front-end entry."""
-    return resolve(parse_source(source))
+def parse_program(source: str, lines: LineTable | None = None) -> Program:
+    """Parse and resolve MiniFortran ``source`` — the main front-end entry.
+    ``lines`` is as :func:`~repro.frontend.lexer.tokenize` takes it."""
+    return resolve(parse_source(source, lines))

@@ -10,6 +10,10 @@ loops during complete propagation.
 Call sites receive program-unique ``site_id`` values here; everything
 downstream (MOD/REF, jump functions, the interprocedural solver) keys on
 them.
+
+Lowering an edited program can take each unit the edit left in place from
+the lowering of the version it replaces (:func:`lower_program`'s reuse
+rule).
 """
 
 from __future__ import annotations
@@ -58,11 +62,15 @@ _LOGICAL_OPS = frozenset({".and.", ".or."})
 
 @dataclass
 class LoweredProcedure:
-    """A procedure plus its CFG and lowering metadata."""
+    """A procedure plus its CFG and lowering metadata.
+
+    ``sites`` is the range of call-site ids :func:`lower_program` drew
+    for this unit, unreachable calls included."""
 
     procedure: Procedure
     cfg: ControlFlowGraph
     call_instrs: list[Call] = field(default_factory=list)
+    sites: range = range(0)
 
     @property
     def name(self) -> str:
@@ -553,12 +561,12 @@ class _SiteCounter:
     """Allocates program-unique call-site ids; knows function return types."""
 
     def __init__(self, program: Program):
-        self._next = 0
+        self.next = 0
         self._program = program
 
     def next_id(self) -> int:
-        site_id = self._next
-        self._next += 1
+        site_id = self.next
+        self.next += 1
         return site_id
 
     def function_return_type(self, name: str) -> ast.Type:
@@ -573,18 +581,98 @@ def lower_procedure(procedure: Procedure, program: Program) -> LoweredProcedure:
     return _ProcedureLowerer(procedure, _SiteCounter(program), _Leaves()).lower()
 
 
-def lower_program(program: Program) -> LoweredProgram:
+def lower_program(
+    program: Program, previous: LoweredProgram | None = None
+) -> LoweredProgram:
     """Lower every procedure; assign program-unique call-site ids. The
     procedures share one :class:`Const` per literal value and one
-    :class:`Temp` per (index, type)."""
+    :class:`Temp` per (index, type).
+
+    ``previous`` is the lowering of the version ``program``'s text
+    replaces. A unit takes its :class:`LoweredProcedure`, and with it
+    its resolved :class:`Procedure`, from there when lowering it again
+    could give nothing else:
+
+    - its text, read over ``ProcedureDef.span``, is the same;
+    - it starts at the same offset, line and column (spans are absolute
+      offsets);
+    - the call-site counter stands where it stood when ``previous``
+      lowered it (ids are program-wide and drawn in unit order);
+    - everything resolution and lowering read from outside the unit is
+      equal (:func:`_unit_context`); otherwise no unit is reused.
+
+    ``program.procedures`` then holds each reused :class:`Procedure`, so
+    the program and its lowering agree.
+    """
     counter = _SiteCounter(program)
     leaves = _Leaves()
+    reusable = _reusable_units(program, previous)
     procedures: dict[str, LoweredProcedure] = {}
     for name, proc in program.procedures.items():
-        procedures[name] = _ProcedureLowerer(proc, counter, leaves).lower()
+        old = reusable.get(name)
+        if old is not None and old.sites.start == counter.next:
+            counter.next = old.sites.stop
+            procedures[name] = old
+            program.procedures[name] = old.procedure
+            continue
+        start = counter.next
+        lowered_proc = _ProcedureLowerer(proc, counter, leaves).lower()
+        lowered_proc.sites = range(start, counter.next)
+        procedures[name] = lowered_proc
     lowered = LoweredProgram(program=program, procedures=procedures)
     _check_argument_shapes(lowered)
     return lowered
+
+
+def _reusable_units(
+    program: Program, previous: LoweredProgram | None
+) -> dict[str, LoweredProcedure]:
+    """The units of ``previous`` that ``program`` holds with the same
+    text at the same position, when the two share one context."""
+    if previous is None or _unit_context(previous.program) != _unit_context(
+        program
+    ):
+        return {}
+    old_source, source = previous.program.source, program.source
+    reusable = {}
+    for name, proc in program.procedures.items():
+        old = previous.procedures.get(name)
+        if old is None:
+            continue
+        old_span, span = old.procedure.ast.span, proc.ast.span
+        if (
+            old_span.start == span.start
+            and old_span.extract(old_source) == span.extract(source)
+        ):
+            reusable[name] = old
+    return reusable
+
+
+def _unit_context(program: Program) -> tuple:
+    """What resolving and lowering one unit read from outside it: every
+    global's slot, display name, type, shape and DATA value (by class and
+    value), and every procedure's name, kind, result type and formals."""
+    globals_ = tuple(
+        (
+            gid,
+            gvar.display,
+            gvar.type,
+            gvar.dims,
+            gvar.data_value.__class__,
+            repr(gvar.data_value),
+        )
+        for gid, gvar in program.globals.items()
+    )
+    procedures = tuple(
+        (
+            name,
+            proc.kind,
+            proc.result_symbol.type if proc.is_function else None,
+            tuple((f.name, f.type, f.dims) for f in proc.formals),
+        )
+        for name, proc in program.procedures.items()
+    )
+    return globals_, procedures
 
 
 def _check_argument_shapes(lowered: LoweredProgram) -> None:

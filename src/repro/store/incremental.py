@@ -43,6 +43,7 @@ store *fallback* (the snapshot was consistent, just fully stale).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.callgraph.graph import CallGraph
 from repro.core.builder import entry_keys
@@ -91,23 +92,53 @@ class IncrementalReport:
         }
 
 
+class RunDigests:
+    """One run's artifacts as the store sees them, each digest computed
+    at most once: every procedure's fingerprint, the forward
+    jump-function payloads and the globals fingerprint.
+    :func:`plan_warm_start` computes what its diff reads and
+    :func:`publish_snapshot` reuses it. It lives as long as the run that
+    made it, so it keeps no program version alive."""
+
+    def __init__(self, cfg_key: str, lowered: LoweredProgram, modref, forward):
+        self.cfg_key = cfg_key
+        self.lowered = lowered
+        self.modref = modref
+        self.forward = forward
+        self._fingerprints: dict[str, str] = {}
+
+    def fingerprint(self, name: str) -> str:
+        fp = self._fingerprints.get(name)
+        if fp is None:
+            fp = self._fingerprints[name] = procedure_fingerprint(
+                name, self.lowered, self.modref, self.cfg_key
+            )
+        return fp
+
+    @cached_property
+    def payloads(self) -> dict[str, list]:
+        return encode_all_forward_jfs(self.lowered, self.forward.sites)
+
+    @cached_property
+    def globals_fp(self) -> str:
+        return globals_fingerprint(self.lowered.program)
+
+
 def publish_snapshot(
     store,
+    digests: RunDigests,
     *,
-    cfg_key: str,
-    lowered: LoweredProgram,
     graph: CallGraph,
-    modref,
-    forward,
     solved: SolveResult,
 ) -> dict:
     """Write one configuration's artifacts and append the snapshot line.
     Returns the snapshot meta (tests inspect it)."""
-    payloads = encode_all_forward_jfs(lowered, forward.sites)
+    lowered = digests.lowered
+    payloads = digests.payloads
     procs: dict[str, dict] = {}
     for name in sorted(lowered.procedures):
         procs[name] = {
-            "fp": procedure_fingerprint(name, lowered, modref, cfg_key),
+            "fp": digests.fingerprint(name),
             "jf": store.put_object(payloads[name]),
             "env": store.put_object(encode_env(solved.val.get(name, {}))),
             "reached": name in solved.reached,
@@ -116,42 +147,36 @@ def publish_snapshot(
     meta = {
         "schema": SCHEMA,
         "main": lowered.program.main,
-        "globals_fp": globals_fingerprint(lowered.program),
+        "globals_fp": digests.globals_fp,
         "procs": procs,
     }
-    store.append_snapshot(cfg_key, lowered.program.main, meta)
+    store.append_snapshot(digests.cfg_key, lowered.program.main, meta)
     return meta
 
 
 def diff_snapshot(
-    snapshot: dict,
-    *,
-    cfg_key: str,
-    lowered: LoweredProgram,
-    graph: CallGraph,
-    modref,
-    forward,
+    snapshot: dict, digests: RunDigests, *, graph: CallGraph
 ) -> tuple[set[str], set[str], set[str]]:
     """``(changed, removed, invalid)`` per the module-docstring rule.
     Raises :class:`StoreError` on a malformed snapshot."""
+    lowered = digests.lowered
     try:
         if snapshot.get("schema") != SCHEMA:
             raise StoreError("snapshot schema mismatch")
         stored_procs = snapshot["procs"]
         current = set(lowered.procedures)
         removed = set(stored_procs) - current
-        if snapshot.get("globals_fp") != globals_fingerprint(lowered.program):
+        if snapshot.get("globals_fp") != digests.globals_fp:
             changed = set(current)
         else:
             changed = set()
-            payloads = encode_all_forward_jfs(lowered, forward.sites)
+            payloads = digests.payloads
             for name in current:
                 stored = stored_procs.get(name)
                 if stored is None:
                     changed.add(name)
                     continue
-                fp = procedure_fingerprint(name, lowered, modref, cfg_key)
-                if stored["fp"] != fp:
+                if stored["fp"] != digests.fingerprint(name):
                     changed.add(name)
                     continue
                 if stored["jf"] != sha256_of(payloads[name]):
@@ -179,14 +204,7 @@ def diff_snapshot(
 
 
 def plan_warm_start(
-    store,
-    snapshot: dict,
-    *,
-    cfg_key: str,
-    lowered: LoweredProgram,
-    graph: CallGraph,
-    modref,
-    forward,
+    store, snapshot: dict, digests: RunDigests, *, graph: CallGraph
 ) -> tuple[WarmStart, IncrementalReport]:
     """Build the solver's :class:`WarmStart` from a trusted snapshot.
 
@@ -194,14 +212,8 @@ def plan_warm_start(
     its objects cannot be verified — the caller falls back to a cold
     run (RL530) and republishes.
     """
-    changed, removed, invalid = diff_snapshot(
-        snapshot,
-        cfg_key=cfg_key,
-        lowered=lowered,
-        graph=graph,
-        modref=modref,
-        forward=forward,
-    )
+    changed, removed, invalid = diff_snapshot(snapshot, digests, graph=graph)
+    lowered = digests.lowered
     current = set(lowered.procedures)
     clean = current - invalid
     keys_of = entry_keys(lowered)

@@ -439,6 +439,119 @@ class TestNumberingSharing:
         assert set(numbered.values()) == {1}
 
 
+CHAIN = """
+program main
+  integer n
+  n = 3
+  call a(n)
+end
+
+subroutine a(x)
+  integer x, y
+  y = x + 1
+  call b(y)
+end
+
+subroutine b(x)
+  integer x, y
+  y = x * 2
+  call c(y)
+end
+
+subroutine c(x)
+  integer x, t
+  t = 7
+  write x + t
+end
+"""
+
+
+def count_ssa_builds(monkeypatch) -> Counter:
+    """Count SSA constructions per procedure."""
+    built: Counter = Counter()
+    original = driver.build_ssa
+
+    def counting(lowered_proc, *args):
+        built[lowered_proc.name] += 1
+        return original(lowered_proc, *args)
+
+    monkeypatch.setattr(driver, "build_ssa", counting)
+    return built
+
+
+def assert_answers_as_cold(result, text):
+    cold = analyze(text, cache=None)
+    assert result.transformed_source() == cold.transformed_source()
+    assert result.solved.val == cold.solved.val
+    assert result.solved.reached == cold.solved.reached
+    assert result.all_constants() == cold.all_constants()
+
+
+class TestEditReuse:
+    """An edit rebuilds only the units it touches: stage 0 starts from
+    the bundle of the version the edit replaces."""
+
+    def test_body_literal_edit_builds_one_form(self, monkeypatch):
+        analyzer = Analyzer(CHAIN, cache=Stage0Cache())
+        first = analyzer.run()
+        built = count_ssa_builds(monkeypatch)
+        sccp = record_sccp_inputs(monkeypatch)
+        edited = CHAIN.replace("t = 7", "t = 8")
+        result = analyzer.reanalyze(edited)
+        assert built == {"c": 1}
+        assert [ssa.name for ssa, _ in sccp] == ["c"]
+        assert not result.stage0_cached
+        for name in ("main", "a", "b"):
+            assert (
+                result.lowered.procedures[name]
+                is first.lowered.procedures[name]
+            )
+            assert result.forward.ssas[name] is first.forward.ssas[name]
+        assert result.program.procedures["a"] is first.program.procedures["a"]
+        assert_answers_as_cold(result, edited)
+
+    def test_identical_text_builds_nothing(self, monkeypatch):
+        analyzer = Analyzer(CHAIN, cache=Stage0Cache())
+        first = analyzer.run()
+        built = count_ssa_builds(monkeypatch)
+        sccp = record_sccp_inputs(monkeypatch)
+        again = analyzer.reanalyze(CHAIN)
+        assert built == {} and sccp == []
+        assert again.stage0_cached
+        assert again.transformed_source() == first.transformed_source()
+
+    def test_lengthening_the_first_unit_rebuilds_every_later_unit(
+        self, monkeypatch
+    ):
+        analyzer = Analyzer(CHAIN, cache=Stage0Cache())
+        first = analyzer.run()
+        built = count_ssa_builds(monkeypatch)
+        edited = CHAIN.replace("n = 3", "n = 30")
+        result = analyzer.reanalyze(edited)
+        assert built == {"main": 1, "a": 1, "b": 1, "c": 1}
+        for name, lowered_proc in result.lowered.procedures.items():
+            assert lowered_proc is not first.lowered.procedures[name], name
+        assert_answers_as_cold(result, edited)
+
+    def test_failed_parse_keeps_the_version(self, monkeypatch):
+        cache = Stage0Cache()
+        analyzer = Analyzer(CHAIN, cache=cache)
+        first = analyzer.run()
+        program = analyzer.program
+        bundle = cache._entries[CHAIN]
+        with pytest.raises(FrontendError):
+            analyzer.reanalyze(CHAIN.replace("t = 7", "t = "))
+        assert analyzer.program is program
+        assert list(cache._entries.values()) == [bundle]
+        built = count_ssa_builds(monkeypatch)
+        edited = CHAIN.replace("t = 7", "t = 9")
+        result = analyzer.reanalyze(edited)
+        assert built == {"c": 1}
+        assert result.forward.ssas["b"] is first.forward.ssas["b"]
+        assert list(cache._entries) == [edited]
+        assert_answers_as_cold(result, edited)
+
+
 ALL_KINDS = list(JumpFunctionKind)
 
 

@@ -99,6 +99,10 @@ class ValueNumbering:
     (:mod:`repro.core.returns`), so every table built from one numbering
     holds one entry object.
 
+    ``digest`` is the store's latest digest of the forward jump
+    functions projected from this numbering, ``(jump-function kind,
+    digest)``, set on first use (:class:`~repro.store.incremental.RunDigests`).
+
     A numbering names nothing program-wide: an edit carries it into the
     next program version (see :func:`~repro.core.driver.build_stage0`),
     and a reference to its own version's lowering would keep that whole
@@ -109,6 +113,9 @@ class ValueNumbering:
     exprs: dict[object, ValueExpr] = field(default_factory=dict)
     return_functions: Mapping[object, ValueExpr] | None = field(
         default=None, repr=False
+    )
+    digest: tuple[object, str] | None = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     def expr_of(self, operand: Operand) -> ValueExpr:

@@ -258,8 +258,8 @@ def build_stage0(
     """Lower a resolved program and compute its call graph and MOD/REF.
 
     ``previous`` is the bundle of the version ``program``'s text replaces
-    (an edit; see :meth:`Analyzer.reanalyze`). Each unit the edit left in
-    place keeps its lowered procedure and resolved procedure
+    (an edit; see :meth:`Analyzer.reanalyze`). Each unit whose resolved
+    procedure the frontend kept keeps its lowered procedure too
     (:func:`~repro.ir.lower.lower_program` states the rule), and the new
     :class:`SSACache` has the old one as its base, so those units keep
     their SSA forms, numberings and records too, as long as their callees'
@@ -301,9 +301,9 @@ class Stage0Cache:
     are never cached (there is no identity to key on).
 
     The daemon's threads share one cache: one lock guards each lookup
-    with its LRU bump, each insert with its evictions, and
-    :meth:`discard`. Stage 0 is built outside the lock, so two threads
-    that miss on one text may both build it.
+    with its LRU bump, each insert with the superseded bundle's removal
+    and its evictions, and :meth:`discard`. Stage 0 is built outside the
+    lock, so two threads that miss on one text may both build it.
     """
 
     def __init__(self, maxsize: int = 32):
@@ -324,25 +324,35 @@ class Stage0Cache:
     def lookup(
         self,
         source: str | Program,
-        previous: Stage0Artifacts | None = None,
+        previous: str | None = None,
     ) -> tuple[Stage0Artifacts, bool]:
         """:meth:`get`, plus whether this lookup was a hit. Threads share
         the counters, so comparing ``hits`` around a lookup can count
-        another thread's hit as this one's. A miss builds the bundle from
-        ``previous`` (see :func:`build_stage0`)."""
+        another thread's hit as this one's.
+
+        ``previous`` is the text of the version ``source`` replaces (an
+        edit): a miss builds the bundle from the one this cache holds
+        for it (see :func:`build_stage0`), and once this lookup has its
+        bundle the superseded one is dropped, so an edit session holds
+        one version. A build that raises drops nothing."""
         key = source if isinstance(source, str) else source.source
+        base = None
         if key:
             with self._lock:
                 cached = self._entries.get(key)
                 if cached is not None:
                     self.hits += 1
                     self._entries.move_to_end(key)
+                    if previous != key:
+                        self._entries.pop(previous, None)
                     return cached, True
                 self.misses += 1
+                base = self._entries.get(previous)
         program = parse_program(source) if isinstance(source, str) else source
-        artifacts = build_stage0(program, previous)
+        artifacts = build_stage0(program, base)
         if key:
             with self._lock:
+                self._entries.pop(previous, None)
                 self._entries[key] = artifacts
                 while len(self._entries) > self.maxsize:
                     self._entries.popitem(last=False)
@@ -771,7 +781,7 @@ def _config_stages(
             timings.get("forward", 0.0) + time.perf_counter() - start
         )
         # digests are computed on first use, once for both plan and publish
-        digests = RunDigests(cfg_key, lowered, modref, forward)
+        digests = RunDigests(cfg_key, kind, lowered, modref, forward)
 
         warm: WarmStart | None = None
         if (
@@ -914,7 +924,7 @@ def analyze(
     cache: Stage0Cache | None = GLOBAL_STAGE0_CACHE,
     store=None,
     incremental: bool = False,
-    previous: Stage0Artifacts | None = None,
+    previous: str | None = None,
 ) -> AnalysisResult:
     """Run the full analyzer over MiniFortran source (or a parsed Program).
 
@@ -934,10 +944,12 @@ def analyze(
     Its CONSTANTS describe the final round's DCE'd program,
     ``result.lowered``.
 
-    ``previous``, the stage-0 bundle of the version ``source`` replaces,
-    is what :meth:`Analyzer.reanalyze` passes: a stage 0 built here is
-    built from it (:func:`build_stage0`) and lets go of it once stages
-    1–3 are done.
+    ``previous``, the text of the version ``source`` replaces, is what
+    :meth:`Analyzer.reanalyze` passes: ``cache`` builds this version's
+    stage 0 from the bundle it holds for that text and drops that bundle
+    (:meth:`Stage0Cache.lookup`), and the new bundle lets go of what it
+    did not reuse once stages 1–3 are done. Without a cache there is no
+    bundle to build from.
     """
     config = config or AnalysisConfig()
     cancel_point()
@@ -955,9 +967,7 @@ def analyze(
         # like a real poisoned cache would persist across fetches
         maybe_corrupt_stage0(stage0)
     else:
-        stage0 = build_stage0(source, previous)
-    # stage 0 holds what it reuses: let the rest of the old version go
-    carried_over, previous = previous is not None, None
+        stage0 = build_stage0(source)
     timings.update(stage0.timings)
     try:
         artifacts = _config_stages(
@@ -969,7 +979,7 @@ def analyze(
         )
     finally:
         # stages 1-3 made the last lookups the superseded cache can serve
-        if carried_over:
+        if previous is not None:
             stage0.ssa_cache.release_base()
     lowered = stage0.lowered
     complete_stats: CompleteStats | None = None
@@ -1057,49 +1067,46 @@ class Analyzer:
     ) -> AnalysisResult:
         """Swap in edited source and re-run incrementally.
 
-        The edited text is parsed whole. Its stage 0 is built from the
-        superseded version's bundle, which the edit takes out of
-        :attr:`cache` (an edit session holds one program version, not one
-        per edit): every unit the edit left in place keeps its lowering,
-        SSA forms, numberings and records (:func:`build_stage0`), so only
-        the edited units, and the callers whose callees' MOD summaries or
-        return functions changed, are rebuilt. The new bundle keeps
+        The edited text is parsed from :attr:`program`: every unit the
+        edit left in place keeps its resolved procedure, and only the
+        text between those units is lexed, parsed and resolved
+        (:func:`~repro.frontend.symbols.parse_program`). Its stage 0 is
+        built from the superseded version's bundle, which :attr:`cache`
+        then drops (an edit session holds one program version, not one
+        per edit): every unit the frontend kept keeps its lowering, SSA
+        forms, numberings and records (:func:`build_stage0`), so only
+        the edited units, and the callers whose callees' MOD summaries
+        or return functions changed, are rebuilt. The new bundle keeps
         nothing of the old one but what it reuses.
 
         The previous :meth:`run` (or ``reanalyze``) left a snapshot in
         :attr:`store`; this run diffs procedure fingerprints against it,
-        re-solves only the invalidated regions, and adopts the stored
-        fixed points for everything clean. The result is equivalent to a
-        from-scratch :func:`analyze` of ``new_source`` — the property
-        tests assert identical CONSTANTS sets, substitutions and
-        transformed text — just cheaper (see ``result.incremental`` and
-        the ``regions_warm`` solver counter).
+        re-solves only the invalidated regions, adopts the stored fixed
+        points for everything clean, and publishes a snapshot that
+        writes only the invalidated procedures' environments. The result
+        is equivalent to a from-scratch :func:`analyze` of
+        ``new_source`` — the property tests assert identical CONSTANTS
+        sets, substitutions and transformed text — just cheaper (see
+        ``result.incremental`` and the ``regions_warm`` solver counter).
 
-        A text that fails to parse raises and leaves the analyzer on the
-        version it had.
+        A text that fails to parse, resolve or lower raises and leaves
+        the analyzer, and the cache's bundle, on the version it had.
         """
         if isinstance(new_source, str):
-            # the last unit holds the newest line table: an edit re-derives
-            # every unit from the first one whose position it moves
-            last = next(reversed(self.program.procedures.values()))
-            program = parse_program(new_source, last.ast.span.lines)
+            program = parse_program(new_source, self.program)
         else:
             program = new_source
-        old_source, self.program = self.program.source, program
-        return analyze(
+        old_source = self.program.source
+        result = analyze(
             program,
             config,
             cache=self.cache,
             store=self.store,
             incremental=True,
-            # no local keeps the old bundle: analyze() lets it go as soon
-            # as stage 0 is built
-            previous=(
-                self.cache.discard(old_source)
-                if program.source != old_source
-                else None
-            ),
+            previous=old_source if program.source != old_source else None,
         )
+        self.program = program
+        return result
 
     def sweep(
         self, configs: dict[str, AnalysisConfig]

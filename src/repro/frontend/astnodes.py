@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.frontend.source import DUMMY_SPAN, SourceSpan
+from repro.frontend.source import DUMMY_SPAN, LineTable, SourceSpan
 
 
 class Type(enum.Enum):
@@ -321,10 +321,12 @@ class ProcedureDef:
 
 @dataclass
 class CompilationUnit:
-    """A whole MiniFortran source file: a list of program units."""
+    """A whole MiniFortran source file: a list of program units, and the
+    line table of the text."""
 
     procedures: list[ProcedureDef] = field(default_factory=list)
     source: str = ""
+    lines: LineTable | None = field(default=None, repr=False, compare=False)
 
     def find(self, name: str) -> ProcedureDef | None:
         lowered = name.lower()

@@ -77,17 +77,28 @@ _NEWLINE, _DOT, _STRING = _GROUP["newline"], _GROUP["dot"], _GROUP["string"]
 _CONTINUATION = _GROUP["continuation"]
 
 
-def tokenize(source: str, lines: LineTable | None = None) -> list[Token]:
-    """Scan ``source``; the list always ends with a single EOF token.
+def tokenize(
+    source: str,
+    lines: LineTable | None = None,
+    start: int = 0,
+    end: int | None = None,
+) -> list[Token]:
+    """Scan ``source``, or its part from offset ``start`` to ``end``; the
+    list always ends with a single EOF token, at ``end``.
 
-    ``lines``, the line table of an earlier version of the text, stands
-    in for this text's own when the two agree (:meth:`LineTable.same_as`).
+    Offsets are into the whole text and ``lines`` is its line table,
+    built here when not given. A part scans as it does within the whole
+    text when it starts where a token of that scan ends and ends at a
+    line start: every newline ends a token or a continuation, so the
+    scan of the whole text has a token boundary at each line start.
     """
-    lines = LineTable(source).same_as(lines)
+    if lines is None:
+        lines = LineTable(source)
+    stop = len(source) if end is None else end
     tokens: list[Token] = []
     append = tokens.append
     IDENT, NEWLINE = TokenKind.IDENT, TokenKind.NEWLINE
-    for match in _TOKEN.finditer(source):
+    for match in _TOKEN.finditer(source, start, stop):
         group = match.lastindex
         if group is None:
             break  # only blanks and a comment were left
@@ -114,10 +125,9 @@ def tokenize(source: str, lines: LineTable | None = None) -> list[Token]:
             append(Token((TokenKind.STRING, source[start + 1 : end - 1], start, end, lines)))
         elif group != _CONTINUATION:
             raise LexError(_bad_character(source, start), lines.location(start))
-    end = len(source)
     if tokens and tokens[-1][0] is not NEWLINE:
-        append(Token((NEWLINE, "\n", end, end, lines)))
-    append(Token((TokenKind.EOF, "", end, end, lines)))
+        append(Token((NEWLINE, "\n", stop, stop, lines)))
+    append(Token((TokenKind.EOF, "", stop, stop, lines)))
     return tokens
 
 

@@ -66,15 +66,20 @@ class Parser:
         self._pos = 0
         self._source = source
 
-    def parse(self) -> ast.CompilationUnit:
+    def parse(self, whole: bool = True) -> ast.CompilationUnit:
+        """The units the tokens hold. A whole text must hold one; a part
+        of one (see :func:`parse_source`) may hold none."""
         procedures = []
         self._skip_newlines()
         while not self._at(TokenKind.EOF):
             procedures.append(self._parse_procedure())
             self._skip_newlines()
-        if not procedures:
-            raise ParseError("empty program", self._peek().span.start)
-        return ast.CompilationUnit(procedures=procedures, source=self._source)
+        eof = self._peek()
+        if not procedures and whole:
+            raise ParseError("empty program", eof.span.start)
+        return ast.CompilationUnit(
+            procedures=procedures, source=self._source, lines=eof[4]
+        )
 
     # -- program units ----------------------------------------------------
 
@@ -579,8 +584,15 @@ class Parser:
 
 
 def parse_source(
-    source: str, lines: LineTable | None = None
+    source: str,
+    lines: LineTable | None = None,
+    start: int = 0,
+    end: int | None = None,
 ) -> ast.CompilationUnit:
-    """Lex and parse ``source`` into an unresolved compilation unit
-    (``lines`` as :func:`~repro.frontend.lexer.tokenize` takes it)."""
-    return Parser(tokenize(source, lines), source).parse()
+    """Lex and parse ``source`` into an unresolved compilation unit, or
+    only the units between offsets ``start`` and ``end`` (``lines``,
+    ``start`` and ``end`` as :func:`~repro.frontend.lexer.tokenize`
+    takes them): an edit re-parses the text between the units it kept
+    (:func:`~repro.frontend.symbols.parse_program`)."""
+    tokens = tokenize(source, lines, start, end)
+    return Parser(tokens, source).parse(whole=start == 0 and end is None)

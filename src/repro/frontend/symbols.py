@@ -24,12 +24,13 @@ possible.
 from __future__ import annotations
 
 import enum
+import re
 import statistics
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from repro.frontend import astnodes as ast
-from repro.frontend.errors import SemanticError
+from repro.frontend.errors import FrontendError, SemanticError
 from repro.frontend.parser import parse_source
 from repro.frontend.source import DUMMY_SPAN, LineTable, SourceSpan
 from repro.semantics import EvalError, apply_binary
@@ -198,12 +199,14 @@ class Procedure:
 
 @dataclass
 class Program:
-    """A fully resolved MiniFortran program."""
+    """A fully resolved MiniFortran program. ``lines`` is the line table
+    of ``source``."""
 
     procedures: dict[str, Procedure]
     globals: dict[GlobalId, GlobalVar]
     main: str
     source: str = ""
+    lines: LineTable | None = field(default=None, repr=False, compare=False)
 
     def procedure(self, name: str) -> Procedure:
         try:
@@ -441,7 +444,10 @@ class _ProcedureResolver:
             type_ = self._type_of(name)
             dims = self._dims_of(name)
             data_value = self._data_values.pop(name, None)
-            self._register_global(gid, name, type_, dims, data_value)
+            _register_global(
+                self._global_vars, self._def.name, gid, name, type_, dims,
+                data_value,
+            )
             self._symtab.define(
                 Symbol(
                     name=name,
@@ -453,36 +459,6 @@ class _ProcedureResolver:
                     decl_span=self._decl_span(name),
                 )
             )
-
-    def _register_global(
-        self,
-        gid: GlobalId,
-        local_name: str,
-        type_: ast.Type,
-        dims: tuple[int, ...],
-        data_value: int | float | bool | None,
-    ) -> None:
-        existing = self._global_vars.get(gid)
-        if existing is None:
-            self._global_vars[gid] = GlobalVar(
-                gid=gid,
-                display=f"{gid.block}.{local_name}",
-                type=type_,
-                dims=dims,
-                data_value=data_value,
-            )
-            return
-        if existing.type is not type_ or existing.dims != dims:
-            raise SemanticError(
-                f"COMMON member {gid} declared with conflicting type/shape "
-                f"({local_name!r} in {self._def.name!r})"
-            )
-        if data_value is not None:
-            if existing.data_value is not None and existing.data_value != data_value:
-                raise SemanticError(
-                    f"COMMON member {gid} has conflicting DATA initializers"
-                )
-            existing.data_value = data_value
 
     def _define_named_constants(self) -> None:
         for name, value in self._named_constants.items():
@@ -540,7 +516,10 @@ class _ProcedureResolver:
             symbol.kind = SymbolKind.GLOBAL
             symbol.global_id = gid
             symbol.data_value = value
-            self._register_global(gid, name, symbol.type, symbol.dims, value)
+            _register_global(
+                self._global_vars, self._def.name, gid, name, symbol.type,
+                symbol.dims, value,
+            )
 
     def _decl_span(self, name: str) -> SourceSpan:
         if name in self._declared_types:
@@ -703,13 +682,85 @@ class _ProcedureResolver:
         return self._define_local(name)
 
 
+def _register_global(
+    global_vars: dict[GlobalId, GlobalVar],
+    unit: str,
+    gid: GlobalId,
+    local_name: str,
+    type_: ast.Type,
+    dims: tuple[int, ...],
+    data_value: int | float | bool | None,
+) -> None:
+    """Record unit ``unit``'s view of global ``gid``: the first unit to
+    register it names it; later ones must agree on type, shape and DATA
+    value."""
+    existing = global_vars.get(gid)
+    if existing is None:
+        global_vars[gid] = GlobalVar(
+            gid=gid,
+            display=f"{gid.block}.{local_name}",
+            type=type_,
+            dims=dims,
+            data_value=data_value,
+        )
+        return
+    if existing.type is not type_ or existing.dims != dims:
+        raise SemanticError(
+            f"COMMON member {gid} declared with conflicting type/shape "
+            f"({local_name!r} in {unit!r})"
+        )
+    if data_value is not None:
+        if existing.data_value is not None and existing.data_value != data_value:
+            raise SemanticError(
+                f"COMMON member {gid} has conflicting DATA initializers"
+            )
+        existing.data_value = data_value
+
+
+def _replay_registrations(
+    proc: Procedure, global_vars: dict[GlobalId, GlobalVar]
+) -> Procedure:
+    """Register the COMMON members and DATA-initialized locals of
+    ``proc``, a resolved unit, as resolving it registered them: COMMON
+    members in declaration order (their symbols' order), then the DATA
+    locals in DATA order."""
+    unit = proc.name
+    saved = f"save${unit}"
+    for symbol in proc.symtab:
+        gid = symbol.global_id
+        if gid is not None and not symbol.hidden and gid.block != saved:
+            _register_global(
+                global_vars, unit, gid, symbol.name, symbol.type, symbol.dims,
+                symbol.data_value,
+            )
+    for decl in proc.ast.decls:
+        if isinstance(decl, ast.DataDecl):
+            for name, _ in decl.pairs:
+                symbol = proc.symtab.lookup(name)
+                if symbol.global_id.block == saved:
+                    _register_global(
+                        global_vars, unit, symbol.global_id, name, symbol.type,
+                        symbol.dims, symbol.data_value,
+                    )
+    return proc
+
+
 def _stable_offset(name: str) -> int:
     """Deterministic small slot number for SAVEd locals (name-derived)."""
     return sum(ord(c) for c in name) % 1000 + len(name) * 1000
 
 
-def resolve(unit: ast.CompilationUnit) -> Program:
-    """Resolve a parsed compilation unit into a :class:`Program`."""
+def resolve(
+    unit: ast.CompilationUnit, kept: Mapping[str, Procedure] | None = None
+) -> Program:
+    """Resolve a parsed compilation unit into a :class:`Program`.
+
+    ``kept`` holds resolved procedures of the version an edit replaces
+    whose ASTs ``unit`` lists as they are (:func:`parse_program`). Each
+    is taken as it is, after its COMMON and DATA registrations are
+    replayed in unit order, so only the other units' bodies are
+    resolved and checked.
+    """
     proc_kinds: dict[str, ast.ProcedureKind] = {}
     proc_return_types: dict[str, ast.Type] = {}
     main_name: str | None = None
@@ -736,23 +787,32 @@ def resolve(unit: ast.CompilationUnit) -> Program:
 
     global_vars: dict[GlobalId, GlobalVar] = {}
     procedures: dict[str, Procedure] = {}
+    resolved: list[Procedure] = []
     for proc_def in unit.procedures:
+        proc = kept.get(proc_def.name) if kept else None
+        if proc is not None and proc.ast is proc_def:
+            procedures[proc_def.name] = _replay_registrations(proc, global_vars)
+            continue
         resolver = _ProcedureResolver(
             proc_def, proc_kinds, proc_return_types, global_vars
         )
-        procedures[proc_def.name] = resolver.resolve()
+        procedures[proc_def.name] = proc = resolver.resolve()
+        resolved.append(proc)
 
-    _check_call_arities(procedures)
+    _check_call_arities(resolved, procedures)
     return Program(
         procedures=procedures,
         globals=global_vars,
         main=main_name,
         source=unit.source,
+        lines=unit.lines,
     )
 
 
-def _check_call_arities(procedures: dict[str, Procedure]) -> None:
-    for proc in procedures.values():
+def _check_call_arities(
+    resolved: list[Procedure], procedures: dict[str, Procedure]
+) -> None:
+    for proc in resolved:
         for stmt in ast.walk_stmts(proc.ast.body):
             for call_name, args, span in _calls_in_stmt(stmt, procedures):
                 callee = procedures[call_name]
@@ -775,7 +835,154 @@ def _calls_in_stmt(stmt: ast.Stmt, procedures: dict[str, Procedure]):
                 yield (node.name, node.args, node.span)
 
 
-def parse_program(source: str, lines: LineTable | None = None) -> Program:
+def parse_program(source: str, previous: Program | None = None) -> Program:
     """Parse and resolve MiniFortran ``source`` — the main front-end entry.
-    ``lines`` is as :func:`~repro.frontend.lexer.tokenize` takes it."""
+
+    ``previous`` is the version of the program ``source`` replaces (an
+    edit; see :meth:`~repro.core.driver.Analyzer.reanalyze`). The result
+    holds the resolved :class:`Procedure` of every unit of ``previous``
+    the edit left in place, and only the text between them is lexed,
+    parsed and resolved (:func:`_reparse` states the rule); the same
+    text returns ``previous`` itself. Whenever the program context
+    differs (:func:`_unit_context`), or that text fails to lex, parse or
+    resolve, the whole text is parsed, so every error is the one a fresh
+    parse raises. The versions share one line table while no line moves.
+    """
+    lines = None
+    if previous is not None and previous.source:
+        if source == previous.source:
+            return previous
+        program = _reparse(source, previous)
+        if program is not None:
+            return program
+        lines = LineTable(source).same_as(previous.lines)
     return resolve(parse_source(source, lines))
+
+
+def _reparse(source: str, previous: Program) -> Program | None:
+    """``source`` resolved from ``previous`` and its text between the
+    units the edit kept, or ``None`` when it keeps none or the result
+    cannot stand for a fresh parse.
+
+    The edit changes the text from its first to its last differing
+    character. A unit before that keeps its tokens when at least one
+    unchanged character follows its ``end``; the region starts where
+    the last such unit ends, a token boundary of the new text. A unit
+    after the change is kept only while no line moved (the same text
+    length and line table, since spans are absolute offsets) and its
+    first line is unchanged; the region ends at the start of that line
+    in the first such unit. A kept unit's parse never depended on its
+    neighbours: between units the parser only skips newlines. Its
+    resolution depended on them only through the context, compared over
+    the units the region replaced.
+    """
+    old = previous.source
+    first, old_stop, new_stop = _changed_range(old, source)
+    units = list(previous.procedures.values())
+    before = 0
+    while before < len(units) and units[before].ast.span.end_offset < first:
+        before += 1
+    lines = previous.lines
+    if lines is None or not _same_lines(old, source, first, old_stop, new_stop):
+        lines = LineTable(source)
+    after, end = len(units), None
+    if lines is previous.lines:
+        while after > before:
+            unit_start = units[after - 1].ast.span.start_offset
+            line_start = old.rfind("\n", 0, unit_start) + 1
+            if line_start < old_stop:
+                break
+            after -= 1
+            end = line_start
+    if before == 0 and after == len(units):
+        return None
+    start = units[before - 1].ast.span.end_offset if before else 0
+    kept = units[:before] + units[after:]
+    try:
+        region = parse_source(source, lines, start, end)
+        unit = ast.CompilationUnit(
+            [
+                *(proc.ast for proc in units[:before]),
+                *region.procedures,
+                *(proc.ast for proc in units[after:]),
+            ],
+            source,
+            lines,
+        )
+        program = resolve(unit, {proc.name: proc for proc in kept})
+    except FrontendError:
+        return None
+    fresh = [program.procedures[d.name] for d in region.procedures]
+    if _unit_context(units[before:after], previous.globals) != _unit_context(
+        fresh, program.globals
+    ):
+        return None
+    return program
+
+
+def _changed_range(old: str, new: str) -> tuple[int, int, int]:
+    """``(first, old_stop, new_stop)``: ``old[first:old_stop]`` became
+    ``new[first:new_stop]``, and the text around it is the same."""
+    limit = min(len(old), len(new))
+    first = _common_length(old, new, limit, lambda text, lo, hi: text[lo:hi])
+    last = _common_length(
+        old,
+        new,
+        limit - first,
+        lambda text, lo, hi: text[len(text) - hi : len(text) - lo],
+    )
+    return first, len(old) - last, len(new) - last
+
+
+def _common_length(a: str, b: str, limit: int, part) -> int:
+    """The largest ``n <= limit`` with ``part(a, 0, n) == part(b, 0, n)``,
+    by bisection over slice comparisons."""
+    lo, hi = 0, limit
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if part(a, lo, mid) == part(b, lo, mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _same_lines(
+    old: str, new: str, first: int, old_stop: int, new_stop: int
+) -> bool:
+    """Whether ``old`` and ``new``, which differ only between ``first``
+    and their stops, have the same line table."""
+    return old_stop == new_stop and [
+        match.start() for match in re.finditer("\n", old[first:old_stop])
+    ] == [match.start() for match in re.finditer("\n", new[first:new_stop])]
+
+
+def _unit_context(procedures: Iterable[Procedure], globals_: Mapping) -> tuple:
+    """What resolving and lowering one unit read from outside it: every
+    global's slot, display name, type, shape and DATA value (by class and
+    value), and the name, kind, result type and formals of each of
+    ``procedures``. Units an edit keeps contribute the same rows to both
+    versions, so comparing the units it replaced with the ones that
+    replace them compares the programs."""
+    return (
+        tuple(
+            (
+                gid,
+                gvar.display,
+                gvar.type,
+                gvar.dims,
+                gvar.data_value.__class__,
+                repr(gvar.data_value),
+            )
+            for gid, gvar in globals_.items()
+        ),
+        tuple(
+            (
+                proc.name,
+                proc.kind,
+                proc.result_symbol.type if proc.is_function else None,
+                tuple((f.name, f.type, f.dims) for f in proc.formals),
+            )
+            for proc in procedures
+        ),
+    )

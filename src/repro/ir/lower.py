@@ -65,12 +65,19 @@ class LoweredProcedure:
     """A procedure plus its CFG and lowering metadata.
 
     ``sites`` is the range of call-site ids :func:`lower_program` drew
-    for this unit, unreachable calls included."""
+    for this unit, unreachable calls included. ``fingerprint`` is the
+    store's latest fingerprint of this unit with what it covers beyond
+    the unit, ``(config key, MOD/REF slice, fingerprint)``
+    (:func:`~repro.store.fingerprints.procedure_fingerprint` sets it):
+    an edit that keeps the unit keeps it."""
 
     procedure: Procedure
     cfg: ControlFlowGraph
     call_instrs: list[Call] = field(default_factory=list)
     sites: range = range(0)
+    fingerprint: tuple[str, tuple, str] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def name(self) -> str:
@@ -588,113 +595,67 @@ def lower_program(
     procedures share one :class:`Const` per literal value and one
     :class:`Temp` per (index, type).
 
-    ``previous`` is the lowering of the version ``program``'s text
-    replaces. A unit takes its :class:`LoweredProcedure`, and with it
-    its resolved :class:`Procedure`, from there when lowering it again
-    could give nothing else:
-
-    - its text, read over ``ProcedureDef.span``, is the same;
-    - it starts at the same offset, line and column (spans are absolute
-      offsets);
-    - the call-site counter stands where it stood when ``previous``
-      lowered it (ids are program-wide and drawn in unit order);
-    - everything resolution and lowering read from outside the unit is
-      equal (:func:`_unit_context`); otherwise no unit is reused.
-
-    ``program.procedures`` then holds each reused :class:`Procedure`, so
-    the program and its lowering agree.
+    ``previous`` is the lowering of the version ``program`` replaces. A
+    unit takes its :class:`LoweredProcedure` from there when its
+    :class:`Procedure` is the very object ``program`` holds (the
+    frontend kept the unit: the same text at the same position, under
+    the same program context; see
+    :func:`~repro.frontend.symbols.parse_program`) and the call-site
+    counter stands where it stood when ``previous`` lowered it (ids are
+    program-wide and drawn in unit order). Only the units lowered here
+    have their call arguments checked against the callees' formals: the
+    context fixes the formals a kept unit was checked against.
     """
     counter = _SiteCounter(program)
     leaves = _Leaves()
-    reusable = _reusable_units(program, previous)
+    old_units = previous.procedures if previous is not None else {}
     procedures: dict[str, LoweredProcedure] = {}
+    fresh: list[LoweredProcedure] = []
     for name, proc in program.procedures.items():
-        old = reusable.get(name)
-        if old is not None and old.sites.start == counter.next:
+        old = old_units.get(name)
+        if (
+            old is not None
+            and old.procedure is proc
+            and old.sites.start == counter.next
+        ):
             counter.next = old.sites.stop
             procedures[name] = old
-            program.procedures[name] = old.procedure
             continue
         start = counter.next
         lowered_proc = _ProcedureLowerer(proc, counter, leaves).lower()
         lowered_proc.sites = range(start, counter.next)
         procedures[name] = lowered_proc
+        fresh.append(lowered_proc)
     lowered = LoweredProgram(program=program, procedures=procedures)
-    _check_argument_shapes(lowered)
+    _check_argument_shapes(lowered, fresh)
     return lowered
 
 
-def _reusable_units(
-    program: Program, previous: LoweredProgram | None
-) -> dict[str, LoweredProcedure]:
-    """The units of ``previous`` that ``program`` holds with the same
-    text at the same position, when the two share one context."""
-    if previous is None or _unit_context(previous.program) != _unit_context(
-        program
-    ):
-        return {}
-    old_source, source = previous.program.source, program.source
-    reusable = {}
-    for name, proc in program.procedures.items():
-        old = previous.procedures.get(name)
-        if old is None:
-            continue
-        old_span, span = old.procedure.ast.span, proc.ast.span
-        if (
-            old_span.start == span.start
-            and old_span.extract(old_source) == span.extract(source)
-        ):
-            reusable[name] = old
-    return reusable
-
-
-def _unit_context(program: Program) -> tuple:
-    """What resolving and lowering one unit read from outside it: every
-    global's slot, display name, type, shape and DATA value (by class and
-    value), and every procedure's name, kind, result type and formals."""
-    globals_ = tuple(
-        (
-            gid,
-            gvar.display,
-            gvar.type,
-            gvar.dims,
-            gvar.data_value.__class__,
-            repr(gvar.data_value),
-        )
-        for gid, gvar in program.globals.items()
-    )
-    procedures = tuple(
-        (
-            name,
-            proc.kind,
-            proc.result_symbol.type if proc.is_function else None,
-            tuple((f.name, f.type, f.dims) for f in proc.formals),
-        )
-        for name, proc in program.procedures.items()
-    )
-    return globals_, procedures
-
-
-def _check_argument_shapes(lowered: LoweredProgram) -> None:
-    """Array actual ↔ array formal agreement (deferred from resolution)."""
-    for caller_name, call in lowered.call_sites.values():
-        callee = lowered.procedures[call.callee].procedure
-        for arg, formal in zip(call.args, callee.formals):
-            if formal.is_array and arg.kind is ArgumentKind.VALUE:
-                raise SemanticError(
-                    f"{call.callee!r} expects an array for formal "
-                    f"{formal.name!r} (call in {caller_name!r})",
-                    arg.span.start,
-                )
-            if formal.is_array and arg.kind is ArgumentKind.VAR:
-                raise SemanticError(
-                    f"{call.callee!r} expects an array for formal "
-                    f"{formal.name!r}, got scalar (call in {caller_name!r})",
-                    arg.span.start,
-                )
-            if not formal.is_array and arg.kind is ArgumentKind.ARRAY:
-                raise SemanticError(
-                    f"{call.callee!r} expects a scalar for formal "
-                    f"{formal.name!r}, got array (call in {caller_name!r})",
-                    arg.span.start,
-                )
+def _check_argument_shapes(
+    lowered: LoweredProgram, units: list[LoweredProcedure]
+) -> None:
+    """Array actual ↔ array formal agreement (deferred from resolution),
+    at the calls of ``units``."""
+    for lowered_proc in units:
+        caller_name = lowered_proc.name
+        for call in lowered_proc.call_instrs:
+            callee = lowered.procedures[call.callee].procedure
+            for arg, formal in zip(call.args, callee.formals):
+                if formal.is_array and arg.kind is ArgumentKind.VALUE:
+                    raise SemanticError(
+                        f"{call.callee!r} expects an array for formal "
+                        f"{formal.name!r} (call in {caller_name!r})",
+                        arg.span.start,
+                    )
+                if formal.is_array and arg.kind is ArgumentKind.VAR:
+                    raise SemanticError(
+                        f"{call.callee!r} expects an array for formal "
+                        f"{formal.name!r}, got scalar (call in {caller_name!r})",
+                        arg.span.start,
+                    )
+                if not formal.is_array and arg.kind is ArgumentKind.ARRAY:
+                    raise SemanticError(
+                        f"{call.callee!r} expects a scalar for formal "
+                        f"{formal.name!r}, got array (call in {caller_name!r})",
+                        arg.span.start,
+                    )

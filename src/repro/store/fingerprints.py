@@ -43,7 +43,7 @@ from repro.core.exprs import (
 )
 from repro.core.lattice import BOTTOM, TOP, LatticeValue
 from repro.frontend.symbols import GlobalId, Program
-from repro.ir.lower import LoweredProgram
+from repro.ir.lower import LoweredProcedure, LoweredProgram
 from repro.ir.printer import format_cfg
 
 #: bump when any serialized shape changes — a store written by another
@@ -190,21 +190,31 @@ def procedure_fingerprint(
     cfg_key: str,
 ) -> str:
     """Content fingerprint of one procedure: lowered IR + formal
-    signature + the procedure's transitive MOD/REF slice + config."""
+    signature + the procedure's transitive MOD/REF slice + config.
+
+    Kept on the :class:`~repro.ir.lower.LoweredProcedure` under the
+    config key and the slice, so an edit renders the IR listing of the
+    units it re-lowered only. A hit keeps the slice it was given, so the
+    cache holds no summary of an older MOD/REF computation."""
     proc = lowered.procedures[name]
+    mod_formals = modref.mod_formals.get(name, ())
+    mod_globals = modref.mod_globals.get(name, ())
+    ref_formals = modref.ref_formals.get(name, ())
+    ref_globals = modref.ref_globals.get(name, ())
+    slice_ = (mod_formals, mod_globals, ref_formals, ref_globals)
+    cached = proc.fingerprint
+    if cached is not None and cached[0] == cfg_key and cached[1] == slice_:
+        proc.fingerprint = (cfg_key, slice_, cached[2])
+        return cached[2]
     signature = [
         [f.name, f.type.name, bool(f.is_array)]
         for f in proc.procedure.formals
     ]
     slice_payload = {
-        "mod_formals": sorted(modref.mod_formals.get(name, ())),
-        "mod_globals": sorted(
-            encode_key(g) for g in modref.mod_globals.get(name, ())
-        ),
-        "ref_formals": sorted(modref.ref_formals.get(name, ())),
-        "ref_globals": sorted(
-            encode_key(g) for g in modref.ref_globals.get(name, ())
-        ),
+        "mod_formals": sorted(mod_formals),
+        "mod_globals": sorted(encode_key(g) for g in mod_globals),
+        "ref_formals": sorted(ref_formals),
+        "ref_globals": sorted(encode_key(g) for g in ref_globals),
     }
     payload = {
         "schema": SCHEMA,
@@ -214,7 +224,9 @@ def procedure_fingerprint(
         "signature": signature,
         "modref": slice_payload,
     }
-    return sha256_of(payload)
+    fp = sha256_of(payload)
+    proc.fingerprint = (cfg_key, slice_, fp)
+    return fp
 
 
 def globals_fingerprint(program: Program) -> str:
@@ -236,24 +248,16 @@ def globals_fingerprint(program: Program) -> str:
     return sha256_of({"schema": SCHEMA, "globals": rows})
 
 
-def encode_all_forward_jfs(
-    lowered: LoweredProgram, sites
-) -> dict[str, list]:
-    """Every procedure's forward jump functions: procedure name -> one
-    entry per call site in textual (lowering) order, without raw site
-    ids. ``sites`` is stage 2's site table (site id -> entry key -> flow
-    edge); each entry names its callee and encodes each edge's
-    expression, formals by name and globals by encoded key. One sorted
-    pass over the program's call sites, so publishing or diffing a
-    snapshot is linear in the number of sites."""
-    payloads: dict[str, list] = {name: [] for name in lowered.procedures}
-    for site_id in sorted(lowered.call_sites):
-        caller, call = lowered.call_sites[site_id]
-        site = sites.get(site_id)
+def encode_forward_jfs(lowered_proc: LoweredProcedure, sites) -> list:
+    """One procedure's forward jump functions: one entry per call site
+    in textual (lowering) order, without raw site ids. ``sites`` is
+    stage 2's site table (site id -> entry key -> flow edge); each entry
+    names its callee and encodes each edge's expression, formals by name
+    and globals by encoded key."""
+    entries = []
+    for call in lowered_proc.call_instrs:
+        site = sites.get(call.site_id)
         if site is None:
-            continue
-        entries = payloads.get(caller)
-        if entries is None:
             continue
         formals: dict[str, list] = {}
         global_rows: dict[str, list] = {}
@@ -269,5 +273,15 @@ def encode_all_forward_jfs(
                 "globals": dict(sorted(global_rows.items())),
             }
         )
-    return payloads
+    return entries
 
+
+def encode_all_forward_jfs(
+    lowered: LoweredProgram, sites
+) -> dict[str, list]:
+    """Every procedure's forward jump functions
+    (:func:`encode_forward_jfs`), by procedure name."""
+    return {
+        name: encode_forward_jfs(lowered_proc, sites)
+        for name, lowered_proc in lowered.procedures.items()
+    }

@@ -1,15 +1,17 @@
 """Snapshot publication, the change diff, and the warm-start plan.
 
 A *snapshot* records, per procedure and configuration: the content
-fingerprint, the canonical forward jump-function payload (by object
-sha), the solved entry environment, the reached flag, and the
-call-graph adjacency at publication time. Return jump functions are not
-stored: callers' forward jump functions absorb them during value
-numbering, so a change to one shows up in the callers' payloads.
+fingerprint, the digest of the canonical forward jump-function payload
+(the payload itself is not stored), the solved entry environment (an
+object), the reached flag, and the call-graph adjacency at publication
+time. Return jump functions are not stored: callers' forward jump
+functions absorb them during value numbering, so a change to one shows
+up in the callers' payloads.
 
-The invalidation rule, given that stages 0–2 are rebuilt from source on
-every run (they are cheap and config-independent stage 0 is cached
-anyway):
+The invalidation rule, given that every run has its own stages 0–2
+(built from source, or, for an edit, carried over per procedure from
+the version it replaces) and digests them afresh or reads the digest
+kept on the carried-over object (:class:`RunDigests`):
 
     changed  = procedures whose fingerprint differs from the snapshot,
                whose freshly built forward jump-function payload differs
@@ -54,7 +56,7 @@ from repro.store.fingerprints import (
     SCHEMA,
     decode_env,
     encode_env,
-    encode_all_forward_jfs,
+    encode_forward_jfs,
     globals_fingerprint,
     procedure_fingerprint,
     sha256_of,
@@ -93,31 +95,49 @@ class IncrementalReport:
 
 
 class RunDigests:
-    """One run's artifacts as the store sees them, each digest computed
-    at most once: every procedure's fingerprint, the forward
-    jump-function payloads and the globals fingerprint.
+    """One run's artifacts as the store sees them: every procedure's
+    fingerprint and forward-payload digest, the globals fingerprint, and
+    the stored environments the warm start verified.
     :func:`plan_warm_start` computes what its diff reads and
-    :func:`publish_snapshot` reuses it. It lives as long as the run that
-    made it, so it keeps no program version alive."""
+    :func:`publish_snapshot` reuses it.
 
-    def __init__(self, cfg_key: str, lowered: LoweredProgram, modref, forward):
+    Each digest is kept on the object it digests, so an edit computes
+    only those of the units it rebuilt: a fingerprint on the
+    :class:`~repro.ir.lower.LoweredProcedure`
+    (:func:`~repro.store.fingerprints.procedure_fingerprint`), a payload
+    digest on the :class:`~repro.analysis.valuenum.ValueNumbering` stage
+    2 projected, under the jump-function ``kind`` (the payload is the
+    numbering's projection onto that kind at the procedure's own call
+    sites). The object itself lives as long as the run that made it, so
+    it keeps no program version alive."""
+
+    def __init__(
+        self, cfg_key: str, kind, lowered: LoweredProgram, modref, forward
+    ):
         self.cfg_key = cfg_key
+        self.kind = kind
         self.lowered = lowered
         self.modref = modref
         self.forward = forward
-        self._fingerprints: dict[str, str] = {}
+        #: procedure -> the stored environment object
+        #: :func:`plan_warm_start` adopted for it (clean procedures only)
+        self.env_refs: dict[str, str] = {}
 
     def fingerprint(self, name: str) -> str:
-        fp = self._fingerprints.get(name)
-        if fp is None:
-            fp = self._fingerprints[name] = procedure_fingerprint(
-                name, self.lowered, self.modref, self.cfg_key
-            )
-        return fp
+        return procedure_fingerprint(
+            name, self.lowered, self.modref, self.cfg_key
+        )
 
-    @cached_property
-    def payloads(self) -> dict[str, list]:
-        return encode_all_forward_jfs(self.lowered, self.forward.sites)
+    def payload_digest(self, name: str) -> str:
+        numbering = self.forward.numberings[name]
+        cached = numbering.digest
+        if cached is not None and cached[0] is self.kind:
+            return cached[1]
+        sha = sha256_of(
+            encode_forward_jfs(self.lowered.procedures[name], self.forward.sites)
+        )
+        numbering.digest = (self.kind, sha)
+        return sha
 
     @cached_property
     def globals_fp(self) -> str:
@@ -131,16 +151,25 @@ def publish_snapshot(
     graph: CallGraph,
     solved: SolveResult,
 ) -> dict:
-    """Write one configuration's artifacts and append the snapshot line.
-    Returns the snapshot meta (tests inspect it)."""
+    """Write one configuration's environments and append the snapshot
+    line. Returns the snapshot meta (tests inspect it).
+
+    Payloads are recorded by digest, not written: a later run only
+    compares its own digests with them. A procedure the warm start
+    adopted keeps the environment object the plan verified (its solved
+    environment is that object's), so an edit writes only the
+    environments of the procedures it invalidated."""
     lowered = digests.lowered
-    payloads = digests.payloads
+    env_refs = digests.env_refs
     procs: dict[str, dict] = {}
     for name in sorted(lowered.procedures):
+        env = env_refs.get(name)
+        if env is None:
+            env = store.put_object(encode_env(solved.val.get(name, {})))
         procs[name] = {
             "fp": digests.fingerprint(name),
-            "jf": store.put_object(payloads[name]),
-            "env": store.put_object(encode_env(solved.val.get(name, {}))),
+            "jf": digests.payload_digest(name),
+            "env": env,
             "reached": name in solved.reached,
             "callees": graph.callees(name),
         }
@@ -170,7 +199,6 @@ def diff_snapshot(
             changed = set(current)
         else:
             changed = set()
-            payloads = digests.payloads
             for name in current:
                 stored = stored_procs.get(name)
                 if stored is None:
@@ -179,7 +207,7 @@ def diff_snapshot(
                 if stored["fp"] != digests.fingerprint(name):
                     changed.add(name)
                     continue
-                if stored["jf"] != sha256_of(payloads[name]):
+                if stored["jf"] != digests.payload_digest(name):
                     changed.add(name)
         # descendants over current adjacency plus the snapshot adjacency
         # of changed/removed procedures (a deleted edge must still
@@ -218,6 +246,7 @@ def plan_warm_start(
     clean = current - invalid
     keys_of = entry_keys(lowered)
     envs = {}
+    env_refs = {}
     reached = set()
     try:
         stored_procs = snapshot["procs"]
@@ -227,12 +256,14 @@ def plan_warm_start(
             if not isinstance(encoded, dict):
                 raise StoreError(f"environment object for {name} malformed")
             envs[name] = decode_env(encoded, keys_of.get(name, []))
+            env_refs[name] = stored["env"]
             if stored.get("reached"):
                 reached.add(name)
     except (KeyError, TypeError, ValueError) as exc:
         raise StoreError(f"snapshot inconsistent: {exc}") from exc
     if snapshot.get("main") != lowered.program.main:
         raise StoreError("snapshot belongs to a different program")
+    digests.env_refs = env_refs
     warm = WarmStart(
         clean=frozenset(clean),
         envs=envs,

@@ -15,9 +15,13 @@ from repro.core import builder, driver, returns, substitute
 from repro.core.config import TABLE2_CONFIGS, TABLE3_CONFIGS
 from repro.core.driver import Stage0Cache, sweep_programs
 from repro.core.lattice import is_constant
-from repro.frontend import parse_program
-from repro.frontend.errors import FrontendError
+from repro.frontend import parse_program, parser, symbols
+from repro.frontend.errors import FrontendError, SemanticError
+from repro.frontend.lexer import tokenize
+from repro.frontend.tokens import TokenKind
 from repro.ir.printer import format_cfg
+from repro.store import fingerprints, incremental
+from repro.store.fingerprints import encode_env
 
 PROGRAM = """
 program main
@@ -479,6 +483,59 @@ def count_ssa_builds(monkeypatch) -> Counter:
     return built
 
 
+def record_tokens(monkeypatch) -> list:
+    """Record every token the frontend lexes, as (kind, value, start,
+    end), newlines and end markers left out."""
+    lexed = []
+    original = parser.tokenize
+
+    def recording(*args, **kwargs):
+        tokens = original(*args, **kwargs)
+        lexed.extend(
+            token[:4]
+            for token in tokens
+            if token.kind not in (TokenKind.NEWLINE, TokenKind.EOF)
+        )
+        return tokens
+
+    monkeypatch.setattr(parser, "tokenize", recording)
+    return lexed
+
+
+def record_resolutions(monkeypatch) -> list:
+    """Record the name of every unit whose body is resolved."""
+    resolved = []
+    original = symbols._ProcedureResolver.resolve
+
+    def recording(self):
+        resolved.append(self._def.name)
+        return original(self)
+
+    monkeypatch.setattr(symbols._ProcedureResolver, "resolve", recording)
+    return resolved
+
+
+def count_store_digests(monkeypatch) -> tuple[Counter, Counter]:
+    """Count the IR listings the store renders and the forward payloads
+    it encodes, per procedure."""
+    listings: Counter = Counter()
+    payloads: Counter = Counter()
+    original_format = fingerprints.format_cfg
+    original_encode = incremental.encode_forward_jfs
+
+    def counting_format(cfg, name):
+        listings[name] += 1
+        return original_format(cfg, name)
+
+    def counting_encode(lowered_proc, sites):
+        payloads[lowered_proc.name] += 1
+        return original_encode(lowered_proc, sites)
+
+    monkeypatch.setattr(fingerprints, "format_cfg", counting_format)
+    monkeypatch.setattr(incremental, "encode_forward_jfs", counting_encode)
+    return listings, payloads
+
+
 def assert_answers_as_cold(result, text):
     cold = analyze(text, cache=None)
     assert result.transformed_source() == cold.transformed_source()
@@ -531,6 +588,89 @@ class TestEditReuse:
         assert built == {"main": 1, "a": 1, "b": 1, "c": 1}
         for name, lowered_proc in result.lowered.procedures.items():
             assert lowered_proc is not first.lowered.procedures[name], name
+        assert_answers_as_cold(result, edited)
+
+    def test_body_literal_edit_reads_one_unit(self, monkeypatch):
+        analyzer = Analyzer(CHAIN, cache=Stage0Cache())
+        first = analyzer.run()
+        lexed = record_tokens(monkeypatch)
+        resolved = record_resolutions(monkeypatch)
+        edited = CHAIN.replace("t = 7", "t = 8")
+        result = analyzer.reanalyze(edited)
+        span = result.program.procedures["c"].ast.span
+        assert lexed == [
+            token[:4]
+            for token in tokenize(edited)
+            if span.start_offset <= token[2] < span.end_offset
+            and token.kind is not TokenKind.NEWLINE
+        ]
+        assert resolved == ["c"]
+        for name in ("main", "a", "b"):
+            assert (
+                result.program.procedures[name]
+                is first.program.procedures[name]
+            )
+        assert_answers_as_cold(result, edited)
+
+    def test_body_literal_edit_digests_and_writes_one_unit(self, monkeypatch):
+        analyzer = Analyzer(CHAIN, cache=Stage0Cache())
+        first = analyzer.run()
+        listings, payloads = count_store_digests(monkeypatch)
+        written = []
+        original_put = analyzer.store.put_object
+
+        def recording_put(payload):
+            written.append(payload)
+            return original_put(payload)
+
+        monkeypatch.setattr(analyzer.store, "put_object", recording_put)
+        result = analyzer.reanalyze(CHAIN.replace("t = 7", "t = 8"))
+        assert listings == {"c": 1}
+        # a payload digest rides on its numbering: stage 1 renumbers the
+        # callers whose keys hold c's new return function
+        renumbered = [
+            name
+            for name, numbering in result.forward.numberings.items()
+            if numbering is not first.forward.numberings[name]
+        ]
+        assert payloads == dict.fromkeys(renumbered, 1)
+        assert result.incremental.invalid == ("c",)
+        assert written == [encode_env(result.solved.val["c"])]
+
+    def test_caller_free_edit_encodes_one_payload(self, monkeypatch):
+        analyzer = Analyzer(CHAIN, cache=Stage0Cache())
+        analyzer.run()
+        listings, payloads = count_store_digests(monkeypatch)
+        analyzer.reanalyze(CHAIN.replace("n = 3", "n = 4"))
+        assert listings == {"main": 1}
+        assert payloads == {"main": 1}
+
+    def test_identical_text_lexes_nothing(self, monkeypatch):
+        analyzer = Analyzer(CHAIN, cache=Stage0Cache())
+        analyzer.run()
+        program = analyzer.program
+        lexed = record_tokens(monkeypatch)
+        analyzer.reanalyze(CHAIN)
+        assert lexed == []
+        assert analyzer.program is program
+
+    def test_failed_lowering_keeps_the_version(self, monkeypatch):
+        cache = Stage0Cache()
+        analyzer = Analyzer(CHAIN, cache=cache)
+        first = analyzer.run()
+        program = analyzer.program
+        bundle = cache._entries[CHAIN]
+        real_do = CHAIN.replace("t = 7", "do r = 1, 3\n  enddo\n  t = 7")
+        with pytest.raises(SemanticError, match="must be INTEGER"):
+            analyzer.reanalyze(real_do)
+        assert analyzer.program is program
+        assert list(cache._entries.values()) == [bundle]
+        built = count_ssa_builds(monkeypatch)
+        edited = CHAIN.replace("t = 7", "t = 9")
+        result = analyzer.reanalyze(edited)
+        assert built == {"c": 1}
+        assert result.forward.ssas["b"] is first.forward.ssas["b"]
+        assert list(cache._entries) == [edited]
         assert_answers_as_cold(result, edited)
 
     def test_failed_parse_keeps_the_version(self, monkeypatch):

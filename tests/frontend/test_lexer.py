@@ -187,6 +187,38 @@ class TestSpans:
         offsets = [t.span.start.offset for t in toks]
         assert offsets == sorted(offsets)
 
+    def test_end_marker_sits_at_the_end_of_the_text(self):
+        source = "x = 1  ! trailing  "
+        assert [t.span.start_offset for t in tokenize(source)[-2:]] == [
+            len(source),
+            len(source),
+        ]
+
+
+class TestPartialScan:
+    """A part that starts where a token ends and ends at a line start
+    scans as it does within the whole text, at the same offsets."""
+
+    SOURCE = "program p\n  x = 1 ! c\nend\n\nsubroutine s(a)\n  a = 2\nend\n"
+
+    def test_part_yields_the_whole_scans_tokens(self):
+        start = self.SOURCE.index("end") + 3
+        end = self.SOURCE.index("  a = 2")
+        part = tokenize(self.SOURCE, start=start, end=end)
+        whole = [
+            t[:4] for t in tokenize(self.SOURCE) if start <= t[2] < end
+        ]
+        assert [t[:4] for t in part[:-1]] == whole
+        assert part[-1].kind is TokenKind.EOF
+        assert part[-1].span.start_offset == end
+
+    def test_part_shares_the_given_line_table(self):
+        whole = tokenize(self.SOURCE)
+        lines = whole[0][4]
+        part = tokenize(self.SOURCE, lines, start=self.SOURCE.index("subroutine"))
+        assert all(token[4] is lines for token in part)
+        assert str(part[0].span.start) == "5:1"
+
 
 class TestErrors:
     def test_unknown_character(self):

@@ -4,15 +4,19 @@ load path, and *every* corruption vector degrading to a cold rebuild
 
 import hashlib
 import os
+import re
 import struct
+from collections import Counter
 
 import pytest
 
 from repro.core.config import AnalysisConfig
-from repro.core.driver import Analyzer, analyze
+from repro.core.driver import Analyzer, Stage0Cache, analyze
+from repro.store import fingerprints
 from repro.store.artifacts import ArtifactStore, MemoryStore, StoreError
 from repro.store.fingerprints import config_key
 from repro.store.slabs import SLAB_SCHEMA, deserialize_slab, serialize_slab
+from repro.workloads import load
 
 SOURCE = """
 program m
@@ -151,3 +155,40 @@ class TestCorruption:
         healed = analyzer.run(flat_config())
         assert healed.incremental.mode == "slab"
         assert not healed.degradations
+
+
+class TestSlabFingerprints:
+    """The slab path reads fingerprints through the cache each lowered
+    procedure keeps, so planning and publishing render each IR listing
+    once, and an edit renders only the listings of the units it
+    re-lowered."""
+
+    def test_flat_reanalyze_renders_each_listing_at_most_once(
+        self, monkeypatch
+    ):
+        source = load("ocean").source
+        lines = source.split("\n")
+        index = next(
+            i for i, line in enumerate(lines) if re.fullmatch(r"  \w+ = \d+", line)
+        )
+        digit = lines[index][-1]
+        lines[index] = lines[index][:-1] + ("1" if digit != "1" else "2")
+        analyzer = Analyzer(source, cache=Stage0Cache())
+        first = analyzer.run(flat_config())
+        listings = Counter()
+        original = fingerprints.format_cfg
+
+        def counting(cfg, name):
+            listings[name] += 1
+            return original(cfg, name)
+
+        monkeypatch.setattr(fingerprints, "format_cfg", counting)
+        result = analyzer.reanalyze("\n".join(lines), flat_config())
+        assert result.incremental.mode == "slab-patch"
+        relowered = {
+            name
+            for name, lowered_proc in result.lowered.procedures.items()
+            if lowered_proc is not first.lowered.procedures[name]
+        }
+        assert listings and set(listings) <= relowered
+        assert max(listings.values()) == 1

@@ -23,7 +23,6 @@ class DominatorTree:
     idom: dict[int, int]  # block -> immediate dominator (entry -> entry)
     children: dict[int, list[int]] = field(default_factory=dict)
     frontier: dict[int, set[int]] = field(default_factory=dict)
-    _rpo_index: dict[int, int] = field(default_factory=dict)
 
     def dominates(self, a: int, b: int) -> bool:
         """True if ``a`` dominates ``b`` (reflexive)."""
@@ -113,7 +112,6 @@ def compute_dominators(cfg: ControlFlowGraph) -> DominatorTree:
         idom=idom,
         children=children,
         frontier=frontier,
-        _rpo_index=index,
     )
 
 

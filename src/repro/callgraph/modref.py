@@ -121,19 +121,17 @@ def compute_modref(lowered: LoweredProgram, graph: CallGraph) -> ModRefInfo:
     # Callees first: every callee outside a component is final before the
     # component's own sites run, so one pass settles a non-recursive
     # procedure and only call-graph cycles iterate.
-    for component in graph.sccs():
-        members = set(component)
+    for component in graph.components:
         sites = [
             (caller, call)
-            for caller in component
+            for caller in component.members
             for _, call in graph.out_edges[caller]
         ]
-        recursive = any(call.callee in members for _, call in sites)
         while True:
             changed = False
             for caller, call in sites:
                 changed |= _propagate_site(lowered, caller, call, info)
-            if not (recursive and changed):
+            if not (component.recursive and changed):
                 break
     for summaries in (
         info.mod_formals, info.mod_globals, info.ref_formals, info.ref_globals

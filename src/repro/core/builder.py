@@ -6,9 +6,10 @@ jump-function kind. The stage-1 return jump functions feed the value
 numbering, so constants surviving earlier calls are visible here (this is
 the "second evaluation" of each return jump function the paper describes).
 The numbering itself does not depend on the jump-function kind: stage 2
-reuses the ones stage 1 made against the final return table and numbers
-only the procedures still missing, so every kind projects one shared
-numbering per procedure.
+asks the SSA cache (:class:`~repro.core.driver.SSACache`) for each
+procedure's numbering against the final return table, a hit for every
+procedure stage 1 numbered against that table, so every kind projects
+one shared numbering per procedure.
 
 Each binding becomes one :class:`~repro.framework.client.FlowEdge` whose
 function is the projected, hash-consed
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Mapping
 
 from repro.analysis.ssa import SSAProcedure
@@ -46,31 +46,6 @@ from repro.ir.lower import LoweredProgram
 
 #: one call site's forward jump functions: callee entry key -> its edge.
 SiteEdges = dict[EntryKey, FlowEdge]
-
-
-def entry_keys(lowered: LoweredProgram) -> Mapping[str, tuple[EntryKey, ...]]:
-    """Each procedure's propagated entry keys: scalar INTEGER/LOGICAL
-    formals plus every scalar global (paper §2, footnote 1).
-
-    Computed once per lowered program and read-only, so every solve,
-    stage 2 and the store's plan share one table."""
-    keys = lowered.__dict__.get("_entry_keys")
-    if keys is None:
-        scalar_gids = tuple(
-            gid
-            for gid, gvar in lowered.program.globals.items()
-            if not gvar.is_array and gvar.type in (Type.INTEGER, Type.LOGICAL)
-        )
-        keys = lowered._entry_keys = MappingProxyType({
-            name: tuple(
-                formal.name
-                for formal in lowered_proc.procedure.formals
-                if not formal.is_array
-                and formal.type in (Type.INTEGER, Type.LOGICAL)
-            ) + scalar_gids
-            for name, lowered_proc in lowered.procedures.items()
-        })
-    return keys
 
 
 def binding_edge(
@@ -129,14 +104,13 @@ def build_forward_jump_functions(
 ) -> ForwardFunctions:
     """Stage 2: construct every call site's forward jump functions.
 
-    ``ssa_cache`` (a :class:`repro.core.driver.SSACache`) supplies the
-    SSA forms and numberings of the procedures stage 1 did not number
-    against its final table: neither depends on the jump-function kind.
-
-    ``returns`` must be stage 1's result for the same ``use_mod``,
-    ``use_return_jump_functions`` and ``compose_return_functions``: its
-    numberings are projected as they are, and the procedures it lacks are
-    numbered here and added to it.
+    ``ssa_cache`` (a :class:`repro.core.driver.SSACache`) supplies every
+    procedure's SSA form and its numbering against ``returns.table``,
+    the final return table: neither depends on the jump-function kind,
+    and a procedure stage 1 numbered against that table is a hit under
+    the cache's own key. ``returns`` must be stage 1's result for the
+    same ``use_mod``, ``use_return_jump_functions`` and
+    ``compose_return_functions``.
 
     One :class:`~repro.framework.client.FlowEdge` per (site, callee entry
     key) binding, in site-iteration order, whose function is the
@@ -153,22 +127,18 @@ def build_forward_jump_functions(
     """
     result = ForwardFunctions()
     compose = config.compose_return_functions
-    shared = returns.numberings
     kind = config.jump_function
-    keys_of = entry_keys(lowered)
+    keys_of = lowered.entry_keys
     seeds: dict[str, list[FlowEdge]] = defaultdict(list)
     kills: dict[str, list[FlowBinding]] = defaultdict(list)
     dependents: dict[FlowBinding, list[FlowEdge]] = defaultdict(list)
     callees: dict[str, list[str]] = defaultdict(list)
 
     for name in lowered.procedures:
-        numbering = shared.get(name)
-        if numbering is None:
-            ssa = ssa_cache.get(name, config.use_mod)
-            numbering = shared[name] = ssa_cache.numbering(
-                ssa, returns.table, compose, value_number
-            )
-        ssa = numbering.ssa
+        ssa = ssa_cache.get(name, config.use_mod)
+        numbering = ssa_cache.numbering(
+            ssa, returns.table, compose, value_number
+        )
         result.ssas[name] = ssa
         result.numberings[name] = numbering
 

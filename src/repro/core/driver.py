@@ -67,7 +67,7 @@ from repro.core.substitute import (
     transform_source,
 )
 from repro.frontend.symbols import Program, parse_program
-from repro.ir.lower import LoweredProcedure, LoweredProgram, lower_program
+from repro.ir.lower import LoweredProgram, lower_program
 from repro.resilience.budgets import SolveBudget
 from repro.resilience.cancel import (
     CancelledError,
@@ -108,18 +108,22 @@ class SSACache:
     - An SSA form reads the lowered procedure and, through the kills its
       calls insert, MOD information: nothing more for a procedure with no
       call site, a no-MOD marker with MOD off, and the MOD summaries of
-      its distinct callees, compared by value, with MOD on. A call-free
-      procedure has one form whatever the MOD setting.
+      its distinct callees (the call graph's, sorted), compared by value,
+      with MOD on. A call-free procedure has one form whatever the MOD
+      setting.
     - A numbering reads the SSA form and the return-table entries of its
       distinct callees, plus the compose flag when one of them has an
-      entry. Entries compare by identity
-      (:class:`~repro.core.returns.ReturnFunctions`); stage 1 reads each
-      numbering's entry off it once, so settings that share a callee's
-      numbering share its entry, and with it the caller's key.
+      entry. Entries compare by identity, and stage 1 interns each by
+      content (:class:`~repro.core.returns.ReturnFunctions`), so a key
+      changes only when a callee's return functions do: a callee rebuilt
+      with the same return functions leaves its callers' numberings in
+      place.
     - :meth:`returns` keeps one stage-1 result per (MOD, returns,
-      compose) setting. Its ``numberings``, completed by stage 2, are
-      what every jump-function kind, and every rung of the degradation
-      ladder, projects.
+      compose) setting: its return table. Stage 2 asks :meth:`get` and
+      :meth:`numbering` for every procedure against that table, which
+      hits for every procedure stage 1 numbered against the final table;
+      every jump-function kind, and every rung of the degradation
+      ladder, projects the numbering it gets.
 
     Keys are tuples of the objects they name (the lowered CFG, MOD
     summaries, the SSA form, entries), so none of them can be freed and
@@ -137,7 +141,7 @@ class SSACache:
       the procedures DCE left alone keep their round-1 work;
     - an edit's stage 0 (:func:`build_stage0`) has the superseded
       version's cache as its base, so the units the edit left in place
-        keep theirs. :meth:`release_base` drops the base once the edit's
+      keep theirs. :meth:`release_base` drops the base once the edit's
       stages 1–3 are done: what they did not look up dies with it.
 
     Nothing is ever written into a base.
@@ -149,10 +153,12 @@ class SSACache:
     def __init__(
         self,
         lowered: LoweredProgram,
+        graph: CallGraph,
         modref: ModRefInfo,
         base: SSACache | None = None,
     ):
         self._lowered = lowered
+        self._graph = graph
         self._modref = modref
         self._ssas: dict[tuple, SSAProcedure] = {}
         self._numberings: dict[tuple, ValueNumbering] = {}
@@ -176,7 +182,7 @@ class SSACache:
             mod_globals = self._modref.mod_globals
             mod_formals = self._modref.mod_formals
             parts = [lowered_proc.cfg]
-            for callee in _callees(lowered_proc):
+            for callee in self._graph.callees(name):
                 parts.append(mod_globals.get(callee))
                 parts.append(mod_formals.get(callee))
             key = tuple(parts)
@@ -202,7 +208,8 @@ class SSACache:
         miss, ``number`` (the calling stage's ``value_number``) makes it."""
         # value_number reads an empty entry as no entry
         entries = tuple(
-            table.get(callee) or None for callee in _callees(ssa.lowered)
+            table.get(callee) or None
+            for callee in self._graph.callees(ssa.name)
         )
         key = (ssa, compose, *entries) if any(entries) else (ssa,)
         numbering = self._numberings.get(key)
@@ -213,9 +220,7 @@ class SSACache:
             self._numberings[key] = numbering
         return numbering
 
-    def returns(
-        self, graph: CallGraph, config: AnalysisConfig
-    ) -> ReturnFunctionResult:
+    def returns(self, config: AnalysisConfig) -> ReturnFunctionResult:
         """Stage 1 for ``config``, built on the first request per (MOD,
         returns, compose) setting: the jump function enters only when
         stage 2 projects the numbering, and budgets and solver switches
@@ -228,15 +233,10 @@ class SSACache:
         cached = self._returns.get(key)
         if cached is None:
             cached = build_return_jump_functions(
-                self._lowered, graph, config, self
+                self._lowered, self._graph, config, self
             )
             self._returns[key] = cached
         return cached
-
-
-def _callees(lowered_proc: LoweredProcedure) -> dict[str, None]:
-    """The distinct callees of a procedure's calls, in call order."""
-    return dict.fromkeys(call.callee for call in lowered_proc.call_instrs)
 
 
 @dataclass
@@ -282,7 +282,12 @@ def build_stage0(
     timings["modref"] = time.perf_counter() - start
     base = previous.ssa_cache if previous is not None else None
     return Stage0Artifacts(
-        program, lowered, graph, modref, SSACache(lowered, modref, base), timings
+        program,
+        lowered,
+        graph,
+        modref,
+        SSACache(lowered, graph, modref, base),
+        timings,
     )
 
 
@@ -301,9 +306,9 @@ class Stage0Cache:
     are never cached (there is no identity to key on).
 
     The daemon's threads share one cache: one lock guards each lookup
-    with its LRU bump, each insert with the superseded bundle's removal
-    and its evictions, and :meth:`discard`. Stage 0 is built outside the
-    lock, so two threads that miss on one text may both build it.
+    with its LRU bump, and each insert with the superseded bundle's
+    removal and its evictions. Stage 0 is built outside the lock, so two
+    threads that miss on one text may both build it.
     """
 
     def __init__(self, maxsize: int = 32):
@@ -357,12 +362,6 @@ class Stage0Cache:
                 while len(self._entries) > self.maxsize:
                     self._entries.popitem(last=False)
         return artifacts, False
-
-    def discard(self, source: str) -> Stage0Artifacts | None:
-        """Forget the bundle for program text ``source``, if held, and
-        return it."""
-        with self._lock:
-            return self._entries.pop(source, None)
 
     def clear(self) -> None:
         with self._lock:
@@ -766,7 +765,7 @@ def _config_stages(
         cancel_point()
         chaos_point(Stage.SSA)
         start = time.perf_counter()
-        returns = ssa_cache.returns(graph, current)
+        returns = ssa_cache.returns(current)
         timings["returns"] = (
             timings.get("returns", 0.0) + time.perf_counter() - start
         )
@@ -990,7 +989,9 @@ def analyze(
             config,
             lambda lowered, graph, modref: _config_stages(
                 lowered, graph, modref, config, timings,
-                ssa_cache=SSACache(lowered, modref, base=stage0.ssa_cache),
+                ssa_cache=SSACache(
+                    lowered, graph, modref, base=stage0.ssa_cache
+                ),
                 degradations=degradations,
             ),
             timings=timings,

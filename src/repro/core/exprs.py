@@ -41,13 +41,15 @@ interned ones — they just don't share storage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from typing import Mapping, TypeVar, Union
 
 from repro import semantics
 from repro.core.lattice import BOTTOM, TOP, LatticeValue
 from repro.frontend.symbols import GlobalId
 
 EntryKey = Union[str, GlobalId]
+
+_M = TypeVar("_M", bound=Mapping)
 
 MAX_NODES = 200
 
@@ -65,6 +67,10 @@ class InternTable:
     holds the parent, the parent holds the operands, and entries are only
     ever dropped all at once by :meth:`clear`.
 
+    It also interns mappings whose values are interned expressions
+    (:meth:`intern_mapping`: stage 1's return jump functions), so equal
+    content is one object there too.
+
     The table carries a **generation counter** that :meth:`clear` bumps.
     Any cache that keys on ``id(expr)`` must either include the generation
     in its keys or hold a strong reference to every expression it keys by
@@ -74,10 +80,11 @@ class InternTable:
     it.
     """
 
-    __slots__ = ("_table", "hits", "misses", "generation")
+    __slots__ = ("_table", "_mappings", "hits", "misses", "generation")
 
     def __init__(self) -> None:
         self._table: dict[object, ValueExpr] = {}
+        self._mappings: dict[tuple, Mapping] = {}
         self.hits = 0
         self.misses = 0
         self.generation = 0
@@ -96,8 +103,19 @@ class InternTable:
         self._table[key] = expr
         return expr
 
+    def intern_mapping(self, mapping: _M) -> _M:
+        """The first mapping interned with ``mapping``'s items, or
+        ``mapping`` itself if it is the first. Items compare keys by value
+        and values by identity: the values are hash-consed expressions,
+        and ``ConstExpr(True) == ConstExpr(1)``. The entry holds the
+        values its key names by ``id``, so no id is reused while it
+        lives. Interned mappings are shared: never mutate one."""
+        key = tuple([(k, id(v)) for k, v in mapping.items()])
+        return self._mappings.setdefault(key, mapping)
+
     def clear(self) -> None:
         self._table.clear()
+        self._mappings.clear()
         self.generation += 1
 
     def counters(self) -> dict[str, int]:
@@ -114,7 +132,7 @@ INTERN_TABLE = InternTable()
 
 
 def clear_intern_table() -> None:
-    """Drop every interned expression (counters survive)."""
+    """Drop every interned expression and mapping (counters survive)."""
     INTERN_TABLE.clear()
 
 

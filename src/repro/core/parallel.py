@@ -1,13 +1,13 @@
 """Parallel stage-3 solving over the condensation's dependency waves.
 
-The SCC condensation (:mod:`repro.core.regions`) is a DAG: once every
-region that can call into region R has converged, R's entry environments
-are final. :func:`repro.core.regions.wave_schedule` stratifies the DAG
-into *waves* — levels of regions with no call path between them — and
-this module's :class:`ParallelRegionSolver` converges all activated
-regions of one wave concurrently on a process pool, then merges their
-fixed points deterministically (ascending region index) before the next
-wave starts.
+The call graph's SCC condensation (its region schedule) is a DAG: once
+every region that can call into region R has converged, R's entry
+environments are final. :func:`repro.core.regions.wave_schedule`
+stratifies the DAG into *waves* — levels of regions with no call path
+between them — and this module's :class:`ParallelRegionSolver` converges
+all activated regions of one wave concurrently on a process pool, then
+merges their fixed points deterministically (ascending region index)
+before the next wave starts.
 
 Correctness rests on the same argument as the sequential region
 schedule: a region's local fixed point is a function of its members'
@@ -63,17 +63,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.callgraph.graph import CallGraph
-from repro.core.builder import ForwardFunctions, entry_keys
+from repro.callgraph.graph import CallGraph, RegionSchedule
+from repro.core.builder import ForwardFunctions
 from repro.core.config import AnalysisConfig
 from repro.core.exprs import EntryKey
 from repro.core.lattice import TOP, LatticeValue, meet
-from repro.core.regions import (
-    RegionSchedule,
-    WaveSchedule,
-    region_schedule,
-    wave_schedule,
-)
+from repro.core.regions import WaveSchedule, wave_schedule
 from repro.core.slab import (
     CONST_BASE,
     SlabProgram,
@@ -162,7 +157,7 @@ def _make_state(
     source: str | None,
     config: AnalysisConfig | None,
 ) -> _WorkerState:
-    schedule = region_schedule(graph)
+    schedule = graph.schedule
     slab = (
         slab_for(forward, lowered, graph)
         if config is not None and config.flat_engine
@@ -177,8 +172,8 @@ def _make_state(
         index=forward.index,
         schedule=schedule,
         partition=forward.region_partition(schedule.region_of),
-        keys_of=entry_keys(lowered),
-        rpo=graph.rpo_index(),
+        keys_of=lowered.entry_keys,
+        rpo=graph.rpo_index,
         slab=slab,
         slab_pids=(
             {name: pid for pid, name in enumerate(slab.proc_names)}

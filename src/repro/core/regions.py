@@ -1,28 +1,10 @@
-"""SCC region scheduling for the stage-3 solvers.
+"""The wave schedule of the parallel region solver.
 
-The call graph's condensation is a DAG whose nodes — *regions* — are the
-strongly connected components Tarjan finds. Interprocedural values only
-flow along call edges, so once every region that can call into region R
-has reached its local fixed point, R's entry environments are final: R
-itself can then be converged *exactly once*, and its cross-region call
-sites evaluated exactly once with final environments. The region
-schedule is the topological order of the condensation that makes this
-block-triangular solve legal (callers before callees — the direction
-constants flow in stage 3, the mirror image of the bottom-up stage-1
-walk over the same components).
-
-Regions are ordered by the minimum reverse-postorder index of their
-members. For components reachable from the main program this is a valid
-topological order of the condensation: the minimum-rpo member of an SCC
-is the first one the rpo DFS discovers, all other members finish inside
-its subtree, and a condensation edge A->B forces B's root to finish
-before A's. Components unreachable from the main program sort after the
-reachable ones (rpo appends them in name order); their relative order is
-name-based, not topological — harmless, because the solvers never seed
-an unreached procedure, so no value ever crosses between them. The
-solver loop relies on this order: a region's flush only ever reaches
-later regions, so each region is converged once
-(``tests/properties/test_region_law.py``).
+The call graph holds its condensation and the region schedule stage 3
+runs (:class:`~repro.callgraph.graph.RegionSchedule`, built once by
+:func:`~repro.callgraph.graph.build_call_graph`). What is left here is
+the schedule only the parallel solver reads: the condensation's
+dependency levels, whose regions can converge side by side.
 """
 
 from __future__ import annotations
@@ -30,72 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.callgraph.graph import CallGraph
-
-
-@dataclass(frozen=True, slots=True)
-class Region:
-    """One strongly connected component of the call graph."""
-
-    index: int
-    members: tuple[str, ...]
-    #: True when the region can iterate: more than one member, or a
-    #: single member that calls itself.
-    recursive: bool
-
-
-@dataclass(frozen=True, slots=True)
-class RegionSchedule:
-    """The condensation in caller-first topological order."""
-
-    regions: tuple[Region, ...]
-    #: procedure name -> index into :attr:`regions`.
-    region_of: dict[str, int]
-
-    def region(self, proc: str) -> Region:
-        return self.regions[self.region_of[proc]]
-
-    def order(self) -> list[tuple[str, ...]]:
-        """The member tuples in schedule order (for tests/reports)."""
-        return [region.members for region in self.regions]
-
-    def procedures(self) -> tuple[str, ...]:
-        """Every procedure, flattened in schedule order (callers first,
-        SCC members adjacent). The slab builder lays out slot ids in this
-        order so one region's slots are contiguous in the flat arrays."""
-        return tuple(
-            name for region in self.regions for name in region.members
-        )
-
-
-def build_region_schedule(graph: CallGraph) -> RegionSchedule:
-    """Condense ``graph`` and order the components callers-first."""
-    rpo = graph.rpo_index()
-    components = sorted(
-        graph.sccs(), key=lambda scc: min(rpo[name] for name in scc)
-    )
-    regions = []
-    region_of: dict[str, int] = {}
-    for index, members in enumerate(components):
-        recursive = len(members) > 1 or any(
-            callee == members[0] for callee in graph.callees(members[0])
-        )
-        regions.append(Region(index, tuple(members), recursive))
-        for name in members:
-            region_of[name] = index
-    return RegionSchedule(tuple(regions), region_of)
-
-
-def region_schedule(graph: CallGraph) -> RegionSchedule:
-    """The graph's region schedule, computed once per graph instance.
-
-    Stage 0 is shared across a whole configuration sweep, so every solve
-    of every config reuses one condensation.
-    """
-    cached = getattr(graph, "_region_schedule", None)
-    if cached is None:
-        cached = build_region_schedule(graph)
-        graph._region_schedule = cached  # type: ignore[attr-defined]
-    return cached
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,15 +36,17 @@ class WaveSchedule:
         return self.levels[region_index]
 
 
-def build_wave_schedule(schedule: RegionSchedule, graph: CallGraph) -> WaveSchedule:
-    """Longest-path levels of the condensation DAG.
+def build_wave_schedule(graph: CallGraph) -> WaveSchedule:
+    """Longest-path levels of ``graph``'s condensation DAG.
 
     Computed by Kahn traversal over the region DAG rather than a dynamic
     program in region-index order: indices of *unreachable* components
-    are ordered by name, not topologically (see the module docstring),
-    so an index-order DP could read a successor's level before it is
-    final. The Kahn order is correct for any DAG.
+    are ordered by name, not topologically (see
+    :class:`~repro.callgraph.graph.RegionSchedule`), so an index-order
+    DP could read a successor's level before it is final. The Kahn order
+    is correct for any DAG.
     """
+    schedule = graph.schedule
     region_of = schedule.region_of
     count = len(schedule.regions)
     successors: list[set[int]] = [set() for _ in range(count)]
@@ -171,10 +89,10 @@ def build_wave_schedule(schedule: RegionSchedule, graph: CallGraph) -> WaveSched
 
 
 def wave_schedule(graph: CallGraph) -> WaveSchedule:
-    """The graph's wave schedule, computed once per graph instance (like
-    :func:`region_schedule`, which it derives from)."""
+    """The graph's wave schedule, computed once per graph instance from
+    its region schedule."""
     cached = getattr(graph, "_wave_schedule", None)
     if cached is None:
-        cached = build_wave_schedule(region_schedule(graph), graph)
+        cached = build_wave_schedule(graph)
         graph._wave_schedule = cached  # type: ignore[attr-defined]
     return cached

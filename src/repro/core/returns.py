@@ -6,6 +6,8 @@ global, and (for functions) the result variable, a symbolic expression for
 its value at procedure return, in terms of the procedure's *entry* values
 — the polynomial return jump function.
 
+The walk is the call graph's own condensation
+(:attr:`~repro.callgraph.graph.CallGraph.components`, callees first).
 Value numbering consults the return jump functions of already-processed
 callees, so constants discovered deep in the call graph surface through
 chains of returns in one pass (this is what makes ``ocean``-style
@@ -13,23 +15,25 @@ initialization routines work). Procedures on call-graph cycles see missing
 summaries for their SCC-mates, which degrade to ⊥ — the 1993
 implementation's behaviour for not-yet-analyzed routines.
 
-Each table entry is written once, so a procedure whose callees all had
-entries when it was numbered was numbered against the final table: stage
-2 (:mod:`repro.core.builder`) projects that numbering as it is instead of
-redoing it. An entry is read off its numbering once
-(:attr:`~repro.analysis.valuenum.ValueNumbering.return_functions`), so
-every table built from a shared numbering holds the same entry object.
+Stage 1 and stage 2 (:mod:`repro.core.builder`) take every SSA form and
+numbering from the SSA cache (:class:`~repro.core.driver.SSACache`), so
+a procedure whose callees all had entries when stage 1 numbered it is a
+cache hit when stage 2 asks for its numbering against the final table.
+An entry is read off its numbering once
+(:attr:`~repro.analysis.valuenum.ValueNumbering.return_functions`) and
+interned by content, so every table holds one entry object per content,
+and a caller's numbering key, which holds its callees' entries, changes
+only when an entry's content does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.ssa import SSAProcedure
 from repro.analysis.valuenum import RESULT_KEY, ValueNumbering, value_number
 from repro.callgraph.graph import CallGraph
 from repro.core.config import AnalysisConfig
-from repro.core.exprs import EntryExpr, ValueExpr
+from repro.core.exprs import INTERN_TABLE, EntryExpr, ValueExpr
 from repro.frontend.astnodes import Type
 from repro.frontend.symbols import SymbolKind
 from repro.ir.lower import LoweredProgram
@@ -39,9 +43,10 @@ class ReturnFunctions(dict):
     RESULT_KEY) -> ValueExpr.
 
     Compared and hashed by identity, so a numbering's cache key can hold
-    the entries it read (:class:`~repro.core.driver.SSACache`): equal
-    contents are not equal inputs, because ``ConstExpr(True) ==
-    ConstExpr(1)``.
+    the entries it read (:class:`~repro.core.driver.SSACache`). Stage 1
+    interns each one on its items, keys by value and hash-consed
+    expressions by identity (``ConstExpr(True) == ConstExpr(1)``, but
+    they are two objects), so identity is content.
     """
 
     __slots__ = ()
@@ -56,21 +61,11 @@ ReturnTable = dict[str, ReturnFunctions]
 
 @dataclass
 class ReturnFunctionResult:
-    """The return jump function table plus per-procedure build artifacts.
-
-    ``numberings`` holds only numberings made against the final
-    ``table``: stage 1 keeps a procedure's numbering when every callee of
-    its calls already had an entry, and stage 2 adds the rest (recursive
-    SCC members, and every procedure when return jump functions are off)
-    the first time it needs them. Each entry is published by one dict
-    store, so a present entry is final. The numberings themselves are
-    the :class:`~repro.core.driver.SSACache`'s, so results of different
-    settings share every numbering whose inputs agree.
-    """
+    """Stage 1's return jump function table. The SSA forms and
+    numberings it was read off stay in the
+    :class:`~repro.core.driver.SSACache`, where stage 2 looks them up."""
 
     table: ReturnTable = field(default_factory=dict)
-    ssas: dict[str, SSAProcedure] = field(default_factory=dict)
-    numberings: dict[str, ValueNumbering] = field(default_factory=dict)
 
     def function(self, proc: str, key) -> ValueExpr | None:
         return self.table.get(proc, {}).get(key)
@@ -104,6 +99,8 @@ def build_return_jump_functions(
     ``ssa_cache`` (a :class:`repro.core.driver.SSACache`, the stage-0
     bundle's) supplies each procedure's SSA form and numbering, keyed by
     their own inputs, so stage 2 and other configurations share them.
+    The walk is ``graph``'s condensation, callees first; ``lowered`` is
+    the program ``ssa_cache`` was built for.
 
     The result depends on ``config`` only through ``use_mod``,
     ``use_return_jump_functions`` and ``compose_return_functions``, and
@@ -115,20 +112,15 @@ def build_return_jump_functions(
 
     compose = config.compose_return_functions
     table = result.table
-    for scc in graph.bottom_up_sccs():
-        for name in scc:
-            lowered_proc = lowered.procedures[name]
+    for component in graph.components:
+        for name in component.members:
             ssa = ssa_cache.get(name, config.use_mod)
             numbering = ssa_cache.numbering(ssa, table, compose, value_number)
-            result.ssas[name] = ssa
-            if all(call.callee in table for call in lowered_proc.call_instrs):
-                result.numberings[name] = numbering
             functions = numbering.return_functions
             if functions is None:
-                # one attribute store: a racing thread may extract a twin,
-                # which only makes the numberings keyed on it miss
-                functions = numbering.return_functions = _extract_functions(
-                    numbering
+                # one attribute store; threads racing here intern one object
+                functions = numbering.return_functions = (
+                    INTERN_TABLE.intern_mapping(_extract_functions(numbering))
                 )
             table[name] = functions
     return result

@@ -83,10 +83,8 @@ from time import perf_counter
 from typing import Iterator, Mapping
 
 from repro.callgraph.graph import CallGraph
-from repro.core.builder import entry_keys
 from repro.core.exprs import EntryKey, compile_slab_expr
 from repro.core.lattice import BOTTOM, TOP, LatticeValue
-from repro.core.regions import region_schedule
 from repro.framework.client import FlowIndex
 from repro.frontend.symbols import GlobalId
 from repro.ir.lower import LoweredProgram
@@ -295,10 +293,10 @@ def build_slab(
     per-procedure structure a contiguous slice.
     """
     started = perf_counter()
-    keys_of = entry_keys(lowered)
+    keys_of = lowered.entry_keys
     order = [
         name
-        for name in region_schedule(graph).procedures()
+        for name in graph.schedule.procedures()
         if name in keys_of
     ]
     if len(order) < len(keys_of):
@@ -504,7 +502,7 @@ def patch_slab(
     """
     from bisect import bisect_right
 
-    keys_of = entry_keys(lowered)
+    keys_of = lowered.entry_keys
     name_to_pid = {name: pid for pid, name in enumerate(slab.proc_names)}
     if set(name_to_pid) != set(lowered.procedures):
         return False
@@ -649,7 +647,7 @@ def slab_for(forward, lowered: LoweredProgram, graph: CallGraph) -> SlabProgram:
     if loaded is not None:
         return loaded
     index = forward.index
-    schedule = region_schedule(graph)
+    schedule = graph.schedule
     cached = getattr(forward, "_slab", None)
     if cached is not None:
         cached_index, cached_schedule, slab = cached

@@ -18,8 +18,9 @@ analysis multiplies against per-pass jump-function evaluation cost.
 :func:`solve` is the framework's
 :func:`~repro.framework.engine.solve_client` with the constant lattice
 and :func:`initial_val` as the seed: **sparse and region-scheduled**. It
-condenses the call graph into SCC regions (:mod:`repro.core.regions`)
-and converges each region to its local fixed point exactly once,
+walks the call graph's SCC regions in the schedule the graph was built
+with (:class:`~repro.callgraph.graph.RegionSchedule`) and converges
+each region to its local fixed point exactly once,
 callers-first, before any cross-region call site is evaluated — so every
 cross-region jump function is evaluated exactly once, with its caller's
 final environment (sound because jump functions are monotone: the
@@ -54,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.callgraph.graph import CallGraph
-from repro.core.builder import ForwardFunctions, entry_keys
+from repro.core.builder import ForwardFunctions
 from repro.core.exprs import EntryKey
 from repro.core.lattice import BOTTOM, TOP, LatticeValue, meet
 from repro.framework.engine import SolveResult, solve_client
@@ -88,13 +89,14 @@ class WarmStart:
 def initial_val(lowered: LoweredProgram) -> dict[str, dict[EntryKey, LatticeValue]]:
     """⊤ everywhere, except the main program's entry environment.
 
-    The key sets come from :func:`repro.core.builder.entry_keys`, the
-    same enumeration the flow index is built over — VAL and the index can
+    The key sets come from
+    :attr:`~repro.ir.lower.LoweredProgram.entry_keys`, the same
+    enumeration the flow index is built over — VAL and the index can
     never disagree about which bindings exist.
     """
     val: dict[str, dict[EntryKey, LatticeValue]] = {
         name: {key: TOP for key in keys}
-        for name, keys in entry_keys(lowered).items()
+        for name, keys in lowered.entry_keys.items()
     }
     main_env = val[lowered.program.main]
     for gid in list(main_env):
@@ -195,7 +197,7 @@ def solve_dense(
     result = SolveResult(val=initial_val(lowered))
     val = result.val
 
-    worklist = PriorityWorklist(graph.rpo_index())
+    worklist = PriorityWorklist(graph.rpo_index)
     worklist.push(lowered.program.main, lowered.program.main)
     while worklist:
         caller = worklist.pop()

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.core.builder import entry_keys
 from repro.core.solver import solve, solve_dense
 from repro.diagnostics.core import (
     Diagnostic,
@@ -377,9 +376,9 @@ class UnreachableProcedurePass(LintPass):
     description = "procedures unreachable from the main program"
 
     def run(self, ctx: LintContext) -> Iterator[Diagnostic]:
-        reachable = ctx.graph.reachable_from_main()
+        reached = ctx.graph.reached
         for name in sorted(ctx.lowered.procedures):
-            if name in reachable:
+            if name in reached:
                 continue
             proc = ctx.lowered.procedures[name].procedure
             yield self.diagnostic(
@@ -406,7 +405,7 @@ class JumpFunctionPass(LintPass):
 
     def run(self, ctx: LintContext) -> Iterator[Diagnostic]:
         keys_of = {
-            name: set(keys) for name, keys in entry_keys(ctx.lowered).items()
+            name: set(keys) for name, keys in ctx.lowered.entry_keys.items()
         }
         for site_id in sorted(ctx.forward.sites):
             span = self._site_span(ctx, site_id)

@@ -1,7 +1,7 @@
 """The generic fixed-point driver — the scheduling core of stage 3.
 
-:func:`drive_region_schedule` is the SCC-condensed callers-first
-schedule :func:`repro.framework.engine.solve_client` runs. It is
+:func:`drive_regions` is the SCC-condensed callers-first schedule
+:func:`repro.framework.engine.solve_client` runs. It is
 analysis-agnostic: the ``engine`` is duck-typed to the four-method
 surface :class:`repro.framework.engine.ClientEngine` exposes —
 
@@ -21,10 +21,11 @@ surface :class:`repro.framework.engine.ClientEngine` exposes —
 :class:`repro.framework.engine.SolveResult`.
 
 Values flow along call edges and the region order is callers-first
-(:mod:`repro.core.regions`), so every cross-region edge points from the
-region being converged to a later one. A flush therefore only ever
-lowers keys of procedures no region pass has visited yet: their seed
-reads the flushed values, and each region is converged exactly once.
+(:class:`repro.callgraph.graph.RegionSchedule`), so every cross-region
+edge points from the region being converged to a later one. A flush
+therefore only ever lowers keys of procedures no region pass has
+visited yet: their seed reads the flushed values, and each region is
+converged exactly once.
 ``tests/properties/test_region_law.py`` holds the driver to that on
 generated programs, recursion included, cold and warm.
 """
@@ -35,7 +36,7 @@ import heapq
 from collections import defaultdict
 
 
-def drive_region_schedule(
+def drive_regions(
     engine,
     schedule,
     worklist,

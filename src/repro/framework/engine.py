@@ -40,9 +40,8 @@ from dataclasses import dataclass, field, fields
 from typing import Callable
 
 from repro.core.lattice import is_constant
-from repro.core.regions import region_schedule
 from repro.framework.client import FlowEdge, RegionPartition
-from repro.framework.driver import drive_region_schedule
+from repro.framework.driver import drive_regions
 from repro.framework.lattice import Lattice
 from repro.framework.worklist import PriorityWorklist
 
@@ -400,16 +399,16 @@ def solve_client(
     region) and engine fuel through the
     :class:`~repro.resilience.budgets.SolveBudget` hooks.
     """
-    schedule = region_schedule(graph)
+    schedule = graph.schedule
     partition = forward.region_partition(schedule.region_of)
     if lift is not None:
         partition = partition.lifted(lift)
     result = SolveResult(val=seed)
     engine = ClientEngine(partition, lattice, result.val, result, budget)
-    drive_region_schedule(
+    drive_regions(
         engine,
         schedule,
-        PriorityWorklist(graph.rpo_index()),
+        PriorityWorklist(graph.rpo_index),
         result,
         root=lowered.program.main,
         budget=budget,

@@ -19,12 +19,15 @@ rule).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 from repro.frontend import astnodes as ast
 from repro.frontend.errors import SemanticError
 from repro.frontend.source import DUMMY_SPAN, SourceSpan
 from repro.frontend.symbols import (
     INTEGER_INTRINSICS,
+    GlobalId,
     Procedure,
     Program,
     Symbol,
@@ -99,6 +102,11 @@ class LoweredProgram:
     program: Program
     procedures: dict[str, LoweredProcedure]
     call_sites: dict[int, tuple[str, Call]] = field(init=False)
+    #: each procedure's propagated entry keys: its scalar INTEGER/LOGICAL
+    #: formals by name, then every scalar INTEGER/LOGICAL global (paper
+    #: §2, footnote 1). Read-only, so stage 2, every solve and the
+    #: store's plan share one table.
+    entry_keys: Mapping[str, tuple[str | GlobalId, ...]] = field(init=False)
 
     def __post_init__(self) -> None:
         self.call_sites = {
@@ -106,6 +114,20 @@ class LoweredProgram:
             for name, lowered_proc in self.procedures.items()
             for call in lowered_proc.call_instrs
         }
+        scalar_types = (ast.Type.INTEGER, ast.Type.LOGICAL)
+        scalar_gids = tuple(
+            gid
+            for gid, gvar in self.program.globals.items()
+            if not gvar.is_array and gvar.type in scalar_types
+        )
+        self.entry_keys = MappingProxyType({
+            name: tuple(
+                formal.name
+                for formal in lowered_proc.procedure.formals
+                if not formal.is_array and formal.type in scalar_types
+            ) + scalar_gids
+            for name, lowered_proc in self.procedures.items()
+        })
 
     def procedure(self, name: str) -> LoweredProcedure:
         return self.procedures[name.lower()]

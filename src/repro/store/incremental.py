@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from repro.callgraph.graph import CallGraph
-from repro.core.builder import entry_keys
 from repro.core.solver import SolveResult, WarmStart
 from repro.ir.lower import LoweredProgram
 from repro.store.artifacts import StoreError
@@ -171,7 +170,7 @@ def publish_snapshot(
             "jf": digests.payload_digest(name),
             "env": env,
             "reached": name in solved.reached,
-            "callees": graph.callees(name),
+            "callees": list(graph.callees(name)),
         }
     meta = {
         "schema": SCHEMA,
@@ -244,7 +243,7 @@ def plan_warm_start(
     lowered = digests.lowered
     current = set(lowered.procedures)
     clean = current - invalid
-    keys_of = entry_keys(lowered)
+    keys_of = lowered.entry_keys
     envs = {}
     env_refs = {}
     reached = set()

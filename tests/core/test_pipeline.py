@@ -181,18 +181,31 @@ class TestStage0Cache:
             ssa.lowered is bundle.lowered.procedures[ssa.name] for ssa in forms
         )
         assert {id(n.ssa) for n in numberings} <= {id(ssa) for ssa in forms}
-        for name in ("relay", "leaf"):
+        # DCE's rewritten `chain` has return functions of equal content,
+        # so `main`, whose key holds them, keeps its round-1 numbering
+        for name in ("relay", "leaf", "main"):
             numbering = result.forward.numberings[name]
             assert numbering is round_one.forward.numberings[name], name
-        for name in ("chain", "main"):
-            numbering = result.forward.numberings[name]
-            assert numbering is not round_one.forward.numberings[name], name
-            assert all(numbering is not shared for shared in numberings), name
+        numbering = result.forward.numberings["chain"]
+        assert numbering is not round_one.forward.numberings["chain"]
+        assert all(numbering is not shared for shared in numberings)
 
-    def test_ssa_shared_between_stage1_and_stage2(self):
-        result = analyze(PROGRAM, cache=Stage0Cache())
+    def test_ssa_shared_between_stage1_and_stage2(self, monkeypatch):
+        stage1 = {}
+        original = returns.value_number
+
+        def recording(ssa, *args, **kwargs):
+            stage1[ssa.name] = ssa
+            return original(ssa, *args, **kwargs)
+
+        monkeypatch.setattr(returns, "value_number", recording)
+        cache = Stage0Cache()
+        result = analyze(PROGRAM, cache=cache)
+        ssa_cache = cache.get(PROGRAM).ssa_cache
+        assert stage1.keys() == result.forward.ssas.keys()
         for name, ssa in result.forward.ssas.items():
-            assert result.returns.ssas[name] is ssa
+            assert stage1[name] is ssa
+            assert ssa_cache.get(name, result.config.use_mod) is ssa
 
     def test_held_text_skips_the_frontend(self, monkeypatch):
         parses = count_parses(monkeypatch)
@@ -394,15 +407,16 @@ class TestNumberingSharing:
         # on/on, on/off and off/on. A call-free procedure reads neither,
         # so it is numbered once. A caller is numbered once per setting.
         # Complete propagation's first round shares on/on; its DCE
-        # rewrites `chain`, so the second round numbers `chain` afresh,
-        # and `main`, whose key holds chain's new return functions.
+        # rewrites `chain`, so the second round numbers `chain` afresh.
+        # Its return functions keep their content, so `main`, whose key
+        # holds them, keeps its numbering.
         stats = results["complete"].complete_stats
         assert stats.rounds == 2
         assert {
             name for name, proc in stats.per_round[0].items() if proc.any_change
         } == {"chain"}
         assert numbered == {
-            "main": 4,
+            "main": 3,
             "chain": 4,
             "relay": 3,
             "init": 1,
@@ -626,8 +640,8 @@ class TestEditReuse:
         monkeypatch.setattr(analyzer.store, "put_object", recording_put)
         result = analyzer.reanalyze(CHAIN.replace("t = 7", "t = 8"))
         assert listings == {"c": 1}
-        # a payload digest rides on its numbering: stage 1 renumbers the
-        # callers whose keys hold c's new return function
+        # a payload digest rides on its numbering, so only the renumbered
+        # procedures encode theirs
         renumbered = [
             name
             for name, numbering in result.forward.numberings.items()
@@ -636,6 +650,27 @@ class TestEditReuse:
         assert payloads == dict.fromkeys(renumbered, 1)
         assert result.incremental.invalid == ("c",)
         assert written == [encode_env(result.solved.val["c"])]
+
+    def test_leaf_literal_edit_renumbers_one_unit(self, monkeypatch):
+        # c's return functions keep their content, so the callers' keys,
+        # which hold them, still find the first run's numberings
+        analyzer = Analyzer(CHAIN, cache=Stage0Cache())
+        first = analyzer.run()
+        numbered = count_numberings(monkeypatch)
+        _, payloads = count_store_digests(monkeypatch)
+        edited = CHAIN.replace("t = 7", "t = 8")
+        result = analyzer.reanalyze(edited)
+        assert numbered == {"c": 1}
+        assert payloads == {"c": 1}
+        for name in ("main", "a", "b"):
+            assert (
+                result.forward.numberings[name]
+                is first.forward.numberings[name]
+            ), name
+            assert (
+                result.returns.table[name] is first.returns.table[name]
+            ), name
+        assert_answers_as_cold(result, edited)
 
     def test_caller_free_edit_encodes_one_payload(self, monkeypatch):
         analyzer = Analyzer(CHAIN, cache=Stage0Cache())

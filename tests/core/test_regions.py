@@ -9,13 +9,12 @@ result-equivalent to the dense reference solver.
 """
 
 from repro import analyze
-from repro.core.regions import region_schedule
 from repro.core.solver import solve_dense
 
 
 def run(source):
     result = analyze(source)
-    return result, region_schedule(result.call_graph)
+    return result, result.call_graph.schedule
 
 
 def assert_dense_equivalent(result):
@@ -27,7 +26,7 @@ def assert_dense_equivalent(result):
 
 def assert_topological(schedule, graph):
     """Every reachable cross-region call edge goes caller -> later region."""
-    reached = graph.reachable_from_main()
+    reached = graph.reached
     for caller in graph.nodes:
         if caller not in reached:
             continue

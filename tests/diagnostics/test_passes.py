@@ -337,7 +337,7 @@ class TestLatticeSanitizerPass:
         ctx = LintContext(
             result=analyze((EXAMPLES / "pipeline.f").read_text())
         )
-        converge = engine.drive_region_schedule
+        converge = engine.drive_regions
 
         def corrupted(sparse, schedule, worklist, result, **kwargs):
             converge(sparse, schedule, worklist, result, **kwargs)
@@ -349,6 +349,6 @@ class TestLatticeSanitizerPass:
             )
             result.val[proc][key] = BOTTOM
 
-        monkeypatch.setattr(engine, "drive_region_schedule", corrupted)
+        monkeypatch.setattr(engine, "drive_regions", corrupted)
         report = run_passes(ctx, select=["lattice-sanitizer"])
         assert codes(report) == ["RL304"]

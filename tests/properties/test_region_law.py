@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro.core.config import AnalysisConfig, JumpFunctionKind
 from repro.core.driver import Analyzer, analyze
-from repro.core.regions import region_schedule
 from repro.workloads.generator import generate
 
 from .test_incremental_properties import edit_one_procedure
@@ -50,7 +49,7 @@ recursive_profiles = st.builds(
 
 
 def regions_of(graph, procs, reached):
-    region_of = region_schedule(graph).region_of
+    region_of = graph.schedule.region_of
     return {region_of[proc] for proc in procs if proc in reached}
 
 

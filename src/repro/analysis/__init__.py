@@ -6,7 +6,7 @@ function builders in :mod:`repro.core` sit on top of them.
 """
 
 from repro.analysis.dominance import DominatorTree, compute_dominators
-from repro.analysis.ssa import SSAProcedure, build_ssa, ensure_global_symbols
+from repro.analysis.ssa import SSAProcedure, build_ssa
 from repro.analysis.valuenum import ValueNumbering, value_number
 from repro.analysis.sccp import SCCPResult, run_sccp
 from repro.analysis.liveness import LivenessResult, compute_liveness
@@ -22,7 +22,6 @@ __all__ = [
     "compute_dominators",
     "compute_liveness",
     "eliminate_dead_code",
-    "ensure_global_symbols",
     "fold_constant_branches",
     "run_sccp",
     "value_number",

@@ -105,7 +105,7 @@ def _reads(lowered_proc: LoweredProcedure, modref: ModRefInfo | None):
     every global when ``modref`` is ``None``."""
     globals_by_id = {
         symbol.global_id: symbol
-        for symbol in lowered_proc.procedure.symtab
+        for symbol in lowered_proc.symbols
         if symbol.kind is SymbolKind.GLOBAL
     }
 
@@ -133,8 +133,7 @@ def eliminate_dead_stores(
     reads the globals REF gives its callee in ``modref``, or every
     global without one."""
     cfg = lowered_proc.cfg
-    variables = list(lowered_proc.procedure.symtab)
-    boundary = exit_live_set(variables)
+    boundary = exit_live_set(lowered_proc.symbols)
     reads = _reads(lowered_proc, modref)
     removed_total = 0
     while True:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from repro.analysis.ssa import SSAProcedure
 from repro.core.exprs import fold_constant
 from repro.core.lattice import BOTTOM, TOP, LatticeValue, is_constant, meet_all
-from repro.frontend.astnodes import Type
+from repro.frontend.astnodes import LATTICE_TYPES, Type
 from repro.frontend.symbols import Symbol
 from repro.ir.instructions import (
     BinOp,
@@ -95,7 +95,7 @@ def run_sccp(
     values = result.values
     env = entry_env or {}
     for symbol in ssa.variables:
-        if symbol.type in (Type.INTEGER, Type.LOGICAL):
+        if symbol.type in LATTICE_TYPES:
             values[SSAName(symbol, 0)] = env.get(symbol, BOTTOM)
         else:
             values[SSAName(symbol, 0)] = BOTTOM
@@ -251,9 +251,9 @@ def _same_operand_identity(instr: BinOp) -> LatticeValue | None:
 
 def _is_real_operand(operand) -> bool:
     if isinstance(operand, SSAName):
-        return operand.symbol.type not in (Type.INTEGER, Type.LOGICAL)
+        return operand.symbol.type not in LATTICE_TYPES
     if isinstance(operand, Temp):
-        return operand.type not in (Type.INTEGER, Type.LOGICAL)
+        return operand.type not in LATTICE_TYPES
     return False
 
 
@@ -261,6 +261,6 @@ def _demote_real(instr, folded: LatticeValue) -> LatticeValue:
     """REAL-typed destinations never hold lattice constants."""
     dest = instr.dest
     dest_type = dest.symbol.type if isinstance(dest, VarDef) else dest.type
-    if dest_type not in (Type.INTEGER, Type.LOGICAL) and folded is not TOP:
+    if dest_type not in LATTICE_TYPES and folded is not TOP:
         return BOTTOM
     return folded

@@ -2,10 +2,6 @@
 
 Responsibilities:
 
-- :func:`ensure_global_symbols` — give every procedure a (possibly hidden)
-  symbol for every scalar COMMON member in the program, so values that
-  merely *flow through* a procedure are still tracked (the paper's
-  pass-through of implicitly-passed globals).
 - :func:`instrument_call_kills` — insert :class:`~repro.ir.instructions.CallKill`
   pseudo-definitions after each call for every scalar the call may modify,
   as dictated by MOD information (or everything visible, when running the
@@ -15,6 +11,11 @@ Responsibilities:
   and exit versions of every scalar. Version 0 of a formal or global *is*
   its value on entry — the quantity interprocedural constant propagation
   approximates.
+
+The scalars renamed are the lowered procedure's ``variables``: lowering
+gives every procedure a (hidden) symbol for each scalar COMMON member it
+does not declare, so values that merely *flow through* a procedure are
+still tracked (the paper's pass-through of implicitly-passed globals).
 
 The original :class:`~repro.ir.lower.LoweredProcedure` is never mutated;
 every analysis works on its own SSA copy. The copy is structural: it owns
@@ -29,11 +30,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, TypeVar
 
 from repro.analysis.dominance import DominatorTree, compute_dominators, iterated_frontier
-from repro.frontend.astnodes import Type
-from repro.frontend.symbols import GlobalId, Symbol, SymbolKind
+from repro.frontend.symbols import Symbol, SymbolKind
 from repro.ir.cfg import BasicBlock, ControlFlowGraph
 from repro.ir.instructions import (
     Argument,
@@ -47,7 +48,7 @@ from repro.ir.instructions import (
     VarDef,
     VarUse,
 )
-from repro.ir.lower import LoweredProcedure, LoweredProgram
+from repro.ir.lower import LoweredProcedure
 
 #: Maps a Call to the scalars it may modify: list of (symbol, binding).
 CallEffects = Callable[[Call], list[tuple[Symbol, tuple[str, object]]]]
@@ -56,37 +57,6 @@ CallEffects = Callable[[Call], list[tuple[Symbol, tuple[str, object]]]]
 def no_call_effects(_call: Call) -> list[tuple[Symbol, tuple[str, object]]]:
     """Effects function for code with no interprocedural information needs."""
     return []
-
-
-def ensure_global_symbols(lowered: LoweredProgram) -> None:
-    """Add hidden symbols for scalar globals a procedure does not declare.
-
-    COMMON storage exists program-wide: if ``p`` calls ``q`` and both are
-    called from code that sees ``/blk/``, values flow through ``p`` even
-    when ``p`` never mentions the block. A hidden symbol gives the analyses
-    something to version and kill. Idempotent.
-    """
-    for lowered_proc in lowered.procedures.values():
-        symtab = lowered_proc.procedure.symtab
-        present = {
-            s.global_id for s in symtab if s.global_id is not None
-        }
-        for gid, gvar in lowered.program.globals.items():
-            if gvar.is_array or gid in present:
-                continue
-            name = f"$g${gid.block}${gid.offset}"
-            if name in symtab:
-                continue
-            symtab.define(
-                Symbol(
-                    name=name,
-                    kind=SymbolKind.GLOBAL,
-                    type=gvar.type,
-                    global_id=gid,
-                    data_value=gvar.data_value,
-                    hidden=True,
-                )
-            )
 
 
 def copy_cfg(cfg: ControlFlowGraph) -> ControlFlowGraph:
@@ -148,18 +118,25 @@ def _copy_node(node: _Node) -> _Node:
     return clone
 
 
-def instrument_call_kills(cfg: ControlFlowGraph, effects: CallEffects) -> None:
-    """Insert CallKill pseudo-defs after every call, per ``effects``."""
+def instrument_call_kills(
+    cfg: ControlFlowGraph, effects: CallEffects
+) -> tuple[Call, ...]:
+    """Insert CallKill pseudo-defs after every call, per ``effects``;
+    return the calls, in site-id order."""
+    calls: list[Call] = []
     for block in cfg.blocks.values():
         new_instrs: list[Instr] = []
         for instr in block.instrs:
             new_instrs.append(instr)
             if isinstance(instr, Call):
+                calls.append(instr)
                 for symbol, binding in effects(instr):
                     new_instrs.append(
                         CallKill(target=VarDef(symbol), call=instr, binding=binding)
                     )
         block.instrs = new_instrs
+    calls.sort(key=attrgetter("site_id"))
+    return tuple(calls)
 
 
 @dataclass(eq=False)
@@ -170,6 +147,9 @@ class SSAProcedure:
     :class:`~repro.core.driver.SSACache`). The dominator tree
     construction used is not kept: nothing reads it after renaming, and
     it costs a dict per block for as long as a cache holds the form.
+
+    ``calls`` are this form's own calls, in site-id order; the scalars
+    it renames are the lowered procedure's ``variables``.
 
     ``entry_reads`` lists, in first-read order, the formals and globals
     whose entry (version-0) value some operand reads, phi operands
@@ -188,7 +168,7 @@ class SSAProcedure:
 
     lowered: LoweredProcedure
     cfg: ControlFlowGraph
-    variables: list[Symbol]
+    calls: tuple[Call, ...] = ()
     exit_versions: dict[Symbol, int] = field(default_factory=dict)
     exit_reachable: bool = True
     #: site_id -> {global symbol -> version current just before the call}.
@@ -202,12 +182,13 @@ class SSAProcedure:
     def name(self) -> str:
         return self.lowered.name
 
+    @property
+    def variables(self) -> tuple[Symbol, ...]:
+        return self.lowered.variables
+
     def entry_name(self, symbol: Symbol) -> SSAName:
         """Version 0 — the value of ``symbol`` on procedure entry."""
         return SSAName(symbol, 0)
-
-    def calls(self) -> list[Call]:
-        return [i for _, i in self.cfg.instructions() if isinstance(i, Call)]
 
     def definitions(self) -> dict[object, tuple[int, Instr]]:
         """Map each defined SSAName/Temp to its (block id, instruction)."""
@@ -257,13 +238,9 @@ def build_ssa(
 ) -> SSAProcedure:
     """Copy, instrument, and convert one procedure to SSA form."""
     cfg = copy_cfg(lowered_proc.cfg)
-    instrument_call_kills(cfg, effects)
+    calls = instrument_call_kills(cfg, effects)
     cfg.refresh()
-    variables = [
-        s
-        for s in lowered_proc.procedure.symtab
-        if not s.is_array and s.kind is not SymbolKind.NAMED_CONST
-    ]
+    variables = lowered_proc.variables
     domtree = compute_dominators(cfg)
     reachable = set(domtree.idom)
     _place_phis(cfg, domtree, variables, reachable)
@@ -273,7 +250,7 @@ def build_ssa(
     return SSAProcedure(
         lowered=lowered_proc,
         cfg=cfg,
-        variables=variables,
+        calls=calls,
         exit_versions=exit_versions,
         exit_reachable=exit_reachable,
         call_versions=call_versions,
@@ -284,7 +261,7 @@ def build_ssa(
 def _place_phis(
     cfg: ControlFlowGraph,
     domtree: DominatorTree,
-    variables: list[Symbol],
+    variables: tuple[Symbol, ...],
     reachable: set[int],
 ) -> None:
     def_blocks: dict[Symbol, set[int]] = {s: {cfg.entry_id} for s in variables}
@@ -306,7 +283,7 @@ def _place_phis(
 def _rename(
     cfg: ControlFlowGraph,
     domtree: DominatorTree,
-    variables: list[Symbol],
+    variables: tuple[Symbol, ...],
 ) -> tuple[
     dict[Symbol, int], bool, dict[int, dict[Symbol, int]], tuple[Symbol, ...]
 ]:

@@ -42,7 +42,7 @@ from repro.core.exprs import (
     substitute,
 )
 from repro.core.lattice import is_constant
-from repro.frontend.astnodes import Type
+from repro.frontend.astnodes import LATTICE_TYPES, Type
 from repro.frontend.symbols import Symbol, SymbolKind
 from repro.ir.lower import LoweredProgram
 from repro.ir.instructions import (
@@ -155,7 +155,7 @@ class ValueNumbering:
 
 def _entry_value_expr(symbol: Symbol) -> ValueExpr:
     """ValueExpr of a variable's entry (version 0) value."""
-    if symbol.type not in (Type.INTEGER, Type.LOGICAL):
+    if symbol.type not in LATTICE_TYPES:
         return BOTTOM_EXPR  # REALs never participate
     key = entry_key_of(symbol)
     if key is None:
@@ -257,9 +257,9 @@ def _define(exprs: dict, dest, expr: ValueExpr) -> None:
     if dest is None or expr is BOTTOM_EXPR:
         return
     if isinstance(dest, VarDef):
-        if dest.symbol.type in (Type.INTEGER, Type.LOGICAL):
+        if dest.symbol.type in LATTICE_TYPES:
             exprs[SSAName(dest.symbol, dest.version or 0)] = expr
-    elif dest.type in (Type.INTEGER, Type.LOGICAL):
+    elif dest.type in LATTICE_TYPES:
         exprs[dest] = expr
 
 

@@ -14,6 +14,10 @@ assume every call clobbers every visible variable, and "the presence of
 any call in a routine eliminated potential constants along paths leaving
 the call site".
 
+Each procedure's own effects are derived once, by lowering
+(:attr:`~repro.ir.lower.LoweredProcedure.effects`); :func:`compute_modref`
+folds them over the call graph and walks no CFG.
+
 :func:`make_call_effects` translates summaries into the per-call kill sets
 SSA construction consumes (see :mod:`repro.analysis.ssa`).
 """
@@ -24,23 +28,10 @@ from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 
 from repro.callgraph.graph import CallGraph
-from repro.frontend.astnodes import Type
+from repro.frontend.astnodes import LATTICE_TYPES
 from repro.frontend.symbols import GlobalId, Symbol, SymbolKind
-from repro.ir.instructions import (
-    ArgumentKind,
-    Call,
-    LoadArr,
-    ReadArr,
-    ReadVar,
-    StoreArr,
-    VarDef,
-    VarUse,
-)
-from repro.ir.lower import LoweredProgram
-
-
-#: the one empty summary every procedure with nothing to report shares.
-_EMPTY_SUMMARY: frozenset = frozenset()
+from repro.ir.instructions import ArgumentKind, Call
+from repro.ir.lower import DirectEffects, LoweredProgram
 
 
 @dataclass
@@ -48,8 +39,9 @@ class ModRefInfo:
     """MOD/REF summaries for every procedure.
 
     The summaries :func:`compute_modref` returns are frozensets, so SSA
-    cache keys can hold them (:class:`~repro.core.driver.SSACache`), and
-    each empty one is a single shared empty ``frozenset``.
+    cache keys can hold them (:class:`~repro.core.driver.SSACache`). A
+    summary no call widened is the procedure's direct-effect set itself,
+    and each empty one is a single shared empty ``frozenset``.
     """
 
     mod_formals: dict[str, AbstractSet[str]] = field(default_factory=dict)
@@ -108,15 +100,14 @@ def site_binding_map(
 
 
 def compute_modref(lowered: LoweredProgram, graph: CallGraph) -> ModRefInfo:
-    """Compute MOD/REF summaries to a fixpoint over the call graph."""
-    info = ModRefInfo(
-        mod_formals={name: set() for name in lowered.procedures},
-        mod_globals={name: set() for name in lowered.procedures},
-        ref_formals={name: set() for name in lowered.procedures},
-        ref_globals={name: set() for name in lowered.procedures},
-    )
-    for name, lowered_proc in lowered.procedures.items():
-        _collect_direct(name, lowered_proc, info)
+    """Compute MOD/REF summaries to a fixpoint over the call graph,
+    starting from each procedure's direct effects."""
+    units = lowered.procedures
+    # each summary map starts from the like-named direct-effect sets
+    info = ModRefInfo(**{
+        slot: {name: set(getattr(u.effects, slot)) for name, u in units.items()}
+        for slot in DirectEffects._fields
+    })
 
     # Callees first: every callee outside a component is final before the
     # component's own sites run, so one pass settles a non-recursive
@@ -133,45 +124,15 @@ def compute_modref(lowered: LoweredProgram, graph: CallGraph) -> ModRefInfo:
                 changed |= _propagate_site(lowered, caller, call, info)
             if not (component.recursive and changed):
                 break
-    for summaries in (
-        info.mod_formals, info.mod_globals, info.ref_formals, info.ref_globals
-    ):
+    for slot in DirectEffects._fields:
+        summaries = getattr(info, slot)
         for name, summary in summaries.items():
-            summaries[name] = frozenset(summary) if summary else _EMPTY_SUMMARY
+            direct = getattr(units[name].effects, slot)
+            # a summary holds its direct set, so equal sizes mean equal sets
+            summaries[name] = (
+                direct if len(summary) == len(direct) else frozenset(summary)
+            )
     return info
-
-
-def _collect_direct(name: str, lowered_proc, info: ModRefInfo) -> None:
-    mod_f = info.mod_formals[name]
-    mod_g = info.mod_globals[name]
-    ref_f = info.ref_formals[name]
-    ref_g = info.ref_globals[name]
-
-    def note_mod(symbol: Symbol) -> None:
-        slot = _classify(symbol)
-        if slot is None:
-            return
-        (mod_f if slot[0] == "formal" else mod_g).add(slot[1])  # type: ignore[arg-type]
-
-    def note_ref(symbol: Symbol) -> None:
-        slot = _classify(symbol)
-        if slot is None:
-            return
-        (ref_f if slot[0] == "formal" else ref_g).add(slot[1])  # type: ignore[arg-type]
-
-    for _, instr in lowered_proc.cfg.instructions():
-        dest = instr.dest
-        if isinstance(dest, VarDef):
-            note_mod(dest.symbol)
-        if isinstance(instr, (StoreArr, ReadArr)):
-            note_mod(instr.array)
-        if isinstance(instr, LoadArr):
-            note_ref(instr.array)
-        if isinstance(instr, ReadVar):
-            note_mod(instr.target.symbol)
-        for operand in instr.uses():
-            if isinstance(operand, VarUse):
-                note_ref(operand.symbol)
 
 
 def _propagate_site(
@@ -232,18 +193,16 @@ def make_call_effects(
     by-reference actual that is a local of the caller is rebound to its
     formal, since no COMMON storage can alias it.
     """
-    caller = lowered.procedures[caller_name].procedure
+    caller = lowered.procedures[caller_name]
     global_symbols = [
         s
-        for s in caller.symtab
-        if s.kind is SymbolKind.GLOBAL
-        and not s.is_array
-        and s.type in (Type.INTEGER, Type.LOGICAL)
+        for s in caller.variables
+        if s.kind is SymbolKind.GLOBAL and s.type in LATTICE_TYPES
     ]
     caller_formals = [
         s
-        for s in caller.formals
-        if not s.is_array and s.type in (Type.INTEGER, Type.LOGICAL)
+        for s in caller.procedure.formals
+        if not s.is_array and s.type in LATTICE_TYPES
     ]
     by_gid = {s.global_id: s for s in global_symbols}
     aliased = set(global_symbols) | set(caller_formals)
@@ -262,7 +221,7 @@ def make_call_effects(
             for formal, arg in zip(callee.formals, call.args):
                 if arg.kind is ArgumentKind.VAR and arg.symbol is not None:
                     if (
-                        arg.symbol.type in (Type.INTEGER, Type.LOGICAL)
+                        arg.symbol.type in LATTICE_TYPES
                         and arg.symbol not in aliased
                     ):
                         kills.append((arg.symbol, ("formal", formal.name)))
@@ -277,7 +236,7 @@ def make_call_effects(
             if formal.name not in modref.mod_formals.get(call.callee, ()):
                 continue
             if arg.kind is ArgumentKind.VAR and arg.symbol is not None:
-                if arg.symbol.type in (Type.INTEGER, Type.LOGICAL):
+                if arg.symbol.type in LATTICE_TYPES:
                     kills.append((arg.symbol, ("formal", formal.name)))
         return kills
 

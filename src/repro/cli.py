@@ -334,45 +334,30 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _analyze_copyprop(result, args: argparse.Namespace) -> int:
     """Run the copy-propagation client over the analyzed jump functions
     and print its facts (``repro analyze --analysis copyprop``)."""
-    from repro.core.lattice import is_constant
     from repro.framework.clients.copyprop import (
         CopyOf,
-        copy_facts,
         solve_copyprop,
+        summarize_facts,
     )
 
-    def pretty(key) -> str:
-        return key if isinstance(key, str) else result.program.global_display(key)
-
+    name = result.key_name
     print("analysis: copyprop")
     solved = solve_copyprop(result.lowered, result.call_graph, result.forward)
-    constants = 0
-    for proc in sorted(solved.val):
-        env = solved.val[proc]
-        shown = {
-            key: value
-            for key, value in env.items()
-            if value.__class__ is CopyOf or is_constant(value)
-        }
-        constants += sum(
-            1 for v in shown.values() if v.__class__ is not CopyOf
-        )
+    summary = summarize_facts(solved)
+    for proc, shown in summary.facts.items():
         if shown:
             rendered = ", ".join(
-                f"{pretty(k)} = "
+                f"{name(k)} = "
                 + (
-                    f"copy-of {v.proc}::{pretty(v.key)}"
+                    f"copy-of {v.proc}::{name(v.key)}"
                     if v.__class__ is CopyOf
                     else str(v)
                 )
-                for k, v in sorted(
-                    shown.items(), key=lambda item: pretty(item[0])
-                )
+                for k, v in sorted(shown.items(), key=lambda item: name(item[0]))
             )
             print(f"COPIES({proc}) = {{{rendered}}}")
-    copies = sum(len(env) for env in copy_facts(solved).values())
-    print(f"constant facts: {constants}")
-    print(f"copy facts beyond constprop: {copies}")
+    print(f"constant facts: {summary.constant_facts}")
+    print(f"copy facts beyond constprop: {summary.copy_facts}")
     if args.stats:
         print()
         print("copyprop solver counters:")

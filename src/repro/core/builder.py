@@ -39,7 +39,7 @@ from repro.framework.client import (
     FlowIndex,
     RegionPartition,
 )
-from repro.frontend.astnodes import Type
+from repro.frontend.astnodes import LATTICE_TYPES
 from repro.frontend.symbols import SymbolKind
 from repro.ir.instructions import ArgumentKind, Const
 from repro.ir.lower import LoweredProgram
@@ -145,12 +145,11 @@ def build_forward_jump_functions(
         global_symbols = {
             s.global_id: s
             for s in ssa.variables
-            if s.kind is SymbolKind.GLOBAL
-            and s.type in (Type.INTEGER, Type.LOGICAL)
+            if s.kind is SymbolKind.GLOBAL and s.type in LATTICE_TYPES
         }
         edges = seeds[name]
 
-        for call in ssa.calls():
+        for call in ssa.calls:
             site_id, callee_name = call.site_id, call.callee
             if callee_name not in callees[name]:
                 callees[name].append(callee_name)
@@ -159,12 +158,12 @@ def build_forward_jump_functions(
             for formal, arg in zip(callee.formals, call.args):
                 if formal.is_array:
                     continue  # arrays carry no lattice value
-                if formal.type not in (Type.INTEGER, Type.LOGICAL):
+                if formal.type not in LATTICE_TYPES:
                     continue
                 is_literal = (
                     arg.kind is ArgumentKind.VALUE
                     and isinstance(arg.value, Const)
-                    and arg.value.type in (Type.INTEGER, Type.LOGICAL)
+                    and arg.value.type in LATTICE_TYPES
                 )
                 expr = projected_expr(
                     numbering.argument_expr(arg), kind, is_literal

@@ -13,20 +13,21 @@ driver runs it like any other configuration and hands its artifacts in.
 DCE edits a structural copy (``copy_cfg``) of each reached procedure,
 never a stage-0 CFG. A round that changed something runs on a new
 :class:`LoweredProgram` that holds the rewritten copies and shares every
-untouched procedure.
+untouched procedure. A rewritten procedure keeps its original's symbols,
+which its CFG still names, and takes its calls and direct effects from
+that CFG, as lowering does (:func:`~repro.ir.lower.calls_and_effects`).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.analysis.dce import DCEStats, eliminate_dead_code
 from repro.analysis.ssa import copy_cfg
 from repro.callgraph.graph import build_call_graph
 from repro.callgraph.modref import compute_modref
-from repro.ir.instructions import Call
-from repro.ir.lower import LoweredProcedure, LoweredProgram
+from repro.ir.lower import LoweredProgram, calls_and_effects
 
 #: the most analysis rounds one complete-propagation run takes.
 MAX_COMPLETE_ROUNDS = 5
@@ -72,7 +73,7 @@ def run_complete_propagation(
             if numbering is None:
                 continue
             original = lowered.procedures[name]
-            rewritten = LoweredProcedure(original.procedure, copy_cfg(original.cfg))
+            rewritten = replace(original, cfg=copy_cfg(original.cfg))
             proc_stats = eliminate_dead_code(
                 rewritten,
                 numbering.expr_of,
@@ -83,11 +84,9 @@ def run_complete_propagation(
             )
             round_stats[name] = proc_stats
             if proc_stats.any_change:
-                rewritten.call_instrs = [
-                    instr
-                    for _, instr in rewritten.cfg.instructions()
-                    if isinstance(instr, Call)
-                ]
+                rewritten.call_instrs, rewritten.effects = calls_and_effects(
+                    rewritten.cfg
+                )
                 procedures[name] = rewritten
             stats.folded_branches += proc_stats.folded_branches
             stats.removed_blocks += proc_stats.removed_blocks

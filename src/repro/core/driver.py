@@ -45,7 +45,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from repro.analysis.ssa import SSAProcedure, build_ssa, ensure_global_symbols
+from repro.analysis.ssa import SSAProcedure, build_ssa
 from repro.analysis.valuenum import ValueNumbering
 from repro.callgraph.graph import CallGraph, build_call_graph
 from repro.callgraph.modref import ModRefInfo, compute_modref, make_call_effects
@@ -255,11 +255,13 @@ class Stage0Artifacts:
 def build_stage0(
     program: Program, previous: Stage0Artifacts | None = None
 ) -> Stage0Artifacts:
-    """Lower a resolved program and compute its call graph and MOD/REF.
+    """Lower a resolved program and compute its call graph and MOD/REF,
+    writing nothing into ``program``.
 
     ``previous`` is the bundle of the version ``program``'s text replaces
     (an edit; see :meth:`Analyzer.reanalyze`). Each unit whose resolved
-    procedure the frontend kept keeps its lowered procedure too
+    procedure the frontend kept keeps its lowered procedure too, with
+    what lowering derived for it
     (:func:`~repro.ir.lower.lower_program` states the rule), and the new
     :class:`SSACache` has the old one as its base, so those units keep
     their SSA forms, numberings and records too, as long as their callees'
@@ -273,7 +275,6 @@ def build_stage0(
     lowered = lower_program(
         program, previous.lowered if previous is not None else None
     )
-    ensure_global_symbols(lowered)
     timings["lower"] = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -308,7 +309,8 @@ class Stage0Cache:
     The daemon's threads share one cache: one lock guards each lookup
     with its LRU bump, and each insert with the superseded bundle's
     removal and its evictions. Stage 0 is built outside the lock, so two
-    threads that miss on one text may both build it.
+    threads that miss on one text, or on one :class:`Program`, may both
+    build it, safely: building writes nothing into a parsed program.
     """
 
     def __init__(self, maxsize: int = 32):
@@ -431,15 +433,16 @@ class AnalysisResult:
     def references_substituted(self) -> int:
         return self.substitutions.references
 
+    def key_name(self, key) -> str:
+        """An entry key as printed: a formal's name, a global's display."""
+        return key if isinstance(key, str) else self.program.global_display(key)
+
     def constants(self, proc_name: str) -> dict[str, LatticeValue]:
         """CONSTANTS(p) with human-readable names."""
-        pretty: dict[str, LatticeValue] = {}
-        for key, value in self.solved.constants(proc_name.lower()).items():
-            if isinstance(key, str):
-                pretty[key] = value
-            else:
-                pretty[self.program.global_display(key)] = value
-        return pretty
+        return {
+            self.key_name(key): value
+            for key, value in self.solved.constants(proc_name.lower()).items()
+        }
 
     def all_constants(self) -> dict[str, dict[str, LatticeValue]]:
         return {name: self.constants(name) for name in sorted(self.lowered.procedures)}

@@ -34,7 +34,7 @@ from repro.analysis.valuenum import RESULT_KEY, ValueNumbering, value_number
 from repro.callgraph.graph import CallGraph
 from repro.core.config import AnalysisConfig
 from repro.core.exprs import INTERN_TABLE, EntryExpr, ValueExpr
-from repro.frontend.astnodes import Type
+from repro.frontend.astnodes import LATTICE_TYPES
 from repro.frontend.symbols import SymbolKind
 from repro.ir.lower import LoweredProgram
 
@@ -130,7 +130,7 @@ def _extract_functions(numbering: ValueNumbering) -> ReturnFunctions:
     """Exit-value expressions for everything a caller could observe."""
     functions = ReturnFunctions()
     for symbol in numbering.ssa.variables:
-        if symbol.type not in (Type.INTEGER, Type.LOGICAL):
+        if symbol.type not in LATTICE_TYPES:
             continue
         expr = numbering.exit_expr(symbol)
         if expr.is_bottom:

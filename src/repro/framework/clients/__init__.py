@@ -13,15 +13,19 @@ stays import-light; CLI and tests import the client they need.
 from repro.framework.clients.copyprop import (
     CopyLattice,
     CopyOf,
+    FactSummary,
     copy_facts,
     copy_seed,
     solve_copyprop,
+    summarize_facts,
 )
 
 __all__ = [
     "CopyLattice",
     "CopyOf",
+    "FactSummary",
     "copy_facts",
     "copy_seed",
     "solve_copyprop",
+    "summarize_facts",
 ]

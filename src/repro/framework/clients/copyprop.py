@@ -44,7 +44,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 from repro.core.builder import ForwardFunctions
-from repro.core.lattice import BOTTOM, TOP, meet as constant_meet
+from repro.core.lattice import BOTTOM, TOP, is_constant, meet as constant_meet
 from repro.core.solver import initial_val
 from repro.framework.client import FlowEdge
 from repro.framework.edges import EdgeFunction
@@ -163,3 +163,28 @@ def copy_facts(result) -> dict[str, dict]:
         }
         for proc, env in result.val.items()
     }
+
+
+@dataclass(frozen=True)
+class FactSummary:
+    """What ``repro analyze --analysis copyprop`` and the daemon report:
+    per procedure, in name order, each entry key bound to a constant or
+    a copy (⊤ and ⊥ are no facts), and how many of each there are."""
+
+    facts: dict[str, dict]
+    constant_facts: int
+    copy_facts: int
+
+
+def summarize_facts(result) -> FactSummary:
+    """:class:`FactSummary` of a :func:`solve_copyprop` result."""
+    facts = {
+        proc: {
+            key: value
+            for key, value in result.val[proc].items()
+            if value.__class__ is CopyOf or is_constant(value)
+        }
+        for proc in sorted(result.val)
+    }
+    copies = sum(len(env) for env in copy_facts(result).values())
+    return FactSummary(facts, sum(map(len, facts.values())) - copies, copies)

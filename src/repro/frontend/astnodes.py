@@ -27,6 +27,11 @@ class Type(enum.Enum):
     CHARACTER = "character"
 
 
+#: The types that carry a lattice value (a tuple: enum members hash in
+#: Python, but compare by identity in C).
+LATTICE_TYPES = (Type.INTEGER, Type.LOGICAL)
+
+
 class ProcedureKind(enum.Enum):
     PROGRAM = "program"
     SUBROUTINE = "subroutine"

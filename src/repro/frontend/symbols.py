@@ -83,8 +83,6 @@ class Symbol:
     """A resolved name within one procedure.
 
     Symbols are *identities*: equality and hashing are by object identity.
-    ``hidden`` marks synthesized symbols (e.g. shadow globals for COMMON
-    members a procedure does not declare but must transmit).
     """
 
     name: str
@@ -95,7 +93,6 @@ class Symbol:
     const_value: int | float | bool | None = None
     data_value: int | float | bool | None = None
     decl_span: SourceSpan = DUMMY_SPAN
-    hidden: bool = False
 
     @property
     def is_array(self) -> bool:
@@ -146,9 +143,6 @@ class SymbolTable:
 
     def __iter__(self):
         return iter(self._symbols.values())
-
-    def __len__(self) -> int:
-        return len(self._symbols)
 
 
 @dataclass
@@ -728,7 +722,7 @@ def _replay_registrations(
     saved = f"save${unit}"
     for symbol in proc.symtab:
         gid = symbol.global_id
-        if gid is not None and not symbol.hidden and gid.block != saved:
+        if gid is not None and gid.block != saved:
             _register_global(
                 global_vars, unit, gid, symbol.name, symbol.type, symbol.dims,
                 symbol.data_value,

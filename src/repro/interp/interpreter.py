@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import semantics
-from repro.frontend.astnodes import Type
+from repro.frontend.astnodes import LATTICE_TYPES, Type
 from repro.frontend.symbols import GlobalId, Program, Symbol, SymbolKind
 from repro.ir.instructions import (
     Argument,
@@ -225,7 +225,8 @@ class Interpreter:
             else:
                 frame.cells[formal] = bound
 
-        for symbol in procedure.symtab:
+        # lowering's symbols: every global, declared or not, is in the frame
+        for symbol in lowered_proc.symbols:
             if symbol.kind is SymbolKind.FORMAL or symbol.kind is SymbolKind.NAMED_CONST:
                 continue
             if symbol.kind is SymbolKind.GLOBAL:
@@ -239,7 +240,7 @@ class Interpreter:
             else:
                 frame.cells[symbol] = Cell()
 
-        self._record_entry(name, procedure, frame)
+        self._record_entry(name, frame)
         self._execute(lowered_proc, frame)
 
         result_symbol = procedure.result_symbol
@@ -247,10 +248,10 @@ class Interpreter:
             return frame.cells[result_symbol].load(f"{name} result")
         return None
 
-    def _record_entry(self, name: str, procedure, frame: _Frame) -> None:
+    def _record_entry(self, name: str, frame: _Frame) -> None:
         snapshot: dict = {}
         for symbol, cell in frame.cells.items():
-            if symbol.type not in (Type.INTEGER, Type.LOGICAL):
+            if symbol.type not in LATTICE_TYPES:
                 continue
             key = None
             if symbol.kind is SymbolKind.FORMAL:
@@ -260,14 +261,6 @@ class Interpreter:
             if key is None or not cell.is_defined:
                 continue
             snapshot[key] = cell.load(symbol.name)
-        # Globals the procedure does not declare still have entry values.
-        seen_gids = {s.global_id for s in frame.cells if s.kind is SymbolKind.GLOBAL}
-        for gid, cell in self.global_cells.items():
-            if gid in seen_gids or not cell.is_defined:
-                continue
-            gvar = self.program.globals[gid]
-            if gvar.type in (Type.INTEGER, Type.LOGICAL):
-                snapshot[gid] = cell.load(gvar.display)
         self.trace.entries.setdefault(name, []).append(snapshot)
 
     # -- execution ----------------------------------------------------------

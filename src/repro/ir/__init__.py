@@ -35,7 +35,7 @@ from repro.ir.instructions import (
     VarUse,
     WriteOut,
 )
-from repro.ir.lower import LoweredProcedure, LoweredProgram, lower_procedure, lower_program
+from repro.ir.lower import LoweredProcedure, LoweredProgram, lower_program
 from repro.ir.printer import format_cfg, format_instr, format_program
 
 __all__ = [
@@ -73,6 +73,5 @@ __all__ = [
     "format_cfg",
     "format_instr",
     "format_program",
-    "lower_procedure",
     "lower_program",
 ]

@@ -11,16 +11,19 @@ Call sites receive program-unique ``site_id`` values here; everything
 downstream (MOD/REF, jump functions, the interprocedural solver) keys on
 them.
 
-Lowering an edited program can take each unit the edit left in place from
-the lowering of the version it replaces (:func:`lower_program`'s reuse
-rule).
+Lowering also derives, once per unit, what the unit's analyses read
+beyond its CFG (:class:`LoweredProcedure`), and never writes the
+frontend's symbol tables. Lowering an edited program can take each unit
+the edit left in place, with what was derived for it, from the lowering
+of the version it replaces (:func:`lower_program`'s reuse rule).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from repro.frontend import astnodes as ast
 from repro.frontend.errors import SemanticError
@@ -28,6 +31,7 @@ from repro.frontend.source import DUMMY_SPAN, SourceSpan
 from repro.frontend.symbols import (
     INTEGER_INTRINSICS,
     GlobalId,
+    GlobalVar,
     Procedure,
     Program,
     Symbol,
@@ -63,9 +67,28 @@ _COMPARE_OPS = frozenset({"==", "/=", "<", "<=", ">", ">="})
 _LOGICAL_OPS = frozenset({".and.", ".or."})
 
 
+#: the one empty MOD/REF set every unit and summary shares.
+EMPTY_SUMMARY: frozenset = frozenset()
+
+
+class DirectEffects(NamedTuple):
+    """The formals (by name) and globals (by id) a unit's own
+    instructions write (MOD) and read (REF)."""
+
+    mod_formals: frozenset[str]
+    mod_globals: frozenset[GlobalId]
+    ref_formals: frozenset[str]
+    ref_globals: frozenset[GlobalId]
+
+
 @dataclass
 class LoweredProcedure:
-    """A procedure plus its CFG and lowering metadata.
+    """A procedure, its CFG, and what lowering derives once for the
+    unit's analyses (DESIGN §4, "Resolved tables stay as resolved"):
+    ``symbols`` (the frontend's, then the synthetic locals, then a
+    hidden symbol for each scalar global the unit does not declare),
+    ``variables`` (their scalar, non-constant subset, which every SSA
+    form renames), ``call_instrs`` (in site-id order) and ``effects``.
 
     ``sites`` is the range of call-site ids :func:`lower_program` drew
     for this unit, unreachable calls included. ``fingerprint`` is the
@@ -76,7 +99,10 @@ class LoweredProcedure:
 
     procedure: Procedure
     cfg: ControlFlowGraph
-    call_instrs: list[Call] = field(default_factory=list)
+    symbols: tuple[Symbol, ...]
+    variables: tuple[Symbol, ...]
+    call_instrs: tuple[Call, ...]
+    effects: DirectEffects
     sites: range = range(0)
     fingerprint: tuple[str, tuple, str] | None = field(
         default=None, init=False, repr=False, compare=False
@@ -86,10 +112,55 @@ class LoweredProcedure:
     def name(self) -> str:
         return self.procedure.name
 
-    def variables(self) -> list[Symbol]:
-        """All scalar named variables (candidates for SSA renaming)."""
-        return [s for s in self.procedure.symtab if not s.is_array
-                and s.kind is not SymbolKind.NAMED_CONST]
+
+def calls_and_effects(
+    cfg: ControlFlowGraph,
+) -> tuple[tuple[Call, ...], DirectEffects]:
+    """One walk of ``cfg``: its calls in site-id order, and its direct
+    effects. Lowering derives a unit's with it, and complete propagation
+    a DCE rewrite's."""
+    calls: list[Call] = []
+    mod: set[Symbol] = set()
+    ref: set[Symbol] = set()
+    for block in cfg.blocks.values():
+        for instr in block.instrs:
+            cls = instr.__class__
+            if cls is Call:
+                calls.append(instr)
+            elif cls is StoreArr or cls is ReadArr:
+                mod.add(instr.array)
+            elif cls is LoadArr:
+                ref.add(instr.array)
+            dest = instr.dest
+            if dest.__class__ is VarDef:
+                mod.add(dest.symbol)
+            for operand in instr.uses():
+                if operand.__class__ is VarUse:
+                    ref.add(operand.symbol)
+    calls.sort(key=attrgetter("site_id"))
+    return tuple(calls), DirectEffects(*_slots(mod), *_slots(ref))
+
+
+def _slots(symbols: set[Symbol]) -> tuple[frozenset, frozenset]:
+    formals = frozenset(s.name for s in symbols if s.kind is SymbolKind.FORMAL)
+    globals_ = frozenset(
+        s.global_id for s in symbols if s.kind is SymbolKind.GLOBAL
+    )
+    return formals or EMPTY_SUMMARY, globals_ or EMPTY_SUMMARY
+
+
+def hidden_globals(
+    procedure: Procedure, globals_: Mapping[GlobalId, GlobalVar]
+) -> list[Symbol]:
+    """A ``$g$block$offset`` symbol for each scalar global of
+    ``globals_`` that ``procedure`` does not declare, in order."""
+    declared = {s.global_id for s in procedure.symtab}
+    return [
+        Symbol(f"$g${gid.block}${gid.offset}", SymbolKind.GLOBAL, gvar.type,
+               global_id=gid, data_value=gvar.data_value)
+        for gid, gvar in globals_.items()
+        if not gvar.is_array and gid not in declared
+    ]
 
 
 @dataclass
@@ -114,17 +185,16 @@ class LoweredProgram:
             for name, lowered_proc in self.procedures.items()
             for call in lowered_proc.call_instrs
         }
-        scalar_types = (ast.Type.INTEGER, ast.Type.LOGICAL)
         scalar_gids = tuple(
             gid
             for gid, gvar in self.program.globals.items()
-            if not gvar.is_array and gvar.type in scalar_types
+            if not gvar.is_array and gvar.type in ast.LATTICE_TYPES
         )
         self.entry_keys = MappingProxyType({
             name: tuple(
                 formal.name
                 for formal in lowered_proc.procedure.formals
-                if not formal.is_array and formal.type in scalar_types
+                if not formal.is_array and formal.type in ast.LATTICE_TYPES
             ) + scalar_gids
             for name, lowered_proc in self.procedures.items()
         })
@@ -157,15 +227,18 @@ class _Leaves:
     value class, value) and one :class:`Temp` per (index, type) serve the
     whole program. The value class keeps ``.true.`` apart from ``1``
     (``True == 1`` in Python), and a REAL is keyed by its ``repr`` so
-    ``-0.0`` stays apart from ``0.0``. A table lives for one lowering
-    call; nothing outlives it but the operands the CFGs hold.
+    ``-0.0`` stays apart from ``0.0``. Units' direct effects are shared
+    the same way (17 distinct ones among ``large_fanout``'s 1,110
+    units). A table lives for one lowering call; nothing outlives it but
+    the objects the units hold.
     """
 
-    __slots__ = ("_consts", "_temps")
+    __slots__ = ("_consts", "_temps", "_effects")
 
     def __init__(self) -> None:
         self._consts: dict[tuple, Const] = {}
         self._temps: dict[tuple[int, ast.Type], Temp] = {}
+        self._effects: dict[DirectEffects, DirectEffects] = {}
 
     def const(self, value: int | float | bool | str, type_: ast.Type) -> Const:
         cls = value.__class__
@@ -182,6 +255,9 @@ class _Leaves:
             temp = self._temps[key] = Temp(index, type_)
         return temp
 
+    def effects(self, effects: DirectEffects) -> DirectEffects:
+        return self._effects.setdefault(effects, effects)
+
 
 class _ProcedureLowerer:
     """Lowers one procedure body into a CFG."""
@@ -194,9 +270,8 @@ class _ProcedureLowerer:
         self._sites = site_counter
         self._leaves = leaves
         self._temp_index = 0
-        self._synth_index = 0
+        self._synthetic: list[Symbol] = []
         self._label_blocks: dict[int, BasicBlock] = {}
-        self._call_instrs: list[Call] = []
         self._current: BasicBlock = self._cfg.new_block()
         self._cfg.entry_id = self._current.id
         exit_block = self._cfg.new_block()
@@ -209,18 +284,22 @@ class _ProcedureLowerer:
             self._current.append(Jump(self._cfg.exit_id))
         self._cfg.remove_unreachable()
         self._cfg.refresh()
-        reachable_calls = self._reachable_call_instrs()
-        return LoweredProcedure(
-            procedure=self._proc, cfg=self._cfg, call_instrs=reachable_calls
+        symbols = (
+            *self._proc.symtab,
+            *self._synthetic,
+            *hidden_globals(self._proc, self._sites.program.globals),
         )
-
-    def _reachable_call_instrs(self) -> list[Call]:
-        alive = []
-        live_ids = {id(instr) for _, instr in self._cfg.instructions()}
-        for call in self._call_instrs:
-            if id(call) in live_ids:
-                alive.append(call)
-        return alive
+        variables = tuple(
+            s for s in symbols
+            if not s.is_array and s.kind is not SymbolKind.NAMED_CONST
+        )
+        if len(variables) == len(symbols):
+            variables = symbols
+        calls, effects = calls_and_effects(self._cfg)
+        return LoweredProcedure(
+            self._proc, self._cfg, symbols, variables, calls,
+            self._leaves.effects(effects),
+        )
 
     # -- helpers -------------------------------------------------------------
 
@@ -230,16 +309,10 @@ class _ProcedureLowerer:
         return temp
 
     def _new_synthetic(self, hint: str, type_: ast.Type) -> Symbol:
-        name = f"${hint}{self._synth_index}"
-        self._synth_index += 1
-        existing = self._proc.symtab.lookup(name)
-        if existing is not None:
-            # Re-lowering the same procedure (analyzer runs lower once per
-            # configuration): reuse the symbol so identities stay stable.
-            return existing
-        symbol = Symbol(name=name, kind=SymbolKind.LOCAL, type=type_, hidden=True)
-        self._proc.symtab.define(symbol)
-        return symbol
+        """A fresh local only this lowering names (``$count0``, ...)."""
+        name = f"${hint}{len(self._synthetic)}"
+        self._synthetic.append(Symbol(name, SymbolKind.LOCAL, type_))
+        return self._synthetic[-1]
 
     def _emit(self, instr) -> None:
         if self._current.is_terminated:
@@ -434,11 +507,9 @@ class _ProcedureLowerer:
 
     def _lower_call_stmt(self, stmt: ast.CallStmt) -> None:
         args = [self._lower_argument(a) for a in stmt.args]
-        call = Call(callee=stmt.name, args=args,
-                    site_id=self._sites.next_id(), span=stmt.span,
-                    callee_span=stmt.name_span)
-        self._call_instrs.append(call)
-        self._emit(call)
+        self._emit(Call(callee=stmt.name, args=args,
+                        site_id=self._sites.next_id(), span=stmt.span,
+                        callee_span=stmt.name_span))
 
     def _lower_read(self, stmt: ast.ReadStmt) -> None:
         for target in stmt.targets:
@@ -505,11 +576,9 @@ class _ProcedureLowerer:
         args = [self._lower_argument(a) for a in expr.args]
         result_type = self._function_return_type(expr.name)
         temp = self._new_temp(result_type)
-        call = Call(callee=expr.name, args=args, result=temp,
-                    site_id=self._sites.next_id(), span=expr.span,
-                    callee_span=expr.name_span)
-        self._call_instrs.append(call)
-        self._emit(call)
+        self._emit(Call(callee=expr.name, args=args, result=temp,
+                        site_id=self._sites.next_id(), span=expr.span,
+                        callee_span=expr.name_span))
         return temp
 
     def _function_return_type(self, name: str) -> ast.Type:
@@ -591,7 +660,7 @@ class _SiteCounter:
 
     def __init__(self, program: Program):
         self.next = 0
-        self._program = program
+        self.program = program
 
     def next_id(self) -> int:
         site_id = self.next
@@ -599,26 +668,23 @@ class _SiteCounter:
         return site_id
 
     def function_return_type(self, name: str) -> ast.Type:
-        proc = self._program.procedures[name]
+        proc = self.program.procedures[name]
         result = proc.result_symbol
         assert result is not None, f"{name!r} is not a function"
         return result.type
 
 
-def lower_procedure(procedure: Procedure, program: Program) -> LoweredProcedure:
-    """Lower a single procedure (ids are only unique within this call)."""
-    return _ProcedureLowerer(procedure, _SiteCounter(program), _Leaves()).lower()
-
-
 def lower_program(
     program: Program, previous: LoweredProgram | None = None
 ) -> LoweredProgram:
-    """Lower every procedure; assign program-unique call-site ids. The
-    procedures share one :class:`Const` per literal value and one
-    :class:`Temp` per (index, type).
+    """Lower every procedure, deriving its symbols, variables, calls and
+    direct effects (:class:`LoweredProcedure`); assign program-unique
+    call-site ids. The procedures share one :class:`Const` per literal
+    value and one :class:`Temp` per (index, type).
 
     ``previous`` is the lowering of the version ``program`` replaces. A
-    unit takes its :class:`LoweredProcedure` from there when its
+    unit takes its :class:`LoweredProcedure`, and with it what was
+    derived for it, from there when its
     :class:`Procedure` is the very object ``program`` holds (the
     frontend kept the unit: the same text at the same position, under
     the same program context; see

@@ -394,37 +394,29 @@ class AnalysisService:
 
         from repro.framework.clients.copyprop import (
             CopyOf,
-            copy_facts,
             solve_copyprop,
+            summarize_facts,
         )
 
-        def pretty(key) -> str:
-            if isinstance(key, str):
-                return key
-            return result.program.global_display(key)
-
+        name = result.key_name
         solved = solve_copyprop(
             result.lowered, result.call_graph, result.forward
         )
-        facts = copy_facts(solved)
+        summary = summarize_facts(solved)
         return {
             "copies": {
                 proc: {
-                    pretty(key): f"{value.proc}::{pretty(value.key)}"
+                    name(key): f"{value.proc}::{name(value.key)}"
                     for key, value in sorted(
-                        env.items(), key=lambda item: pretty(item[0])
+                        facts.items(), key=lambda item: name(item[0])
                     )
+                    if value.__class__ is CopyOf
                 }
-                for proc, env in sorted(facts.items())
-                if env
+                for proc, facts in summary.facts.items()
+                if any(value.__class__ is CopyOf for value in facts.values())
             },
-            "copy_facts": sum(len(env) for env in facts.values()),
-            "constant_facts": sum(
-                1
-                for env in solved.val.values()
-                for value in env.values()
-                if value.__class__ is not CopyOf
-            ),
+            "copy_facts": summary.copy_facts,
+            "constant_facts": summary.constant_facts,
             "counters": dict(solved.counters()),
         }
 

@@ -2,7 +2,7 @@
 
 from repro.analysis.dce import eliminate_dead_code, eliminate_dead_stores, fold_constant_branches
 from repro.analysis.liveness import compute_liveness, exit_live_set
-from repro.analysis.ssa import build_ssa, ensure_global_symbols
+from repro.analysis.ssa import build_ssa
 from repro.analysis.valuenum import value_number
 from repro.callgraph import build_call_graph, compute_modref, make_call_effects
 from repro.frontend import parse_program
@@ -12,7 +12,6 @@ from repro.ir.instructions import Call, CJump, Copy, Jump, WriteOut
 
 def lowered_of(source):
     lowered = lower_program(parse_program(source))
-    ensure_global_symbols(lowered)
     return lowered
 
 

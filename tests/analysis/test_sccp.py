@@ -1,7 +1,7 @@
 """Unit tests for sparse conditional constant propagation."""
 
 from repro.analysis.sccp import run_sccp
-from repro.analysis.ssa import build_ssa, ensure_global_symbols
+from repro.analysis.ssa import build_ssa
 from repro.callgraph import build_call_graph, compute_modref, make_call_effects
 from repro.core.lattice import BOTTOM, is_constant
 from repro.frontend import parse_program
@@ -11,7 +11,6 @@ from repro.ir.instructions import SSAName
 
 def sccp_of(source, proc="t", entry=None, use_mod=True):
     lowered = lower_program(parse_program(source))
-    ensure_global_symbols(lowered)
     graph = build_call_graph(lowered)
     modref = compute_modref(lowered, graph) if use_mod else None
     effects = make_call_effects(lowered, proc, modref)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.ssa import build_ssa, ensure_global_symbols
+from repro.analysis.ssa import build_ssa
 from repro.callgraph import build_call_graph, compute_modref, make_call_effects
 from repro.frontend import parse_program
 from repro.frontend.astnodes import Type
@@ -24,7 +24,6 @@ from repro.ir.instructions import (
 
 def ssa_of(source, proc="t", use_mod=True):
     lowered = lower_program(parse_program(source))
-    ensure_global_symbols(lowered)
     graph = build_call_graph(lowered)
     modref = compute_modref(lowered, graph) if use_mod else None
     effects = make_call_effects(lowered, proc, modref)
@@ -128,7 +127,6 @@ class TestRenaming:
         # Renaming assigns call arguments in place, so a copy that shares
         # Argument objects with the lowered CFG would corrupt it.
         lowered = lower_program(parse_program(CALLS_SRC))
-        ensure_global_symbols(lowered)
         modref = compute_modref(lowered, build_call_graph(lowered)) if use_mod else None
         original = lowered.procedure("t").cfg
         before = [repr(i) for _, i in original.instructions()]
@@ -275,10 +273,28 @@ class TestCallEffects:
             + self.SUB
         )
         ssa, _ = ssa_of(src)
-        call = ssa.calls()[0]
+        call = ssa.calls[0]
         snapshot = ssa.call_versions[call.site_id]
         g_symbol = next(s for s in snapshot if s.name == "g")
         assert snapshot[g_symbol] == 1  # version after 'g = 7'
+
+
+class TestCalls:
+    def test_form_records_its_own_calls_in_site_order(self):
+        # block order puts the call after the IF (in the join block)
+        # ahead of the ELSE arm's call, whose site id is smaller
+        src = main_src(
+            ["integer n", "n = 1", "if (n > 0) then", "call s(n, 1)", "else",
+             "call s(n, 2)", "endif", "call s(n, 3)"],
+            TestCallEffects.SUB,
+        )
+        ssa, lowered = ssa_of(src)
+        original = lowered.procedure("t").call_instrs
+        walked = [i.site_id for _, i in ssa.cfg.instructions() if isinstance(i, Call)]
+        assert walked != sorted(walked)
+        assert [call.site_id for call in ssa.calls] == [0, 1, 2]
+        assert [call.site_id for call in original] == [0, 1, 2]
+        assert all(a is not b for a, b in zip(ssa.calls, original))
 
 
 class TestHiddenGlobals:
@@ -300,19 +316,14 @@ subroutine bottom
 end
 """
         lowered = lower_program(parse_program(src))
-        ensure_global_symbols(lowered)
-        middle = lowered.procedure("middle").procedure
-        hidden = [s for s in middle.symtab if s.hidden and s.kind.value == "global"]
-        assert len(hidden) == 1
+        middle = lowered.procedure("middle")
+        declared = set(middle.procedure.symtab)
+        hidden = [s for s in middle.symbols if s not in declared]
+        assert [(s.name, s.kind.value) for s in hidden] == [("$g$c$0", "global")]
         assert hidden[0].global_id.block == "c"
-
-    def test_ensure_global_symbols_idempotent(self):
-        src = "program t\ncommon /c/ g\ninteger g\ng = 1\nend\n"
-        lowered = lower_program(parse_program(src))
-        ensure_global_symbols(lowered)
-        count1 = len(lowered.procedure("t").procedure.symtab)
-        ensure_global_symbols(lowered)
-        assert len(lowered.procedure("t").procedure.symtab) == count1
+        assert hidden[0] in middle.variables
+        # lowering keeps its symbols to itself
+        assert middle.procedure.globals_used() == []
 
 
 class TestEntryUseSpans:

@@ -1,6 +1,6 @@
 """Unit tests for symbolic value numbering."""
 
-from repro.analysis.ssa import build_ssa, ensure_global_symbols
+from repro.analysis.ssa import build_ssa
 from repro.analysis.valuenum import RESULT_KEY, entry_key_of, value_number
 from repro.callgraph import build_call_graph, compute_modref, make_call_effects
 from repro.core.exprs import BOTTOM_EXPR, ConstExpr, EntryExpr, OpExpr
@@ -11,7 +11,6 @@ from repro.ir import lower_program
 
 def numbering_of(source, proc, rjf_table=None, use_mod=True, compose=False):
     lowered = lower_program(parse_program(source))
-    ensure_global_symbols(lowered)
     graph = build_call_graph(lowered)
     modref = compute_modref(lowered, graph) if use_mod else None
     effects = make_call_effects(lowered, proc, modref)
@@ -209,7 +208,7 @@ class TestArgumentExprs:
             "subroutine s(a, b, c)\ninteger a, b, c\na = b + c\nend\n"
         )
         numbering, lowered = numbering_of(src, "t")
-        call = numbering.ssa.calls()[0]
+        call = numbering.ssa.calls[0]
         exprs = [numbering.argument_expr(a) for a in call.args]
         assert exprs == [ConstExpr(4), ConstExpr(5), ConstExpr(9)]
 
@@ -219,7 +218,7 @@ class TestArgumentExprs:
             "subroutine s(w)\ninteger w(3)\nw(1) = 0\nend\n"
         )
         numbering, _ = numbering_of(src, "t")
-        call = numbering.ssa.calls()[0]
+        call = numbering.ssa.calls[0]
         assert numbering.argument_expr(call.args[0]).is_bottom
 
 

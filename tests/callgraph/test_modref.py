@@ -17,7 +17,7 @@ from repro.cli import main
 from repro.frontend import parse_program
 from repro.frontend.symbols import GlobalId
 from repro.ir import lower_program
-from repro.analysis.ssa import ensure_global_symbols
+from repro.ir.cfg import ControlFlowGraph
 from repro.service import AnalysisService
 from repro.workloads import load, suite_names
 
@@ -26,7 +26,6 @@ from ..properties.strategies import programs
 
 def modref_of(source):
     lowered = lower_program(parse_program(source))
-    ensure_global_symbols(lowered)
     graph = build_call_graph(lowered)
     return compute_modref(lowered, graph), lowered
 
@@ -516,21 +515,19 @@ LARGE_PROGRAMS = ["large_chain", "large_fanout", "large_scc"]
 
 def lowered_and_graph(source):
     lowered = lower_program(parse_program(source))
-    ensure_global_symbols(lowered)
     return lowered, build_call_graph(lowered)
 
 
 def sweep_until_stable(lowered):
     """Reference schedule: re-sweep every call site in site-id order
     until no summary changes."""
+    units = lowered.procedures
     info = ModRefInfo(
-        mod_formals={name: set() for name in lowered.procedures},
-        mod_globals={name: set() for name in lowered.procedures},
-        ref_formals={name: set() for name in lowered.procedures},
-        ref_globals={name: set() for name in lowered.procedures},
+        mod_formals={name: set(p.effects.mod_formals) for name, p in units.items()},
+        mod_globals={name: set(p.effects.mod_globals) for name, p in units.items()},
+        ref_formals={name: set(p.effects.ref_formals) for name, p in units.items()},
+        ref_globals={name: set(p.effects.ref_globals) for name, p in units.items()},
     )
-    for name, lowered_proc in lowered.procedures.items():
-        modref._collect_direct(name, lowered_proc, info)
     changed = True
     while changed:
         changed = False
@@ -552,6 +549,17 @@ def test_callee_first_equals_sweep_reference_on_corpus(name):
 def test_callee_first_equals_sweep_reference_on_generated(source):
     lowered, graph = lowered_and_graph(source)
     assert compute_modref(lowered, graph) == sweep_until_stable(lowered)
+
+
+def test_summaries_fold_stored_effects_without_walking_a_cfg(monkeypatch):
+    lowered, graph = lowered_and_graph(load("adm").source)
+    expected = sweep_until_stable(lowered)
+
+    def no_walk(cfg):
+        raise AssertionError("compute_modref walked a CFG")
+
+    monkeypatch.setattr(ControlFlowGraph, "instructions", no_walk)
+    assert compute_modref(lowered, graph) == expected
 
 
 def test_call_sites_fold_once_per_level(monkeypatch):

@@ -4,6 +4,8 @@ import pytest
 
 from repro import AnalysisConfig, JumpFunctionKind, analyze
 from repro.core import complete
+from repro.core.driver import Stage0Cache
+from repro.frontend.symbols import GlobalId
 from repro.interp import run_program
 
 
@@ -138,6 +140,51 @@ end
         # the dead site is gone from the call-site table
         callees = [c.callee for _, c in result.lowered.call_sites.values()]
         assert callees.count("leaf") == 2
+
+
+class TestRewrittenUnits:
+    def test_rewrite_takes_calls_and_effects_from_its_cfg(self):
+        # f is 1 at a's only call, so DCE folds a's branch and drops the
+        # store to g and the call to b with its dead arm
+        source = """
+program main
+  common /cg/ g
+  integer g
+  g = 0
+  call a(1)
+  write g
+end
+subroutine a(f)
+  integer f
+  common /cg/ g
+  integer g
+  if (f == 1) then
+    write f
+  else
+    g = 5
+    call b(f)
+  endif
+end
+subroutine b(x)
+  integer x
+  write x
+end
+"""
+        cache = Stage0Cache()
+        original = cache.get(source).lowered.procedures["a"]
+        assert [call.callee for call in original.call_instrs] == ["b"]
+        assert original.effects.mod_globals == {GlobalId("cg", 0)}
+        result = analyze(source, complete_config(), cache=cache)
+        rewritten = result.lowered.procedures["a"]
+        assert rewritten is not original
+        assert rewritten.call_instrs == ()
+        assert rewritten.effects.mod_globals == frozenset()
+        assert result.modref.mod_globals["a"] == frozenset()
+        assert result.modref.ref_formals["a"] == {"f"}
+        assert result.call_graph.callees("a") == ()
+        # the rewritten CFG still names its original's symbols
+        assert rewritten.symbols is original.symbols
+        assert rewritten.variables is original.variables
 
 
 class TestDeadStores:

@@ -3,6 +3,7 @@ process-parallel multi-program sweep, and the Table 3 baseline contract."""
 
 import random
 import sys
+import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -19,6 +20,8 @@ from repro.frontend import parse_program, parser, symbols
 from repro.frontend.errors import FrontendError, SemanticError
 from repro.frontend.lexer import tokenize
 from repro.frontend.tokens import TokenKind
+from repro.ir import lower
+from repro.ir.cfg import ControlFlowGraph
 from repro.ir.printer import format_cfg
 from repro.store import fingerprints, incremental
 from repro.store.fingerprints import encode_env
@@ -206,6 +209,31 @@ class TestStage0Cache:
         for name, ssa in result.forward.ssas.items():
             assert stage1[name] is ssa
             assert ssa_cache.get(name, result.config.use_mod) is ssa
+
+    def test_stage2_reads_each_ssa_forms_calls(self, monkeypatch):
+        # an SSA form records its own calls when it is built, in site-id
+        # order; stage 2 projects them without walking any CFG
+        cache = Stage0Cache()
+        stage0 = cache.get(CHAIN)
+        config = AnalysisConfig()
+        stage1 = stage0.ssa_cache.returns(config)
+
+        def no_walk(cfg):
+            raise AssertionError("stage 2 walked a CFG")
+
+        monkeypatch.setattr(ControlFlowGraph, "instructions", no_walk)
+        forward = builder.build_forward_jump_functions(
+            stage0.lowered, stage1, config, stage0.ssa_cache
+        )
+        assert forward.sites.keys() == stage0.lowered.call_sites.keys()
+        for name, ssa in forward.ssas.items():
+            lowered_proc = stage0.lowered.procedures[name]
+            assert [call.site_id for call in ssa.calls] == [
+                call.site_id for call in lowered_proc.call_instrs
+            ]
+            assert not set(map(id, ssa.calls)) & set(
+                map(id, lowered_proc.call_instrs)
+            )
 
     def test_held_text_skips_the_frontend(self, monkeypatch):
         parses = count_parses(monkeypatch)
@@ -497,6 +525,26 @@ def count_ssa_builds(monkeypatch) -> Counter:
     return built
 
 
+def record_derivations(monkeypatch) -> tuple[list, list]:
+    """Record what lowering derives per unit: the units given hidden
+    global symbols, and the CFGs walked for calls and direct effects."""
+    hidden, walked = [], []
+    original_hidden = lower.hidden_globals
+    original_walk = lower.calls_and_effects
+
+    def recording_hidden(procedure, globals_):
+        hidden.append(procedure.name)
+        return original_hidden(procedure, globals_)
+
+    def recording_walk(cfg):
+        walked.append(cfg)
+        return original_walk(cfg)
+
+    monkeypatch.setattr(lower, "hidden_globals", recording_hidden)
+    monkeypatch.setattr(lower, "calls_and_effects", recording_walk)
+    return hidden, walked
+
+
 def record_tokens(monkeypatch) -> list:
     """Record every token the frontend lexes, as (kind, value, start,
     end), newlines and end markers left out."""
@@ -579,6 +627,20 @@ class TestEditReuse:
             )
             assert result.forward.ssas[name] is first.forward.ssas[name]
         assert result.program.procedures["a"] is first.program.procedures["a"]
+        assert_answers_as_cold(result, edited)
+
+    def test_body_literal_edit_derives_one_unit(self, monkeypatch):
+        analyzer = Analyzer(CHAIN, cache=Stage0Cache())
+        first = analyzer.run()
+        hidden, walked = record_derivations(monkeypatch)
+        edited = CHAIN.replace("t = 7", "t = 8")
+        result = analyzer.reanalyze(edited)
+        assert hidden == ["c"]
+        assert walked == [result.lowered.procedures["c"].cfg]
+        for name in ("main", "a", "b"):
+            kept = result.lowered.procedures[name]
+            assert kept.effects is first.lowered.procedures[name].effects
+        assert result.modref == first.modref
         assert_answers_as_cold(result, edited)
 
     def test_identical_text_builds_nothing(self, monkeypatch):
@@ -789,6 +851,25 @@ end
             assert (swept[name].constants("c").get("v") == 5) == constant, name
 
 
+def loop_chain(units: int = 12, loops: int = 2, globals_: int = 4) -> str:
+    """A call chain of ``units`` subroutines, each running ``loops`` DO
+    loops (lowering gives each loop a synthetic trip-count symbol), under
+    a main program that alone declares ``globals_`` COMMON scalars
+    (lowering gives every subroutine a hidden symbol for each)."""
+    names = ", ".join(f"g{i}" for i in range(globals_))
+    lines = ["program main", f"  common /cg/ {names}", f"  integer {names}"]
+    lines += [f"  g{i} = {i + 1}" for i in range(globals_)]
+    lines += ["  call sub1(1)", "end"]
+    for unit in range(1, units + 1):
+        lines += [f"subroutine sub{unit}(n)", "  integer n, k"]
+        for loop in range(loops):
+            lines += [f"  do k = n, {loop + 3}", "    write k", "  enddo"]
+        if unit < units:
+            lines.append(f"  call sub{unit + 1}(n + 1)")
+        lines.append("end")
+    return "\n".join(lines) + "\n"
+
+
 class TestConcurrentSharing:
     """The daemon's threads share one stage-0 bundle, and with it the SSA
     forms and numberings stage 2 completes on first use."""
@@ -817,6 +898,105 @@ class TestConcurrentSharing:
             sys.setswitchinterval(interval)
         for key, result in results.items():
             assert result.all_constants() == expected[key], key[1].describe()
+
+    def test_threads_analyzing_one_parsed_program_match_one_thread(self):
+        # Threads that share a parsed program share its symbol tables, so
+        # an analysis must not define symbols there: two threads that
+        # both find a synthetic or hidden name missing and define it make
+        # the second raise "duplicate declaration" on a valid program
+        # (or one iterates a table the other grows), in about half of
+        # these rounds when lowering wrote the tables.
+        source = loop_chain()
+        single = analyze(source, cache=None)
+        expected = (single.all_constants(), single.transformed_source())
+        threads = 3
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for shared in (False, True):
+                for _ in range(10):
+                    program = parse_program(source)
+                    cache = Stage0Cache() if shared else None
+                    barrier = threading.Barrier(threads)
+
+                    def run():
+                        barrier.wait()
+                        result = analyze(program, cache=cache)
+                        return (
+                            result.all_constants(),
+                            result.transformed_source(),
+                        )
+
+                    with ThreadPoolExecutor(max_workers=threads) as pool:
+                        futures = [pool.submit(run) for _ in range(threads)]
+                        got = [future.result(timeout=60) for future in futures]
+                    assert got == [expected] * threads, shared
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def symbol_tables(program) -> dict:
+    """Each unit's symbol table (names, kinds and types, in order) and
+    the names :meth:`~repro.frontend.symbols.Procedure.globals_used`
+    answers."""
+    return {
+        name: (
+            [(s.name, s.kind, s.type) for s in proc.symtab],
+            [s.name for s in proc.globals_used()],
+        )
+        for name, proc in program.procedures.items()
+    }
+
+
+class TestFrontendTablesStayAsResolved:
+    """Analysis derives its own per-unit state on the lowered procedure
+    and never writes the frontend's symbol tables."""
+
+    SOURCE = """
+program main
+  common /cg/ g1
+  integer g1
+  g1 = 3
+  call sub1
+end
+
+subroutine sub1
+  integer k
+  do k = 1, 3
+    write k
+  enddo
+end
+"""
+
+    def test_analyses_and_an_edit_leave_tables_as_resolved(self):
+        program = parse_program(self.SOURCE)
+        resolved = symbol_tables(program)
+        tables = {name: list(p.symtab) for name, p in program.procedures.items()}
+        assert [row[0] for row in resolved["sub1"][0]] == ["k"]
+        assert resolved["sub1"][1] == []
+        configs = {**TABLE2_CONFIGS, **TABLE3_CONFIGS}
+        for config in configs.values():
+            analyze(program, config, cache=None)
+        Analyzer(program, cache=Stage0Cache()).sweep(configs)
+        edited = self.SOURCE.replace("g1 = 3", "g1 = 4")
+        analyzer = Analyzer(program, cache=Stage0Cache())
+        analyzer.run()
+        analyzer.reanalyze(edited)
+        assert analyzer.program.procedures["sub1"] is program.procedures["sub1"]
+        assert symbol_tables(program) == resolved
+        # the very symbols resolution made, and no others
+        for name, proc in program.procedures.items():
+            assert list(proc.symtab) == tables[name], name
+        assert symbol_tables(analyzer.program) == symbol_tables(
+            parse_program(edited)
+        )
+
+    def test_lowering_holds_the_symbols_it_derives(self):
+        result = analyze(self.SOURCE, cache=None)
+        sub1 = result.lowered.procedures["sub1"]
+        assert [s.name for s in sub1.symbols] == ["k", "$count0", "$g$cg$0"]
+        assert sub1.variables == sub1.symbols
+        assert result.forward.ssas["sub1"].variables is sub1.variables
 
 
 class TestCacheCorrectness:

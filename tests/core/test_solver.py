@@ -8,13 +8,11 @@ from repro.core.solver import initial_val
 from repro.frontend import parse_program
 from repro.frontend.symbols import GlobalId
 from repro.ir import lower_program
-from repro.analysis.ssa import ensure_global_symbols
 
 
 class TestInitialVal:
     def lowered(self, source):
         lowered = lower_program(parse_program(source))
-        ensure_global_symbols(lowered)
         return lowered
 
     def test_formals_start_top(self):
@@ -271,13 +269,11 @@ class TestBaselineVal:
 
     def test_bottom_everywhere_even_with_data(self):
         from repro.core.solver import bottom_val
-        from repro.analysis.ssa import ensure_global_symbols
         from repro.ir import lower_program
 
         lowered = lower_program(parse_program(
             "program m\ncommon /c/ g\ninteger g\ndata g /9/\nwrite g\nend\n"
         ))
-        ensure_global_symbols(lowered)
         val = bottom_val(lowered)
         assert all(
             value is BOTTOM for env in val.values() for value in env.values()

@@ -287,12 +287,12 @@ class TestLoweredProgramApi:
         proc = lower_main(
             ["integer a(5)", "parameter (k = 1)", "n = k", "a(1) = n"]
         )
-        names = {s.name for s in proc.variables()}
+        names = {s.name for s in proc.variables}
         assert "n" in names
         assert "a" not in names
         assert "k" not in names
 
     def test_synthetic_loop_symbols_registered(self):
         proc = lower_main(["do i = 1, n", "m = i", "enddo"])
-        names = {s.name for s in proc.variables()}
+        names = {s.name for s in proc.variables}
         assert any(name.startswith("$count") for name in names)

@@ -8,7 +8,6 @@ import inspect
 
 import pytest
 
-from repro.analysis.ssa import ensure_global_symbols
 from repro.core.parallel import RegionOutcome
 from repro.core.slab import SlabSegment
 from repro.core.solver import SolveResult, WarmStart
@@ -58,7 +57,6 @@ class TestInstructionSlots:
 
     def test_lowered_instances_have_no_dict(self):
         lowered = lower_program(parse_program(SOURCE))
-        ensure_global_symbols(lowered)
         seen = 0
         for proc in lowered.procedures.values():
             for block in proc.cfg.blocks.values():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.dce import eliminate_dead_code
-from repro.analysis.ssa import build_ssa, ensure_global_symbols
+from repro.analysis.ssa import build_ssa
 from repro.analysis.valuenum import value_number
 from repro.callgraph import build_call_graph, compute_modref, make_call_effects
 from repro.frontend import parse_program
@@ -96,7 +96,6 @@ end
 
     def lowered(self):
         lowered = lower_program(parse_program(self.SOURCE))
-        ensure_global_symbols(lowered)
         return lowered
 
     def test_lowering_produces_valid_ir(self):
@@ -128,14 +127,12 @@ end
     def test_workloads_lower_to_valid_ir(self, name):
         workload = load(name, scale=0.3)
         lowered = lower_program(parse_program(workload.source))
-        ensure_global_symbols(lowered)
         validate_program(lowered, ssa_form=False)
 
     @pytest.mark.parametrize("name", ["mdg", "trfd"])
     def test_workloads_ssa_valid(self, name):
         workload = load(name, scale=0.3)
         lowered = lower_program(parse_program(workload.source))
-        ensure_global_symbols(lowered)
         graph = build_call_graph(lowered)
         modref = compute_modref(lowered, graph)
         for proc_name in lowered.procedures:
@@ -165,7 +162,6 @@ end
 
     def _lowered(self):
         lowered = lower_program(parse_program(self.SRC))
-        ensure_global_symbols(lowered)
         return lowered
 
     def test_lowered_spans_are_valid(self):

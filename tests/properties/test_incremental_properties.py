@@ -341,8 +341,8 @@ def _tag(value):
 
 
 def program_image(program) -> tuple:
-    """Unit order, each unit's spans and symbol table (without the
-    hidden symbols lowering and SSA add), and the globals in order."""
+    """Unit order, each unit's spans and symbol table, and the globals
+    in order."""
     units = [
         (
             name,
@@ -359,7 +359,6 @@ def program_image(program) -> tuple:
                     symbol.decl_span.text_range,
                 )
                 for symbol in proc.symtab
-                if not symbol.hidden
             ],
         )
         for name, proc in program.procedures.items()

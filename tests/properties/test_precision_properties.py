@@ -14,7 +14,7 @@ never relies on that direction.)
 from hypothesis import HealthCheck, given, settings
 
 from repro.analysis.sccp import run_sccp
-from repro.analysis.ssa import build_ssa, ensure_global_symbols
+from repro.analysis.ssa import build_ssa
 from repro.analysis.valuenum import value_number
 from repro.callgraph import build_call_graph, compute_modref, make_call_effects
 from repro.core.lattice import BOTTOM, is_constant
@@ -35,7 +35,6 @@ SETTINGS = settings(
 @SETTINGS
 def test_sccp_at_least_as_precise_as_value_numbering(source):
     lowered = lower_program(parse_program(source))
-    ensure_global_symbols(lowered)
     graph = build_call_graph(lowered)
     modref = compute_modref(lowered, graph)
     for name, lowered_proc in lowered.procedures.items():
@@ -67,7 +66,6 @@ def test_sccp_at_least_as_precise_as_value_numbering(source):
 def test_modref_monotone_under_extra_kills(source):
     """No-MOD kill sets always cover the MOD-based kill sets."""
     lowered = lower_program(parse_program(source))
-    ensure_global_symbols(lowered)
     graph = build_call_graph(lowered)
     modref = compute_modref(lowered, graph)
     for name, lowered_proc in lowered.procedures.items():

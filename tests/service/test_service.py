@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.core import driver
 from repro.core.config import AnalysisConfig
 from repro.core.driver import analyze
@@ -510,6 +511,31 @@ class TestDispatch:
         assert modref["result"] == {"summaries": summaries}
         assert "work" in summaries
         assert "a" in summaries["work"]["mod"]
+
+    def test_copyprop_facts_match_the_cli(self, tmp_path, capsys):
+        # s's first formal is bound to a value read at run time: ⊥ in
+        # VAL, which is no fact; its second is the one constant fact
+        source = (
+            "program main\n  integer n\n  read n\n  call s(n + 1, 4)\nend\n"
+            "subroutine s(a, b)\n  integer a, b\n  write a + b\nend\n"
+        )
+        response = AnalysisService().handle(
+            {"id": "c", "source": source, "analysis": "copyprop"}
+        )
+        assert response["status"] == "ok"
+        served = response["result"]
+        assert (served["constant_facts"], served["copy_facts"]) == (1, 0)
+        program_file = tmp_path / "program.f"
+        program_file.write_text(source)
+        assert cli_main(
+            ["analyze", str(program_file), "--analysis", "copyprop"]
+        ) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert "COPIES(s) = {b = 4}" in printed
+        assert printed[-2:] == [
+            f"constant facts: {served['constant_facts']}",
+            f"copy facts beyond constprop: {served['copy_facts']}",
+        ]
 
     def test_analyses_have_distinct_fingerprints(self):
         service = AnalysisService()
